@@ -20,19 +20,16 @@ observation time runs the free flight backward.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
 
 from . import defaults
 from .core import (KickKind, ObservableKind, ObservableSeries, PulseOrder,
-                   PulseSequence, validate_sequence)
+                   PulseSequence, validate_sequence, walk_sequence)
 from .errors import ConvergenceFailure, InvalidNodeCount
-
-_ensemble_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -60,6 +57,15 @@ class ClassicalState:
     omega: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes theta0 = arccos(u) and halved weights, cached per node count."""
+    # roots_legendre stays O(n) at large node counts, unlike the dense
+    # companion-matrix route
+    u, w = roots_legendre(n_nodes)
+    return np.arccos(u), w / 2.0
+
+
 def make_ensemble(n_nodes: int) -> ClassicalEnsemble:
     """Gauss-Legendre ensemble in u = cos(theta0) on [-1, 1].
 
@@ -68,17 +74,7 @@ def make_ensemble(n_nodes: int) -> ClassicalEnsemble:
     """
     if n_nodes < 2:
         raise InvalidNodeCount(f"need at least 2 nodes, got {n_nodes}")
-    with _cache_lock:
-        cached = _ensemble_cache.get(n_nodes)
-    if cached is None:
-        # roots_legendre stays O(n) at large node counts, unlike the
-        # dense companion-matrix route
-        u, w = roots_legendre(n_nodes)
-        cached = (np.arccos(u), w / 2.0)
-        with _cache_lock:
-            _ensemble_cache[n_nodes] = cached
-    theta0, weights = cached
-    return ClassicalEnsemble(theta0, weights)
+    return ClassicalEnsemble(*_gauss_legendre(n_nodes))
 
 
 def _kick_increment(kind: KickKind, strength: float, theta: np.ndarray) -> np.ndarray:
@@ -102,25 +98,21 @@ def propagate_classical(
     if t_eval.size > 1 and np.any(np.diff(t_eval) < 0):
         raise ValueError("t_eval must be sorted ascending")
 
-    theta = ens.theta0.copy()
-    omega = np.zeros_like(theta)
-    groups = seq.time_groups()
-    starts = [g[0] for g in groups] + ([float(t_eval[0])] if t_eval.size else [])
-    clock = min(starts) if starts else 0.0
+    def fly(state, dt):
+        theta, omega = state
+        return theta + omega * dt, omega
 
-    out: list[ClassicalState] = []
-    gi = 0
-    for t in t_eval:
-        # apply every kick group with time <= t, flying between events
-        while gi < len(groups) and groups[gi][0] <= t:
-            t_kick, kicks = groups[gi]
-            theta = theta + omega * (t_kick - clock)
-            clock = t_kick
-            pre = theta  # simultaneous kicks share the pre-kick angle
-            omega = omega + sum(_kick_increment(k.kind, k.strength, pre) for k in kicks)
-            gi += 1
-        out.append(ClassicalState(theta + omega * (t - clock), omega.copy()))
-    return out
+    def kick(state, kicks):
+        theta, omega = state  # simultaneous kicks share the pre-kick angle
+        return theta, omega + sum(_kick_increment(k.kind, k.strength, theta)
+                                  for k in kicks)
+
+    def observe(state, dt):
+        theta, omega = state
+        return ClassicalState(theta + omega * dt, omega.copy())
+
+    rest = (ens.theta0.copy(), np.zeros_like(ens.theta0))
+    return walk_sequence(seq, t_eval, rest, fly, kick, observe)
 
 
 def two_kick_theta(theta0, p_s: float, p_a: float, t_1, t_2,

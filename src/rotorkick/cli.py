@@ -31,10 +31,9 @@ from .errors import (BasisOverflow, ConfigError, ConvergenceFailure,
 from .labunits import (KCL, HalfCyclePulse, LaserPulse, MoleculeParams,
                        kick_strength, time_from_dimensionless,
                        time_to_dimensionless)
-from .optimize import (CSV_HEADER, BoundsBox, OptimizationProblem,
+from .optimize import (CSV_HEADER, CSV_NUM, BoundsBox, OptimizationProblem,
                        default_bounds, optimize, result_csv_row, sweep)
 
-_NUM = "{:.11e}".format
 _NUMERICAL_ERRORS = (ConvergenceFailure, BasisOverflow,
                      SeriesTruncationFailure)
 
@@ -96,7 +95,7 @@ def _cmd_simulate(args) -> int:
         else:
             s = seq or two_pulse_sequence(args.ps, args.pa, args.t1, order)
             vals = quantum.run_sequence(s, t, k=k, l_max_hint=args.lmax).values
-        lines += [f"{_NUM(ti)},{_NUM(vi)},{kind},{engine.value}"
+        lines += [f"{CSV_NUM(ti)},{CSV_NUM(vi)},{kind},{engine.value}"
                   for ti, vi in zip(t, vals)]
     _emit(lines, args.out)
     return 0
@@ -131,7 +130,7 @@ def _cmd_optimize(args) -> int:
     )
     res = optimize(prob, extra_starts=args.starts, seed=args.seed)
     lines = [CSV_HEADER, result_csv_row(res),
-             f"# scaled_delay={_NUM(res.scaled_delay)}"]
+             f"# scaled_delay={CSV_NUM(res.scaled_delay)}"]
     if res.stagnated:
         lines.append("# stagnated: no simplex start improved on the "
                      "coarse grid")
@@ -181,29 +180,29 @@ def _cmd_convert(args) -> int:
         mol = MoleculeParams("custom", *fields)
 
     lines = [f"molecule = {mol.name}",
-             f"revival_time_ps = {_NUM(mol.revival_time_ps)}"]
+             f"revival_time_ps = {CSV_NUM(mol.revival_time_ps)}"]
     did_any = False
     if (args.hcp_field is None) != (args.hcp_duration is None):
         raise ConfigError("--hcp-field and --hcp-duration go together")
     if args.hcp_field is not None:
         pa = kick_strength(HalfCyclePulse(args.hcp_field, args.hcp_duration),
                            mol)
-        lines.append(f"p_a = {_NUM(pa)}")
+        lines.append(f"p_a = {CSV_NUM(pa)}")
         did_any = True
     if (args.laser_intensity is None) != (args.laser_duration is None):
         raise ConfigError("--laser-intensity and --laser-duration go together")
     if args.laser_intensity is not None:
         ps = kick_strength(
             LaserPulse(args.laser_intensity, args.laser_duration), mol)
-        lines.append(f"p_s = {_NUM(ps)}")
+        lines.append(f"p_s = {CSV_NUM(ps)}")
         did_any = True
     if args.time_ps is not None:
         lines.append(
-            f"t_dimensionless = {_NUM(time_to_dimensionless(args.time_ps, mol))}")
+            f"t_dimensionless = {CSV_NUM(time_to_dimensionless(args.time_ps, mol))}")
         did_any = True
     if args.time_dimensionless is not None:
         lines.append(
-            f"t_ps = {_NUM(time_from_dimensionless(args.time_dimensionless, mol))}")
+            f"t_ps = {CSV_NUM(time_from_dimensionless(args.time_dimensionless, mol))}")
         did_any = True
     if not did_any:
         raise ConfigError("nothing to convert: give a pulse or a time")

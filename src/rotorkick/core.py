@@ -133,6 +133,32 @@ def validate_sequence(seq: PulseSequence | Iterable[Kick]) -> PulseSequence:
     return PulseSequence(ordered)
 
 
+def walk_sequence(seq: PulseSequence, t_eval: np.ndarray, state,
+                  fly, kick, observe) -> list:
+    """The one event walker over a kick sequence, shared by both engines.
+
+    The clock starts at the earlier of the first kick and the first
+    requested time, with ``state`` at rest there. For each time t in
+    ``t_eval`` (ascending), every kick group at or before t is applied,
+    so a kick at exactly t is seen: ``fly(state, dt)`` advances the state
+    to the group's time and ``kick(state, kicks)`` applies the group.
+    Then ``observe(state, t - clock)`` gives the entry for t.
+    """
+    groups = seq.time_groups()
+    starts = [g[0] for g in groups] + ([float(t_eval[0])] if t_eval.size else [])
+    clock = min(starts) if starts else 0.0
+    out = []
+    gi = 0
+    for t in t_eval:
+        while gi < len(groups) and groups[gi][0] <= t:
+            t_kick, kicks = groups[gi]
+            state = kick(fly(state, t_kick - clock), kicks)
+            clock = t_kick
+            gi += 1
+        out.append(observe(state, t - clock))
+    return out
+
+
 def two_pulse_sequence(
     p_s: float, p_a: float, delay: float, order: PulseOrder
 ) -> PulseSequence:

@@ -1,8 +1,15 @@
 """Single table of numeric defaults used across the engines and optimizer.
 
-Every entry can be overridden per call (keyword arguments) or from the
-CLI. The rules are functions of the kick strengths so that classical
-results respect the exact scaling invariance
+Only some entries can be overridden per call or from the CLI:
+``QUADRATURE_TOL`` and ``NODE_CAP`` (keywords of the classical
+evaluators), ``L_MAX_CAP`` (keyword of ``quantum.apply_kick``), the
+node-count and basis-size rules (``n_nodes`` / ``l_max`` keywords,
+``--nodes`` / ``--lmax``) and the optimizer windows (``BoundsBox``, the
+CLI's bound options). ``TAIL_TOL``, ``TAIL_MARGIN``, ``TIME_REFINE_TOL``,
+``REVIVAL_WINDOW``, ``SIMPLEX_*``, ``QUANTUM_SWEEP_PA_MAX``, the
+``PS_RATIO_*`` defaults and ``scan_step`` are fixed here. The rules are
+functions of the kick strengths so that classical results respect the
+exact scaling invariance
 (p_s, p_a, t_1, t_2) -> (lam*p_s, lam*p_a, t_1/lam, t_2/lam).
 """
 

@@ -22,16 +22,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import classical, defaults, quantum
-from .core import (Branch, Engine, ObjectiveSign, OptimizationResult,
-                   PulseOrder)
-from .errors import NonFiniteValue
-
-TWO_PI = 2.0 * math.pi
+from .core import (REVIVAL_PERIOD, Branch, Engine, ObjectiveSign,
+                   OptimizationResult, PulseOrder)
+from .errors import NonFiniteValue, RotorkickError
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,11 @@ class BoundsBox:
                                ("t_2", self.t_2)):
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise NonFiniteValue(f"bad bounds for {name}: ({lo}, {hi})")
+
+    def contains(self, p_s: float, t_1: float) -> bool:
+        """Whether (p_s, t_1) lies in the box (t_2 is searched separately)."""
+        return (self.p_s[0] <= p_s <= self.p_s[1]
+                and self.t_1[0] <= t_1 <= self.t_1[1])
 
 
 def default_bounds(engine: Engine, order: PulseOrder, branch: Branch,
@@ -71,13 +75,13 @@ def default_bounds(engine: Engine, order: PulseOrder, branch: Branch,
         w1 = defaults.delay_window_classical(pa)
         t1 = (-w1, 0.0) if branch is Branch.REVIVAL else (0.0, w1)
     else:
-        t1 = (0.0, TWO_PI)
+        t1 = (0.0, REVIVAL_PERIOD)
 
     if engine is Engine.CLASSICAL:
         w2 = defaults.prompt_window_classical(pa)
         t2 = (-w2, 0.0) if branch is Branch.REVIVAL else (0.0, w2)
     else:
-        t2 = (0.0, TWO_PI)
+        t2 = (0.0, REVIVAL_PERIOD)
     return BoundsBox(ps, t1, t2)
 
 
@@ -109,7 +113,8 @@ class OptimizationProblem:
             object.__setattr__(self, "bounds",
                                replace(self.bounds, t_1=(0.0, 0.0)))
 
-    def transform(self, value: float) -> float:
+    def transform(self, value):
+        """The score maximized: |value| or value (also elementwise)."""
         return abs(value) if self.objective_sign is ObjectiveSign.MAXIMIZE_ABS \
             else value
 
@@ -118,8 +123,8 @@ def _t2_window(prob: OptimizationProblem, t_1: float) -> tuple[float, float]:
     lo, hi = prob.bounds.t_2
     if prob.engine is Engine.QUANTUM and prob.branch is Branch.REVIVAL:
         # total time t_1 + t_2 confined to [2*pi - Delta, 2*pi]
-        lo = max(lo, TWO_PI - defaults.REVIVAL_WINDOW - t_1)
-        hi = min(hi, TWO_PI - t_1)
+        lo = max(lo, REVIVAL_PERIOD - defaults.REVIVAL_WINDOW - t_1)
+        hi = min(hi, REVIVAL_PERIOD - t_1)
     return lo, hi
 
 
@@ -171,9 +176,7 @@ def evaluate_objective(
         def value_at(t2: float) -> float:
             return float(quantum.observable_scan(psi, 1, t2)[0])
 
-    scores = np.abs(vals) if prob.objective_sign is ObjectiveSign.MAXIMIZE_ABS \
-        else vals
-    j = int(np.argmax(scores))
+    j = int(np.argmax(prob.transform(vals)))
     bl = grid[max(0, j - 1)]
     bh = grid[min(n - 1, j + 1)]
     t2_star = _golden_refine(lambda t: prob.transform(value_at(t)), bl, bh,
@@ -208,8 +211,8 @@ def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
         if prob.branch is Branch.REVIVAL and prob.engine is Engine.CLASSICAL:
             delays += [(sign * m, clamp_t1(-base)), (sign * m, clamp_t1(-2.5 * base))]
         elif prob.branch is Branch.REVIVAL:
-            delays += [(sign * m, clamp_t1(TWO_PI - base)),
-                       (sign * m, clamp_t1(TWO_PI - 2.5 * base))]
+            delays += [(sign * m, clamp_t1(REVIVAL_PERIOD - base)),
+                       (sign * m, clamp_t1(REVIVAL_PERIOD - 2.5 * base))]
         else:
             delays += [(sign * m, clamp_t1(base)), (sign * m, clamp_t1(2.5 * base))]
     if prob.engine is Engine.QUANTUM and prob.branch is Branch.PROMPT:
@@ -245,30 +248,9 @@ def optimize(
             evaluations=1, stagnated=True,
         )
 
-    pa_mag = abs(prob.p_a)
-    neval = 0
-    cache: dict[tuple[float, float], tuple[float, float]] = {}
-
-    def evaluate(ps: float, t1: float) -> tuple[float, float]:
-        nonlocal neval
-        key = (ps, t1)
-        if key not in cache:
-            cache[key] = evaluate_objective(prob, ps, t1)
-            neval += 1
-        return cache[key]
-
+    evaluate = _memoized_objective(prob)
     (ps_lo, ps_hi) = prob.bounds.p_s
     (t1_lo, t1_hi) = prob.bounds.t_1
-    simultaneous = prob.order is PulseOrder.SIMULTANEOUS
-
-    def neg_objective(u: np.ndarray) -> float:
-        ps = u[0] * pa_mag
-        t1 = 0.0 if simultaneous else u[1] / pa_mag
-        if not (ps_lo <= ps <= ps_hi) or not (t1_lo <= t1 <= t1_hi):
-            return 1e3
-        value, _ = evaluate(ps, t1)
-        return -prob.transform(value)
-
     starts = _start_points(prob)
     if extra_starts > 0:
         rng = np.random.default_rng(seed)
@@ -277,32 +259,65 @@ def optimize(
             t1 = rng.uniform(t1_lo, t1_hi) if t1_hi > t1_lo else t1_lo
             starts.append((ps, t1))
 
-    best_start = max(starts, key=lambda s: prob.transform(evaluate(*s)[0]))
-    best_start_score = prob.transform(evaluate(*best_start)[0])
-
-    candidates: list[tuple[float, float, float]] = []  # (score, ps, t1)
-    for ps0, t10 in starts:
-        u0 = np.array([ps0 / pa_mag] if simultaneous
-                      else [ps0 / pa_mag, t10 * pa_mag])
-        res = minimize(
-            neg_objective, u0, method="Nelder-Mead",
-            options={"xatol": defaults.SIMPLEX_XATOL, "fatol": 1e-9,
-                     "maxiter": defaults.SIMPLEX_MAXITER},
-        )
-        ps = res.x[0] * pa_mag
-        t1 = 0.0 if simultaneous else res.x[1] / pa_mag
-        if (ps_lo <= ps <= ps_hi) and (t1_lo <= t1 <= t1_hi):
-            candidates.append((-res.fun, ps, t1))
+    best_start_score = max(prob.transform(evaluate(*s)[0]) for s in starts)
+    candidates = [end for end in (_simplex_from(prob, evaluate, *s)
+                                  for s in starts) if end is not None]
     candidates += [(prob.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
 
     score, ps_best, t1_best = max(candidates,
                                   key=lambda c: (c[0], -abs(c[1])))
-    value, t2_best = evaluate(ps_best, t1_best)
+    return _result(prob, evaluate, ps_best, t1_best,
+                   stagnated=bool(score <= best_start_score + 1e-12))
+
+
+def _memoized_objective(prob: OptimizationProblem):
+    """:func:`evaluate_objective` of one problem, memoized on (p_s, t_1).
+
+    The cache size (``cache_info().currsize``) is the evaluation count.
+    """
+    return lru_cache(maxsize=None)(
+        lambda ps, t1: evaluate_objective(prob, ps, t1))
+
+
+def _simplex_from(prob: OptimizationProblem, evaluate, ps0: float,
+                  t10: float) -> tuple[float, float, float] | None:
+    """One Nelder-Mead run from (ps0, t10), bounded by the problem's box.
+
+    The simplex moves in scaled coordinates (p_s/p_a, t_1*p_a), 1-d for
+    simultaneous pulses; points outside the box score 1e3. Returns
+    (transformed objective, p_s, t_1) at the end point, or None if the
+    run ends outside the box.
+    """
+    pa_mag = abs(prob.p_a)
+    simultaneous = prob.order is PulseOrder.SIMULTANEOUS
+
+    def unscale(u: np.ndarray) -> tuple[float, float]:
+        return u[0] * pa_mag, 0.0 if simultaneous else u[1] / pa_mag
+
+    def neg_objective(u: np.ndarray) -> float:
+        ps, t1 = unscale(u)
+        if not prob.bounds.contains(ps, t1):
+            return 1e3
+        return -prob.transform(evaluate(ps, t1)[0])
+
+    u0 = np.array([ps0 / pa_mag] if simultaneous
+                  else [ps0 / pa_mag, t10 * pa_mag])
+    res = minimize(
+        neg_objective, u0, method="Nelder-Mead",
+        options={"xatol": defaults.SIMPLEX_XATOL, "fatol": 1e-9,
+                 "maxiter": defaults.SIMPLEX_MAXITER},
+    )
+    ps, t1 = unscale(res.x)
+    return (-res.fun, ps, t1) if prob.bounds.contains(ps, t1) else None
+
+
+def _result(prob: OptimizationProblem, evaluate, ps: float, t1: float,
+            stagnated: bool = False) -> OptimizationResult:
+    value, t2 = evaluate(ps, t1)
     return OptimizationResult(
-        p_a=prob.p_a, p_s=ps_best, t_1=t1_best, t_2=t2_best,
-        objective=value, branch=prob.branch, order=prob.order,
-        engine=prob.engine, evaluations=neval,
-        stagnated=bool(score <= best_start_score + 1e-12),
+        p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
+        branch=prob.branch, order=prob.order, engine=prob.engine,
+        evaluations=evaluate.cache_info().currsize, stagnated=stagnated,
     )
 
 
@@ -341,61 +356,33 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
                 objective_sign=prob_template.objective_sign,
             )
             result = optimize(prob, extra_starts=extra_starts, seed=seed)
-            if prev is not None:
+            if prev is not None and prob.order is not PulseOrder.SIMULTANEOUS:
                 # warm start: previous optimum, strength-scaled
                 lam = pa / prev.p_a
-                warm = _polish_from(prob, prev.p_s * lam, prev.t_1 / lam)
-                if warm is not None and prob.transform(warm.objective) > \
-                        prob.transform(result.objective):
-                    result = warm
+                ps0, t10 = prev.p_s * lam, prev.t_1 / lam
+                if prob.bounds.contains(ps0, t10):
+                    evaluate = _memoized_objective(prob)
+                    end = _simplex_from(prob, evaluate, ps0, t10)
+                    if end is not None and \
+                            end[0] > prob.transform(result.objective):
+                        result = _result(prob, evaluate, end[1], end[2])
             rows.append(SweepRow(pa, result))
             prev = result
-        except Exception as exc:  # noqa: BLE001 - annotate and continue
+        except (RotorkickError, ValueError) as exc:
+            # bad input and numerical failure annotate the point and the
+            # sweep goes on; anything else is a bug and propagates
             rows.append(SweepRow(pa, None, f"{type(exc).__name__}: {exc}"))
     return rows
 
 
-def _polish_from(prob: OptimizationProblem, ps0: float, t10: float
-                 ) -> OptimizationResult | None:
-    """Single Nelder-Mead run from one start (sweep warm starts)."""
-    (ps_lo, ps_hi) = prob.bounds.p_s
-    (t1_lo, t1_hi) = prob.bounds.t_1
-    if not (ps_lo <= ps0 <= ps_hi and t1_lo <= t10 <= t1_hi):
-        return None
-    pa_mag = abs(prob.p_a)
-    neval = 0
-
-    def neg_objective(u):
-        nonlocal neval
-        ps, t1 = u[0] * pa_mag, u[1] / pa_mag
-        if not (ps_lo <= ps <= ps_hi) or not (t1_lo <= t1 <= t1_hi):
-            return 1e3
-        neval += 1
-        return -prob.transform(evaluate_objective(prob, ps, t1)[0])
-
-    if prob.order is PulseOrder.SIMULTANEOUS:
-        return None
-    res = minimize(neg_objective, np.array([ps0 / pa_mag, t10 * pa_mag]),
-                   method="Nelder-Mead",
-                   options={"xatol": defaults.SIMPLEX_XATOL, "fatol": 1e-9,
-                            "maxiter": defaults.SIMPLEX_MAXITER})
-    ps, t1 = res.x[0] * pa_mag, res.x[1] / pa_mag
-    if not (ps_lo <= ps <= ps_hi and t1_lo <= t1 <= t1_hi):
-        return None
-    value, t2 = evaluate_objective(prob, ps, t1)
-    return OptimizationResult(
-        p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
-        branch=prob.branch, order=prob.order, engine=prob.engine,
-        evaluations=neval,
-    )
-
-
 CSV_HEADER = "p_a,p_s,t1,t2,objective,branch,order,engine,evals"
+
+#: the one CSV float format: 12 significant digits, byte-stable across runs
+CSV_NUM = "{:.11e}".format
 
 
 def result_csv_row(r: OptimizationResult) -> str:
-    num = "{:.11e}".format
     return ",".join([
-        num(r.p_a), num(r.p_s), num(r.t_1), num(r.t_2), num(r.objective),
+        *map(CSV_NUM, (r.p_a, r.p_s, r.t_1, r.t_2, r.objective)),
         r.branch.value, r.order.value, r.engine.value, str(r.evaluations),
     ])

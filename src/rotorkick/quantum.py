@@ -17,19 +17,17 @@ conservation is structural, not numerical.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import defaults
 from .core import (Kick, KickKind, ObservableKind, ObservableSeries,
-                   PulseOrder, PulseSequence, validate_sequence)
+                   PulseOrder, PulseSequence, validate_sequence,
+                   walk_sequence)
 from .errors import BasisOverflow
-
-_OP_CACHE: dict[tuple[KickKind, int], "KickOperator"] = {}
-_OP_LOCK = threading.Lock()
 
 
 def cos_offdiag(l_max: int) -> np.ndarray:
@@ -71,9 +69,6 @@ class RotorWavefunction:
     @property
     def l_max(self) -> int:
         return self.coeffs.size - 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -121,13 +116,9 @@ class KickOperator:
         return m
 
 
+@lru_cache(maxsize=None)
 def kick_operator(kind: KickKind, l_max: int) -> KickOperator:
     """Cached eigen-decomposed kick operator for a basis size."""
-    key = (kind, l_max)
-    with _OP_LOCK:
-        op = _OP_CACHE.get(key)
-    if op is not None:
-        return op
     if kind is KickKind.ASYMMETRIC:
         c = cos_offdiag(l_max)
         vals, vecs = eigh_tridiagonal(np.zeros(l_max + 1), c)
@@ -140,10 +131,7 @@ def kick_operator(kind: KickKind, l_max: int) -> KickOperator:
             vals, vecs = eigh_tridiagonal(diag[idx], off2[idx[:-1]])
             parts.append((idx, vals, vecs))
         blocks = tuple(parts)
-    op = KickOperator(kind, l_max, blocks)
-    with _OP_LOCK:
-        _OP_CACHE[key] = op
-    return op
+    return KickOperator(kind, l_max, blocks)
 
 
 def _check_basis_size(l_max: int) -> int:
@@ -257,21 +245,16 @@ def run_sequence(
         l_max_hint = defaults.quantum_l_max(seq.total_strength())
     psi = ground_state(max(_check_basis_size(l_max_hint), 4))
 
-    groups = seq.time_groups()
-    starts = [g[0] for g in groups] + ([float(t_eval[0])] if t_eval.size else [])
-    clock = min(starts) if starts else 0.0
+    def kick(psi, kicks):
+        for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
+            psi = apply_kick(psi, kk)
+        return psi
 
-    values = np.empty(t_eval.size)
-    gi = 0
-    for i, t in enumerate(t_eval):
-        while gi < len(groups) and groups[gi][0] <= t:
-            t_kick, kicks = groups[gi]
-            psi = free_propagate(psi, t_kick - clock)
-            clock = t_kick
-            for kick in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
-                psi = apply_kick(psi, kick)
-            gi += 1
-        values[i] = observable_scan(psi, k, t - clock)[0]
+    def observe(psi, dt):
+        return observable_scan(psi, k, dt)[0]
+
+    values = np.array(walk_sequence(seq, t_eval, psi, free_propagate, kick,
+                                    observe), dtype=float)
     kind = ObservableKind.ORIENTATION if k == 1 else ObservableKind.ALIGNMENT
     return ObservableSeries(t_eval, values, kind)
 

@@ -134,7 +134,6 @@ def hybrid_coefficients(
     p_a: float,
     t_1: float,
     l_max: int,
-    sym_index: str = "lprime",
 ) -> np.ndarray:
     """State after sym kick, free flight t_1, then asym kick, by series.
 
@@ -146,15 +145,8 @@ def hybrid_coefficients(
               * exp(-i l'(2l'+1) t_1)
               * sqrt((2j+1)(4l'+1)/(2l+1)) C(j, 2l', l | 0,0,0)^2
 
-    ``sym_index`` selects which index the symmetric-kick coefficient c
-    follows: "lprime" (default) pairs c with the symmetric-expansion
-    order l' and agrees with the unitary pipeline; "j" pairs it with the
-    Bessel order and is retained only for comparison against an
-    alternative transcription of the series, which does not conserve the
-    norm.
+    where c = c_{l'} is the symmetric-kick coefficient of order l'.
     """
-    if sym_index not in ("lprime", "j"):
-        raise ValueError("sym_index must be 'lprime' or 'j'")
     # symmetric-kick amplitudes, generous order so the tail is negligible
     lp_max = int(1.5 * abs(p_s)) + 25
     a_sym = cos2_phase_coefficients(p_s, 2 * lp_max)
@@ -168,8 +160,8 @@ def hybrid_coefficients(
 
     d = np.zeros(l_max + 1, dtype=complex)
     for lp in range(lp_max + 1):
-        phase = np.exp(-1j * lp * (2 * lp + 1) * t_1)
-        if abs(c_even[lp] * phase) < 1e-16 and sym_index == "lprime":
+        c_coeff = c_even[lp] * np.exp(-1j * lp * (2 * lp + 1) * t_1)
+        if abs(c_coeff) < 1e-16:
             continue
         for l in range(l_max + 1):
             j_lo, j_hi = abs(l - 2 * lp), l + 2 * lp
@@ -180,10 +172,6 @@ def hybrid_coefficients(
                 cg2 = cg000_squared(j, 2 * lp, l)
                 if cg2 == 0.0:
                     continue
-                if sym_index == "lprime":
-                    c_coeff = c_even[lp] * phase
-                else:
-                    c_coeff = (c_even[j] if j < c_even.size else 0.0) * phase
                 amp = (1j**j) * math.sqrt(2 * j + 1) * bessel[j] * c_coeff
                 acc += amp * math.sqrt(
                     (2 * j + 1) * (4 * lp + 1) / (2 * l + 1)

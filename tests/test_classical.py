@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import mc_classical_observable
+from rotorkick import defaults
 from rotorkick.classical import (classical_observable, make_ensemble,
                                  propagate_classical, two_kick_observable,
                                  two_kick_theta)
@@ -146,3 +147,22 @@ def test_two_kick_observable_alignment_range():
     vals = two_kick_observable(-6.0, 0.0, 0.1, np.linspace(0, 1, 50),
                                PulseOrder.LASER_FIRST, k=2)
     assert np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("order, p_a, p_s, t_1, t_2", [
+    # optima of acceptance checks 3, 4 and 5 (revival branch)
+    (PulseOrder.SIMULTANEOUS, 10.0, -4.26825, 0.0, 0.182790457185),
+    (PulseOrder.HCP_FIRST, 10.0, -6.28409673214, 0.0578140868848,
+     0.194705312240),
+    (PulseOrder.LASER_FIRST, 20.0, 0.400000000043, -2.04863696418,
+     -0.0804779193416),
+], ids=["simultaneous", "hcp-first", "laser-first-revival"])
+def test_pair_optima_converged_in_node_count(order, p_a, p_s, t_1, t_2):
+    """Around each classical optimum, the objective from the default node
+    count agrees with the one from twice that count."""
+    t2 = t_2 * np.linspace(0.5, 1.5, 21)
+    n = defaults.ensemble_nodes(abs(p_s) + p_a, abs(t_1) + abs(1.5 * t_2))
+    base = two_kick_observable(p_s, p_a, t_1, t2, order)
+    doubled = two_kick_observable(p_s, p_a, t_1, t2, order, n_nodes=2 * n)
+    assert np.max(np.abs(doubled - base)) < defaults.QUADRATURE_TOL
+    assert np.max(np.abs(base)) > 0.88

@@ -1,9 +1,12 @@
+import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rotorkick.core import (Branch, Engine, ObjectiveSign, PulseOrder)
+from rotorkick.core import (Branch, Engine, ObjectiveSign, OptimizationResult,
+                            PulseOrder)
 from rotorkick.errors import NonFiniteValue
 from rotorkick.optimize import (CSV_HEADER, BoundsBox, OptimizationProblem,
                                 _start_points, default_bounds,
@@ -11,6 +14,8 @@ from rotorkick.optimize import (CSV_HEADER, BoundsBox, OptimizationProblem,
                                 sweep)
 
 TWO_PI = 2.0 * math.pi
+# the package re-exports the function `optimize` under the module's name
+optimize_module = importlib.import_module("rotorkick.optimize")
 
 
 def classical_problem(order=PulseOrder.LASER_FIRST, p_a=10.0,
@@ -178,6 +183,41 @@ def test_sweep_annotates_failed_points():
     rows = sweep(template, [5.0, 2e4])
     assert rows[0].error is None
     assert rows[1].result is None and "NonFiniteValue" in rows[1].error
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(prob, p_s, t_1):
+        return 1.0 / 0.0
+
+    monkeypatch.setattr(optimize_module, "evaluate_objective", broken)
+    template = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=5.0)
+    with pytest.raises(ZeroDivisionError):
+        sweep(template, [5.0, 10.0])
+
+
+# the classical laser-first revival optimum at p_a = 20, to full precision
+REVIVAL20 = OptimizationResult(
+    p_a=20.0, p_s=0.4000000000426854, t_1=-2.048636964176131,
+    t_2=-0.08047791934162744, objective=-0.9464773094305764,
+    branch=Branch.REVIVAL, order=PulseOrder.LASER_FIRST,
+    engine=Engine.CLASSICAL, evaluations=1188)
+
+
+def test_sweep_warm_start_wins_over_a_poor_optimum(monkeypatch):
+    """Every optimize returns the p_a = 20 optimum with its objective
+    degraded, so at p_a = 40 the warm start from the scaled p_a = 20
+    optimum must win, with only its own evaluations counted."""
+    def poor(prob, extra_starts=0, seed=None):
+        return replace(REVIVAL20, p_a=prob.p_a, objective=-0.5)
+
+    monkeypatch.setattr(optimize_module, "optimize", poor)
+    template = classical_problem(p_a=20.0, branch=Branch.REVIVAL)
+    rows = sweep(template, [20.0, 40.0])
+    assert rows[0].result.objective == -0.5
+    assert result_csv_row(rows[1].result) == (
+        "4.00000000000e+01,8.00000000085e-01,-1.02431848209e+00,"
+        "-4.02390905843e-02,-9.46477309421e-01,revival,laser-first,"
+        "classical,65")
 
 
 def test_quantum_sweep_strength_guard():

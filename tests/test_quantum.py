@@ -162,3 +162,16 @@ def test_sampling_at_kick_time_sees_the_kick():
     series = run_sequence(seq, [0.0, 0.1], k=2)
     psi = apply_kick(ground_state(30), seq.kicks[0])
     assert series.values[0] == pytest.approx(expectation(psi, 2), abs=1e-12)
+
+
+def test_check6_optimum_converged_in_basis_size():
+    """At acceptance check 6's p_a = 3 optimum the whole t_2 trace is
+    unchanged when the basis is twice the default size."""
+    p_s, p_a, t_1, t_2 = -1.4757, 3.0, 5.0150, 5.7209
+    l_max = defaults.quantum_l_max(abs(p_s) + p_a)
+    dts = np.append(np.linspace(0.0, 2.0 * np.pi, 513), t_2)
+    base = observable_scan(two_kick_state(p_s, p_a, t_1), 1, dts)
+    doubled = observable_scan(
+        two_kick_state(p_s, p_a, t_1, l_max=2 * l_max), 1, dts)
+    assert np.max(np.abs(doubled - base)) < 1e-10
+    assert base[-1] == pytest.approx(-0.86405, abs=1e-4)

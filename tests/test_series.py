@@ -88,21 +88,12 @@ def test_cos_phase_coefficients_vs_matrix_exponential(p):
 
 def test_hybrid_coefficients_match_propagation():
     """Double-sum expansion for kick-delay-kick against the operator
-    pipeline. The summation-index variant that ties the Bessel order to
-    the phase coefficient ('j') breaks unitarity and is kept only as a
-    point of comparison."""
+    pipeline."""
     ps, pa, t1 = -3.0, 3.0, 0.25
     l_max = 40
     psi = two_kick_state(ps, pa, t1, PulseOrder.LASER_FIRST, l_max=l_max)
     ref = psi.coeffs
 
-    got = hybrid_coefficients(ps, pa, t1, l_max, sym_index="lprime")
+    got = hybrid_coefficients(ps, pa, t1, l_max)
     assert np.max(np.abs(got - ref[: l_max + 1])) < 1e-6
     assert np.sum(np.abs(got) ** 2) == pytest.approx(1.0, abs=1e-8)
-
-    alt = hybrid_coefficients(ps, pa, t1, l_max, sym_index="j")
-    assert np.max(np.abs(alt - ref[: l_max + 1])) > 1e-3
-    assert abs(np.sum(np.abs(alt) ** 2) - 1.0) > 1e-3
-
-    with pytest.raises(ValueError):
-        hybrid_coefficients(ps, pa, t1, l_max, sym_index="bogus")
