@@ -30,7 +30,7 @@ L_MAX_CAP = 4096
 TAIL_TOL = 1.0e-10
 TAIL_MARGIN = 10
 
-#: absolute tolerance of the golden-section extremum refinement in t
+#: the t_2 extremum finder rescans until its grid step is at most this
 TIME_REFINE_TOL = 1.0e-6
 
 #: half-width of the quantum revival search window (dimensionless time)

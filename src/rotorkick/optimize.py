@@ -2,9 +2,10 @@
 
 The objective |<cos theta>|(p_s, t_1, t_2) is violently multimodal in
 the observation time t_2 but smooth in (p_s, t_1) near its optima, so
-the search is nested: an exhaustive t_2 scan (grid + golden-section
-refinement) inside a multi-start Nelder-Mead simplex over (p_s, t_1),
-run in scaled coordinates (p_s/p_a, t_1*p_a).
+the search is nested: an exhaustive t_2 scan (a dense grid, then
+rescans of the best sample's bracket on finer grids) inside a
+multi-start Nelder-Mead simplex over (p_s, t_1), run in scaled
+coordinates (p_s/p_a, t_1*p_a).
 
 Branches
 --------
@@ -128,23 +129,9 @@ def _t2_window(prob: OptimizationProblem, t_1: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _golden_refine(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization of f on [lo, hi] to width tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+#: samples of each rescan of the best sample's two-step bracket, so each
+#: round is 16x finer than the last
+ZOOM_POINTS = 33
 
 
 def evaluate_objective(
@@ -152,36 +139,33 @@ def evaluate_objective(
 ) -> tuple[float, float]:
     """Best signed <cos theta> over the branch's t_2 window, and its t_2.
 
-    Dense scan at the strength-scaled step, then golden-section
-    refinement of the winning bracket.
+    One finder for both engines: the engine's vectorized t_2 sampler
+    scans the window at the strength-scaled step, then rescans the two
+    steps around the best sample on ZOOM_POINTS points until the step is
+    at most ``TIME_REFINE_TOL``. The returned t_2 is a sample inside the
+    window.
     """
     lo, hi = _t2_window(prob, t_1)
-    step = defaults.scan_step(abs(p_s) + abs(prob.p_a))
-    if hi - lo < step:
-        lo, hi = min(lo, hi - step), hi
-    n = max(8, int(math.ceil((hi - lo) / step)) + 1)
-    grid = np.linspace(lo + 1e-12, hi, n)
-
     if prob.engine is Engine.CLASSICAL:
-        vals = classical.two_kick_observable(p_s, prob.p_a, t_1, grid,
-                                             prob.order, k=1)
-
-        def value_at(t2: float) -> float:
-            return float(classical.two_kick_observable(
-                p_s, prob.p_a, t_1, t2, prob.order, k=1)[0])
+        def sample(t2: np.ndarray) -> np.ndarray:
+            return classical.two_kick_observable(p_s, prob.p_a, t_1, t2,
+                                                 prob.order, k=1)
     else:
         psi = quantum.two_kick_state(p_s, prob.p_a, t_1, prob.order)
-        vals = quantum.observable_scan(psi, 1, grid)
 
-        def value_at(t2: float) -> float:
-            return float(quantum.observable_scan(psi, 1, t2)[0])
+        def sample(t2: np.ndarray) -> np.ndarray:
+            return quantum.observable_scan(psi, 1, t2)
 
-    j = int(np.argmax(prob.transform(vals)))
-    bl = grid[max(0, j - 1)]
-    bh = grid[min(n - 1, j + 1)]
-    t2_star = _golden_refine(lambda t: prob.transform(value_at(t)), bl, bh,
-                             defaults.TIME_REFINE_TOL)
-    return value_at(t2_star), t2_star
+    step = defaults.scan_step(abs(p_s) + abs(prob.p_a))
+    n = max(8, int(math.ceil((hi - lo) / step)) + 1)
+    grid = np.linspace(min(lo + 1e-12, hi), hi, n)
+    while True:
+        vals = sample(grid)
+        j = int(np.argmax(prob.transform(vals)))
+        if (grid[-1] - grid[0]) / (grid.size - 1) <= defaults.TIME_REFINE_TOL:
+            return float(vals[j]), float(grid[j])
+        grid = np.linspace(grid[max(0, j - 1)], grid[min(grid.size - 1, j + 1)],
+                           ZOOM_POINTS)
 
 
 def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
@@ -191,7 +175,8 @@ def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
     sign = 1.0 if ps_lo >= 0 else -1.0
     mag_lo = max(min(abs(ps_lo), abs(ps_hi)), 1e-6)
     mag_hi = max(abs(ps_lo), abs(ps_hi))
-    mags = np.geomspace(1.05 * mag_lo, 0.95 * mag_hi, 4)
+    mags = np.clip(np.geomspace(1.05 * mag_lo, 0.95 * mag_hi, 4),
+                   mag_lo, mag_hi)
 
     def clamp_t1(t: float) -> float:
         eps = 1e-9 + 1e-6 * (t1_hi - t1_lo)
@@ -259,13 +244,13 @@ def optimize(
             t1 = rng.uniform(t1_lo, t1_hi) if t1_hi > t1_lo else t1_lo
             starts.append((ps, t1))
 
-    best_start_score = max(prob.transform(evaluate(*s)[0]) for s in starts)
-    candidates = [end for end in (_simplex_from(prob, evaluate, *s)
-                                  for s in starts) if end is not None]
-    candidates += [(prob.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
+    scored = [(prob.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
+    ends = [end for end in (_simplex_from(prob, evaluate, *s)
+                            for s in starts) if end is not None]
 
-    score, ps_best, t1_best = max(candidates,
+    score, ps_best, t1_best = max(ends + scored,
                                   key=lambda c: (c[0], -abs(c[1])))
+    best_start_score = max(c[0] for c in scored)
     return _result(prob, evaluate, ps_best, t1_best,
                    stagnated=bool(score <= best_start_score + 1e-12))
 

@@ -189,24 +189,15 @@ def free_propagate(psi: RotorWavefunction, dt: float) -> RotorWavefunction:
 
 def expectation(psi: RotorWavefunction, k: int) -> float:
     """<cos^k theta> of the state, k = 1 or 2."""
-    a = psi.coeffs
-    if k == 1:
-        c = cos_offdiag(psi.l_max)
-        return float(2.0 * np.real(np.conj(a[:-1]) @ (c * a[1:])))
-    if k == 2:
-        diag, off2 = cos2_bands(psi.l_max)
-        val = np.real(np.conj(a) @ (diag * a))
-        val += 2.0 * np.real(np.conj(a[:-2]) @ (off2 * a[2:]))
-        return float(val)
-    raise ValueError("k must be 1 or 2")
+    return float(observable_scan(psi, k, 0.0)[0])
 
 
 def observable_scan(psi: RotorWavefunction, k: int, dts) -> np.ndarray:
     """<cos^k theta> after freely evolving ``psi`` by each time in ``dts``.
 
-    Equivalent to expectation(free_propagate(psi, dt), k) for each dt but
-    vectorized: orientation couples l, l+1 coherences with phase rates
-    l+1, alignment couples l, l+2 with rates 2l+3.
+    The one home of the band formulas (:func:`expectation` is the dt = 0
+    sample): orientation couples l, l+1 coherences with phase rates l+1,
+    alignment couples l, l+2 with rates 2l+3.
     """
     a = psi.coeffs
     dts = np.atleast_1d(np.asarray(dts, dtype=float))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rotorkick import classical, defaults, quantum
 from rotorkick.core import (Branch, Engine, ObjectiveSign, OptimizationResult,
                             PulseOrder)
 from rotorkick.errors import NonFiniteValue
@@ -121,7 +122,57 @@ def test_stagnation_on_degenerate_box(simul10):
         bounds=BoundsBox((ps, ps), (0.0, 0.0), (0.0, 1.0)))
     res = optimize(prob)
     assert res.stagnated
+    assert prob.bounds.contains(res.p_s, res.t_1)
     assert res.objective == pytest.approx(simul10.objective, abs=1e-4)
+
+
+# (engine, order, p_a, p_s, t_1): the check 3 classical optimum and the
+# check 6 quantum optimum at p_a = 3
+FINDER_PAIRS = [
+    (Engine.CLASSICAL, PulseOrder.SIMULTANEOUS, 10.0, -4.26825, 0.0),
+    (Engine.QUANTUM, PulseOrder.LASER_FIRST, 3.0, -1.47565, 5.01497),
+]
+
+
+def _pair_sampler(engine, order, p_a, p_s, t_1):
+    """The pair's orientation on a t_2 array, in chunks of 4000 times."""
+    if engine is Engine.CLASSICAL:
+        def one(ts):
+            return classical.two_kick_observable(p_s, p_a, t_1, ts, order, k=1)
+    else:
+        psi = quantum.two_kick_state(p_s, p_a, t_1, order)
+
+        def one(ts):
+            return quantum.observable_scan(psi, 1, ts)
+    return lambda ts: np.concatenate([one(ts[i:i + 4000])
+                                      for i in range(0, ts.size, 4000)])
+
+
+@pytest.mark.parametrize("pair", FINDER_PAIRS, ids=["classical", "quantum"])
+def test_t2_finder_matches_a_dense_scan(pair):
+    engine, order, p_a, p_s, t_1 = pair
+    prob = OptimizationProblem(engine=engine, order=order, p_a=p_a)
+    value, t2 = evaluate_objective(prob, p_s, t_1)
+    coarse = defaults.scan_step(abs(p_s) + p_a)
+    ts = np.linspace(t2 - 2.0 * coarse, t2 + 2.0 * coarse,
+                     int(math.ceil(4.0 * coarse / 1e-7)) + 1)
+    dense = prob.transform(_pair_sampler(*pair)(ts))
+    j = int(np.argmax(dense))
+    assert dense[j] <= prob.transform(value) + 1e-10
+    assert abs(ts[j] - t2) <= defaults.TIME_REFINE_TOL
+
+
+@pytest.mark.parametrize("pair", FINDER_PAIRS, ids=["classical", "quantum"])
+def test_t2_finder_stays_in_a_degenerate_window(pair):
+    engine, order, p_a, p_s, t_1 = pair
+    prob = OptimizationProblem(engine=engine, order=order, p_a=p_a)
+    _, peak = evaluate_objective(prob, p_s, t_1)
+    for t in (peak - 0.01, peak + 0.01):  # one each side of the peak
+        box = replace(prob.bounds, t_2=(t, t))
+        value, t2 = evaluate_objective(replace(prob, bounds=box), p_s, t_1)
+        assert t2 == t
+        assert value == pytest.approx(
+            float(_pair_sampler(*pair)(np.array([t]))[0]), abs=1e-12)
 
 
 def test_optimizer_scaling_law(hcp_pair):
@@ -214,10 +265,13 @@ def test_sweep_warm_start_wins_over_a_poor_optimum(monkeypatch):
     template = classical_problem(p_a=20.0, branch=Branch.REVIVAL)
     rows = sweep(template, [20.0, 40.0])
     assert rows[0].result.objective == -0.5
-    assert result_csv_row(rows[1].result) == (
-        "4.00000000000e+01,8.00000000085e-01,-1.02431848209e+00,"
-        "-4.02390905843e-02,-9.46477309421e-01,revival,laser-first,"
-        "classical,65")
+    fields = result_csv_row(rows[1].result).split(",")
+    assert fields[:3] + fields[5:] == [
+        "4.00000000000e+01", "8.00000000085e-01", "-1.02431848209e+00",
+        "revival", "laser-first", "classical", "65"]
+    # t_2 is resolved to TIME_REFINE_TOL; the objective is flat there
+    assert abs(float(fields[3]) + 4.02390905843e-02) <= defaults.TIME_REFINE_TOL
+    assert abs(float(fields[4]) + 9.46477309421e-01) <= 1e-10
 
 
 def test_quantum_sweep_strength_guard():
