@@ -7,10 +7,9 @@ strengths are dimensionless time-integrated phases. <cos theta> is the
 orientation factor, <cos^2 theta> the alignment factor.
 """
 
-from .classical import (ClassicalEnsemble, ClassicalState,
-                        classical_observable, make_ensemble,
-                        propagate_classical, two_kick_observable,
-                        two_kick_theta)
+from .classical import (ClassicalEnsemble, classical_observable,
+                        make_ensemble, propagate_classical,
+                        two_kick_observable, two_kick_theta)
 from .core import (REVIVAL_PERIOD, Branch, Engine, Kick, KickKind,
                    ObjectiveSign, ObservableKind, ObservableSeries,
                    OptimizationResult, PulseOrder, PulseSequence,
@@ -49,9 +48,8 @@ __all__ = [
     "TooManyKicksAtSameTime", "InvalidNodeCount", "ConvergenceFailure",
     "BasisOverflow", "SeriesTruncationFailure",
     # classical engine
-    "ClassicalEnsemble", "ClassicalState", "make_ensemble",
-    "propagate_classical", "classical_observable", "two_kick_theta",
-    "two_kick_observable",
+    "ClassicalEnsemble", "make_ensemble", "propagate_classical",
+    "classical_observable", "two_kick_theta", "two_kick_observable",
     # quantum engine
     "RotorWavefunction", "KickOperator", "kick_operator", "ground_state",
     "apply_kick", "free_propagate", "expectation", "observable_scan",

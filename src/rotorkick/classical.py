@@ -49,14 +49,6 @@ class ClassicalEnsemble:
         return self.theta0.size
 
 
-@dataclass(frozen=True)
-class ClassicalState:
-    """Per-node angles (unwrapped) and angular velocities at one time."""
-
-    theta: np.ndarray
-    omega: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes theta0 = arccos(u) and halved weights, cached per node count."""
@@ -85,13 +77,14 @@ def _kick_increment(kind: KickKind, strength: float, theta: np.ndarray) -> np.nd
 
 def propagate_classical(
     seq: PulseSequence, ens: ClassicalEnsemble, t_eval
-) -> list[ClassicalState]:
-    """Causal propagation: one ClassicalState per requested time.
+) -> np.ndarray:
+    """Causal propagation: unwrapped angles, shape (len(t_eval), len(ens)).
 
-    The ensemble is at rest before the earliest kick; kicks are applied
-    in time order as the clock passes them, simultaneous kicks both act
-    on the same pre-kick angle. ``t_eval`` must be sorted ascending and
-    may extend before the first kick or between kicks.
+    The ensemble is at rest before the earliest kick, a kick at exactly t
+    has acted by t, and simultaneous kicks both act on the same pre-kick
+    angle. Each stretch of ``t_eval`` between two kicks is one broadcast
+    ``theta + omega * dts``. ``t_eval`` must be sorted ascending (repeats
+    allowed) and may extend before the first kick or between kicks.
     """
     seq = validate_sequence(seq)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
@@ -107,9 +100,9 @@ def propagate_classical(
         return theta, omega + sum(_kick_increment(k.kind, k.strength, theta)
                                   for k in kicks)
 
-    def observe(state, dt):
+    def observe(state, dts):
         theta, omega = state
-        return ClassicalState(theta + omega * dt, omega.copy())
+        return theta + omega * dts[:, None]
 
     rest = (ens.theta0.copy(), np.zeros_like(ens.theta0))
     return walk_sequence(seq, t_eval, rest, fly, kick, observe)
@@ -160,11 +153,8 @@ def classical_observable(
         span = (max(times) - min(times)) if times else 0.0
         n_nodes = defaults.ensemble_nodes(seq.total_strength(), span)
 
-    def values_fn(ens: ClassicalEnsemble) -> np.ndarray:
-        states = propagate_classical(seq, ens, t_eval)
-        return np.stack([s.theta for s in states], axis=0)  # (n_t, nodes)
-
-    vals = _refine(values_fn, k, n_nodes, tol, node_cap)
+    vals = _refine(lambda ens: propagate_classical(seq, ens, t_eval),
+                   k, n_nodes, tol, node_cap)
     kind = ObservableKind.ORIENTATION if k == 1 else ObservableKind.ALIGNMENT
     return ObservableSeries(t_eval, vals, kind)
 

@@ -134,29 +134,33 @@ def validate_sequence(seq: PulseSequence | Iterable[Kick]) -> PulseSequence:
 
 
 def walk_sequence(seq: PulseSequence, t_eval: np.ndarray, state,
-                  fly, kick, observe) -> list:
+                  fly, kick, observe) -> np.ndarray:
     """The one event walker over a kick sequence, shared by both engines.
 
     The clock starts at the earlier of the first kick and the first
-    requested time, with ``state`` at rest there. For each time t in
-    ``t_eval`` (ascending), every kick group at or before t is applied,
-    so a kick at exactly t is seen: ``fly(state, dt)`` advances the state
-    to the group's time and ``kick(state, kicks)`` applies the group.
-    Then ``observe(state, t - clock)`` gives the entry for t.
+    requested time, with ``state`` at rest there. The kick times cut the
+    ascending ``t_eval`` into segments, a kick at exactly t acting before
+    t is sampled; ``observe(state, dts)`` is called once per non-empty
+    segment, with its times relative to the clock. Between segments
+    ``fly(state, dt)`` advances the state to the next kick group and
+    ``kick(state, kicks)`` applies it; kicks after the last requested
+    time are never applied. Returns the samples joined along the first
+    axis (an empty ``t_eval`` is observed once, at rest).
     """
     groups = seq.time_groups()
-    starts = [g[0] for g in groups] + ([float(t_eval[0])] if t_eval.size else [])
-    clock = min(starts) if starts else 0.0
-    out = []
-    gi = 0
-    for t in t_eval:
-        while gi < len(groups) and groups[gi][0] <= t:
-            t_kick, kicks = groups[gi]
-            state = kick(fly(state, t_kick - clock), kicks)
-            clock = t_kick
-            gi += 1
-        out.append(observe(state, t - clock))
-    return out
+    clock = min([t for t, _ in groups[:1]] + list(t_eval[:1]), default=0.0)
+    out, start = [], 0
+    for t_kick, kicks in groups:
+        stop = int(np.searchsorted(t_eval, t_kick, side="left"))
+        if stop == t_eval.size:
+            break
+        if stop > start:
+            out.append(observe(state, t_eval[start:stop] - clock))
+        state = kick(fly(state, t_kick - clock), kicks)
+        clock, start = t_kick, stop
+    if start < t_eval.size:
+        out.append(observe(state, t_eval[start:] - clock))
+    return np.concatenate(out) if out else observe(state, t_eval - clock)
 
 
 def two_pulse_sequence(

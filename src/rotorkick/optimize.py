@@ -113,6 +113,12 @@ class OptimizationProblem:
         if self.order is PulseOrder.SIMULTANEOUS and self.bounds.t_1 != (0.0, 0.0):
             object.__setattr__(self, "bounds",
                                replace(self.bounds, t_1=(0.0, 0.0)))
+        if self.engine is Engine.QUANTUM and self.branch is Branch.REVIVAL:
+            # keep the delays whose revival window meets the t_2 box, if any
+            (t1_lo, t1_hi), (t2_lo, t2_hi) = self.bounds.t_1, self.bounds.t_2
+            t_1 = (max(t1_lo, REVIVAL_PERIOD - defaults.REVIVAL_WINDOW - t2_hi),
+                   min(t1_hi, REVIVAL_PERIOD - t2_lo))
+            object.__setattr__(self, "bounds", replace(self.bounds, t_1=t_1))
 
     def transform(self, value):
         """The score maximized: |value| or value (also elementwise)."""
@@ -225,10 +231,13 @@ def optimize(
     if prob.p_a == 0.0:
         warnings.warn("p_a = 0: a symmetric kick alone never orients; "
                       "objective is identically zero", stacklevel=2)
-        t2_lo, t2_hi = prob.bounds.t_2
+        # every point scores zero: report 0 clipped into each interval
+        (ps_lo, ps_hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
+        t_1 = min(max(0.0, t1_lo), t1_hi)
+        t2_lo, t2_hi = _t2_window(prob, t_1)
         return OptimizationResult(
-            p_a=0.0, p_s=0.0, t_1=max(prob.bounds.t_1[0], 0.0),
-            t_2=t2_hi if t2_hi > 0 else t2_lo, objective=0.0,
+            p_a=0.0, p_s=min(max(0.0, ps_lo), ps_hi), t_1=t_1,
+            t_2=min(max(0.0, t2_lo), t2_hi), objective=0.0,
             branch=prob.branch, order=prob.order, engine=prob.engine,
             evaluations=1, stagnated=True,
         )

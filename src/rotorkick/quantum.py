@@ -222,7 +222,8 @@ def run_sequence(
     l_max_hint: int | None = None,
 ) -> ObservableSeries:
     """Propagate the ground state through a kick sequence, recording
-    <cos^k theta> at each requested time.
+    <cos^k theta> at each requested time; the times between two kicks are
+    one :func:`observable_scan` call, the optimizer's t_2 sampler.
 
     Simultaneous kicks commute exactly in the angle representation (both
     are phase factors); they are applied symmetric-first for a
@@ -241,11 +242,8 @@ def run_sequence(
             psi = apply_kick(psi, kk)
         return psi
 
-    def observe(psi, dt):
-        return observable_scan(psi, k, dt)[0]
-
-    values = np.array(walk_sequence(seq, t_eval, psi, free_propagate, kick,
-                                    observe), dtype=float)
+    values = walk_sequence(seq, t_eval, psi, free_propagate, kick,
+                           lambda psi, dts: observable_scan(psi, k, dts))
     kind = ObservableKind.ORIENTATION if k == 1 else ObservableKind.ALIGNMENT
     return ObservableSeries(t_eval, values, kind)
 

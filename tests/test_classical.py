@@ -74,21 +74,23 @@ def test_causal_propagation_matches_closed_form():
                   PulseOrder.SIMULTANEOUS):
         seq = two_pulse_sequence(ps, pa, t1, order)
         t_end = (0.0 if order is PulseOrder.SIMULTANEOUS else t1) + 0.45
-        states = propagate_classical(seq, ens, [t_end])
+        theta = propagate_classical(seq, ens, [t_end])
+        assert theta.shape == (1, len(ens))
         t2 = 0.45
         ref = two_kick_theta(ens.theta0, ps, pa,
                              0.0 if order is PulseOrder.SIMULTANEOUS else t1,
                              t2, order)
-        assert np.max(np.abs(states[0].theta - ref)) < 1e-12
+        assert np.max(np.abs(theta[0] - ref)) < 1e-12
 
 
 def test_propagation_is_at_rest_before_first_kick():
     seq = two_pulse_sequence(-4.0, 9.0, 0.3, PulseOrder.LASER_FIRST)
     ens = make_ensemble(32)
-    states = propagate_classical(seq, ens, [-1.0, -0.5])
-    for s in states:
-        assert np.array_equal(s.theta, ens.theta0)
-        assert np.all(s.omega == 0.0)
+    theta = propagate_classical(seq, ens, [-2.0, -1.0, -0.5])
+    for row in theta:
+        assert np.array_equal(row, ens.theta0)
+    # omega, read as theta(t + 1) - theta(t), is zero
+    assert np.all(theta[1] - theta[0] == 0.0)
 
 
 def test_between_kicks_only_first_kick_acts():
@@ -96,18 +98,19 @@ def test_between_kicks_only_first_kick_acts():
     seq = two_pulse_sequence(ps, pa, t1, PulseOrder.LASER_FIRST)
     ens = make_ensemble(32)
     t_mid = 0.25
-    states = propagate_classical(seq, ens, [t_mid])
+    theta = propagate_classical(seq, ens, [t_mid])
     ref = ens.theta0 - ps * t_mid * np.sin(2.0 * ens.theta0)
-    assert np.max(np.abs(states[0].theta - ref)) < 1e-13
+    assert np.max(np.abs(theta[0] - ref)) < 1e-13
 
 
 def test_simultaneous_kicks_share_the_incoming_angle():
     ens = make_ensemble(16)
     seq = validate_sequence([Kick(KickKind.SYMMETRIC, -3.0, 0.0),
                              Kick(KickKind.ASYMMETRIC, 7.0, 0.0)])
-    states = propagate_classical(seq, ens, [0.0])
+    theta = propagate_classical(seq, ens, [0.0, 1.0])
+    assert np.array_equal(theta[0], ens.theta0)  # the kick moves no angle
     om = -(-3.0) * np.sin(2 * ens.theta0) - 7.0 * np.sin(ens.theta0)
-    assert np.max(np.abs(states[0].omega - om)) < 1e-13
+    assert np.max(np.abs((theta[1] - theta[0]) - om)) < 1e-13
 
 
 def test_observable_against_monte_carlo():

@@ -1,9 +1,12 @@
 """End-to-end command-line checks driven through cli.main(argv)."""
 import math
 
+import numpy as np
 import pytest
 
+from rotorkick.classical import two_kick_observable
 from rotorkick.cli import main
+from rotorkick.optimize import CSV_NUM
 
 
 def run(capsys, *argv):
@@ -64,6 +67,24 @@ def test_simulate_sequence_conflicts_with_pair_flags(tmp_path, capsys):
     assert code == 2 and "rotorkick: error:" in err
 
 
+def test_simulate_classical_shift(tmp_path, capsys):
+    argv = ["simulate", "--pa", "10", "--ps", "2", "--t1", "-0.05",
+            "--classical-shift", "6.2", "--t-min", "5.5", "--t-max", "6.28",
+            "--t-points", "9"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    t = np.linspace(5.5, 6.28, 9)
+    ref = two_kick_observable(2.0, 10.0, -0.05, t + 0.05 - 6.2)
+    assert out.splitlines()[1:] == [
+        f"{CSV_NUM(ti)},{CSV_NUM(vi)},orientation,classical"
+        for ti, vi in zip(t, ref)]
+    seq = tmp_path / "kicks.txt"
+    seq.write_text("asym 5.0 0.0\n")
+    code, _, err = run(capsys, "simulate", "--sequence", str(seq),
+                       "--classical-shift", "6.2")
+    assert code == 2 and "--classical-shift" in err
+
+
 def test_simulate_requires_both_strengths(capsys):
     code, _, err = run(capsys, "simulate", "--pa", "5")
     assert code == 2 and "rotorkick: error:" in err
@@ -115,6 +136,14 @@ def test_optimize_bound_overrides(capsys):
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert -5.0 <= float(row[1]) <= -4.0
+
+
+def test_optimize_revival_box_without_a_delay_is_rejected(capsys):
+    code, _, err = run(capsys, "optimize", "--engine", "quantum",
+                       "--branch", "revival", "--pa", "5",
+                       "--t1-min", "0", "--t1-max", "1",
+                       "--t2-min", "0", "--t2-max", "1")
+    assert code == 2 and "bad bounds for t_1" in err
 
 
 def test_sweep_classical(capsys):

@@ -6,7 +6,8 @@ import pytest
 from rotorkick.core import (Kick, KickKind, ObservableKind, ObservableSeries,
                             OptimizationResult, PulseOrder, PulseSequence,
                             format_sequence, parse_sequence,
-                            two_pulse_sequence, validate_sequence)
+                            two_pulse_sequence, validate_sequence,
+                            walk_sequence)
 from rotorkick.core import Branch, Engine
 from rotorkick.errors import NonFiniteValue, TooManyKicksAtSameTime
 
@@ -98,6 +99,52 @@ def test_parse_sequence_comments_and_errors():
     with pytest.raises(ValueError, match="expected"):
         parse_sequence("sym 1.0")
     assert parse_sequence("# nothing\n").kicks == ()
+
+
+def test_walk_sequence_observes_once_per_segment():
+    """A spy engine: the state is the tuple of kick-group times applied."""
+    seq = validate_sequence([
+        Kick(KickKind.SYMMETRIC, 1.0, 1.0),
+        Kick(KickKind.ASYMMETRIC, 1.0, 1.2),
+        Kick(KickKind.SYMMETRIC, 1.0, 1.3),   # 1.2 - 1.3 holds no time
+        Kick(KickKind.SYMMETRIC, 1.0, 2.0),
+        Kick(KickKind.ASYMMETRIC, 1.0, 2.0),
+        Kick(KickKind.ASYMMETRIC, 1.0, 5.0),  # after the last time
+    ])
+    t_eval = np.array([0.0, 0.5, 1.0, 1.1, 2.0, 3.0])
+    flights, kicked, observed = [], [], []
+
+    def fly(state, dt):
+        flights.append(dt)
+        return state
+
+    def kick(state, kicks):
+        kicked.append(len(kicks))
+        return state + (kicks[0].time,)
+
+    def observe(state, dts):
+        observed.append((state, dts.copy()))
+        return np.column_stack([np.full(dts.size, len(state)), dts])
+
+    out = walk_sequence(seq, t_eval, (), fly, kick, observe)
+
+    assert [s for s, _ in observed] == [(), (1.0,), (1.0, 1.2, 1.3, 2.0)]
+    for (_, dts), ref in zip(observed, (t_eval[:2] - 0.0,
+                                        t_eval[2:4] - 1.0,
+                                        t_eval[4:] - 2.0)):
+        assert np.array_equal(dts, ref)
+    assert kicked == [1, 1, 1, 2]  # the kick at 5.0 is never applied
+    assert flights == pytest.approx([1.0, 0.2, 0.1, 0.7], abs=1e-15)
+    # joined along the first axis; t = 1.0 and t = 2.0 see their kicks
+    assert out.shape == (6, 2)
+    assert list(out[:, 0]) == [0, 0, 1, 1, 4, 4]
+    # times before the first kick see the state at rest, from their own
+    # clock start
+    observed.clear()
+    walk_sequence(seq, np.array([-1.0, 0.5]), (), fly, kick, observe)
+    assert len(observed) == 1 and observed[0][0] == ()
+    assert kicked == [1, 1, 1, 2]
+    assert np.array_equal(observed[0][1], [0.0, 1.5])
 
 
 def test_observable_series_validation():

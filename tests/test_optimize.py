@@ -86,9 +86,25 @@ def test_single_kick_saturation_through_evaluate():
 
 
 def test_zero_pa_short_circuits():
-    with pytest.warns(UserWarning, match="identically zero"):
+    """The short-circuit result is 0 clipped into each interval."""
+    revival = OptimizationProblem(engine=Engine.QUANTUM,
+                                  order=PulseOrder.LASER_FIRST, p_a=0.0,
+                                  branch=Branch.REVIVAL)
+    for prob in (classical_problem(p_a=0.0),
+                 classical_problem(p_a=0.0, branch=Branch.REVIVAL,
+                                   bounds=BoundsBox((0.02, 1.0), (-3.0, -1.0),
+                                                    (-1.0, 0.0))),
+                 revival):
+        with pytest.warns(UserWarning, match="identically zero"):
+            res = optimize(prob)
+        assert res.objective == 0.0 and res.stagnated
+        assert prob.bounds.contains(res.p_s, res.t_1)
+        assert prob.bounds.t_2[0] <= res.t_2 <= prob.bounds.t_2[1]
+    assert (res.p_s, res.t_1) == (0.02, 0.0)  # the default revival box
+    assert res.t_1 + res.t_2 == pytest.approx(TWO_PI - 0.5, abs=1e-12)
+    with pytest.warns(UserWarning):
         res = optimize(classical_problem(p_a=0.0))
-    assert res.objective == 0.0 and res.stagnated
+    assert (res.p_s, res.t_1, res.t_2) == (-0.02, 0.0, 0.0)
 
 
 def test_simultaneous_optimum(simul10):
@@ -212,6 +228,43 @@ def test_quantum_revival_window_respected():
     assert TWO_PI - 0.5 - 1e-6 <= res.t_1 + res.t_2 <= TWO_PI + 1e-6
     assert res.p_s > 0  # aligning pulse before the revival
     assert abs(res.objective) > 0.5
+
+
+def test_quantum_revival_narrows_the_delay_box():
+    """Only delays whose revival window meets the t_2 box are searched."""
+    box = BoundsBox((0.1, 5.0), (0.0, TWO_PI), (0.0, 1.0))
+    prob = OptimizationProblem(engine=Engine.QUANTUM,
+                               order=PulseOrder.LASER_FIRST, p_a=5.0,
+                               branch=Branch.REVIVAL, bounds=box)
+    assert prob.bounds.t_1 == (TWO_PI - 0.5 - 1.0, TWO_PI)
+    results = [(t1, evaluate_objective(prob, 2.0, t1)[1])
+               for t1 in np.linspace(*prob.bounds.t_1, 5)]
+    res = optimize(prob)
+    assert prob.bounds.contains(res.p_s, res.t_1)
+    for t1, t2 in results + [(res.t_1, res.t_2)]:
+        assert TWO_PI - 0.5 - 1e-12 <= t1 + t2 <= TWO_PI + 1e-12
+        assert 0.0 <= t2 <= 1.0
+    # no delay of a (0, 1) box reaches the revival through a (0, 1) t_2 box
+    with pytest.raises(NonFiniteValue, match="t_1"):
+        replace(prob, bounds=replace(box, t_1=(0.0, 1.0)))
+
+
+@pytest.mark.parametrize("sign", list(ObjectiveSign))
+def test_objective_sign_picks_signed_or_magnitude_maximum(sign):
+    """At p_a = -10 the orientation dips to -0.94 and peaks at +0.71:
+    "plus" returns the peak, "abs" the dip."""
+    prob = classical_problem(p_a=-10.0, objective_sign=sign)
+    value, t2 = evaluate_objective(prob, -2.0, 0.3)
+    ts = np.linspace(*prob.bounds.t_2, 100001)
+    dense = _pair_sampler(Engine.CLASSICAL, PulseOrder.LASER_FIRST, -10.0,
+                          -2.0, 0.3)(ts)
+    j = int(np.argmax(prob.transform(dense)))
+    assert dense[j] == (dense.max() if sign is ObjectiveSign.MAXIMIZE_PLUS
+                        else dense.min())
+    assert (value > 0) == (sign is ObjectiveSign.MAXIMIZE_PLUS)
+    assert prob.transform(dense[j]) <= prob.transform(value) \
+        <= prob.transform(dense[j]) + 1e-8
+    assert abs(t2 - ts[j]) <= 1e-5
 
 
 def test_sweep_rows_and_warm_start():

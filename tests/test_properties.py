@@ -4,12 +4,15 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rotorkick.classical import two_kick_observable, two_kick_theta
+from rotorkick import defaults
+from rotorkick.classical import (make_ensemble, propagate_classical,
+                                 two_kick_observable, two_kick_theta)
 from rotorkick.core import (Kick, KickKind, PulseOrder, PulseSequence,
                             format_sequence, parse_sequence,
                             validate_sequence)
 from rotorkick.quantum import (RotorWavefunction, apply_kick, expectation,
-                               free_propagate, ground_state)
+                               free_propagate, ground_state,
+                               observable_scan, run_sequence)
 
 SETTINGS = settings(deadline=None, max_examples=40)
 
@@ -112,3 +115,65 @@ def test_symmetric_kick_never_orients(p_s, dt):
     # classical: the ensemble average vanishes to quadrature accuracy
     val = two_kick_observable(p_s, 0.0, 0.3, [dt + 1e-3], k=1)
     assert abs(val[0]) < 1e-12
+
+
+@st.composite
+def kicked_grids(draw):
+    """A sequence (simultaneous pairs allowed) and an ascending grid that
+    holds every kick time, times before the first kick and times after
+    the last one."""
+    slots = draw(st.lists(st.floats(0.0, 3.0, allow_nan=False),
+                          min_size=1, max_size=4, unique=True))
+    kicks = []
+    for t in slots:
+        for kind in draw(st.sampled_from([(KickKind.SYMMETRIC,),
+                                          (KickKind.ASYMMETRIC,),
+                                          tuple(KickKind)])):
+            kicks.append(Kick(kind, draw(st.floats(-6.0, 6.0)), t))
+    extra = draw(st.lists(st.floats(-1.0, 4.0, allow_nan=False),
+                          min_size=1, max_size=12))
+    return validate_sequence(kicks), np.unique(np.array(slots + extra))
+
+
+def _point_theta(seq, theta0, t):
+    """Angles at one time from an explicit walk, one kick group at a time."""
+    theta, omega = theta0, np.zeros_like(theta0)
+    clock = min(seq.kicks[0].time, t)
+    for t_kick, group in seq.time_groups():
+        if t_kick > t:
+            break
+        theta = theta + omega * (t_kick - clock)
+        omega = omega + sum(
+            -k.strength * (np.sin(2.0 * theta) if k.kind is KickKind.SYMMETRIC
+                           else np.sin(theta)) for k in group)
+        clock = t_kick
+    return theta + omega * (t - clock)
+
+
+def _point_psi(seq, t):
+    """State at one time from an explicit walk, symmetric kick first."""
+    psi = ground_state(defaults.quantum_l_max(seq.total_strength()))
+    clock = min(seq.kicks[0].time, t)
+    for t_kick, group in seq.time_groups():
+        if t_kick > t:
+            break
+        psi = free_propagate(psi, t_kick - clock)
+        for k in sorted(group, key=lambda k: k.kind is KickKind.ASYMMETRIC):
+            psi = apply_kick(psi, k)
+        clock = t_kick
+    return psi, t - clock
+
+
+@given(kicked_grids())
+@SETTINGS
+def test_segment_walk_matches_point_by_point(case):
+    seq, ts = case
+    ens = make_ensemble(24)
+    batched = propagate_classical(seq, ens, ts)
+    ref = np.stack([_point_theta(seq, ens.theta0, t) for t in ts])
+    assert np.array_equal(batched, ref)
+    for k in (1, 2):
+        values = run_sequence(seq, ts, k=k).values
+        point = [observable_scan(psi, k, [dt])[0]
+                 for psi, dt in (_point_psi(seq, t) for t in ts)]
+        assert np.max(np.abs(values - point)) < 1e-14

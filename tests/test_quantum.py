@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import grid_expectation, grid_propagate
-from rotorkick import defaults
+from rotorkick import defaults, quantum
 from rotorkick.core import (Kick, KickKind, PulseOrder, validate_sequence)
 from rotorkick.errors import BasisOverflow
 from rotorkick.quantum import (RotorWavefunction, apply_kick, cos2_bands,
@@ -135,14 +135,32 @@ def test_pipeline_matches_grid_oracle():
                                                      abs=1e-8)
 
 
-def test_run_sequence_against_scan():
+def test_run_sequence_against_scan(monkeypatch):
+    """Each stretch between kicks is one call of the optimizer's sampler,
+    so the trace after the last kick is the optimizer's scan bit for bit."""
     seq = validate_sequence([Kick(KickKind.SYMMETRIC, -5.0, 0.0),
                              Kick(KickKind.ASYMMETRIC, 7.0, 0.5)])
-    ts = np.linspace(0.6, 3.0, 40)
-    series = run_sequence(seq, ts, k=1)
-    psi = two_kick_state(-5.0, 7.0, 0.5)
-    assert series.values == pytest.approx(observable_scan(psi, 1, ts - 0.5),
-                                          abs=1e-10)
+    ts = np.linspace(0.1, 3.0, 40)
+    before, after = ts < 0.5, ts >= 0.5
+    first = apply_kick(ground_state(defaults.quantum_l_max(12.0)),
+                       seq.kicks[0])
+    second = two_kick_state(-5.0, 7.0, 0.5)
+    calls = []
+
+    def counted(psi, k, dts):
+        calls.append(len(dts))
+        return scan(psi, k, dts)
+
+    scan = observable_scan
+    monkeypatch.setattr(quantum, "observable_scan", counted)
+    for k in (1, 2):
+        calls.clear()
+        series = run_sequence(seq, ts, k=k)
+        assert calls == [before.sum(), after.sum()]
+        assert np.array_equal(series.values[before],
+                              scan(first, k, ts[before]))
+        assert np.array_equal(series.values[after],
+                              scan(second, k, ts[after] - 0.5))
     with pytest.raises(ValueError):
         run_sequence(seq, [0.2, 0.2], k=1)
 
