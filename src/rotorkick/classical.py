@@ -50,23 +50,23 @@ class ClassicalEnsemble:
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes theta0 = arccos(u) and halved weights, cached per node count."""
-    # roots_legendre stays O(n) at large node counts, unlike the dense
-    # companion-matrix route
-    u, w = roots_legendre(n_nodes)
-    return np.arccos(u), w / 2.0
-
-
 def make_ensemble(n_nodes: int) -> ClassicalEnsemble:
-    """Gauss-Legendre ensemble in u = cos(theta0) on [-1, 1].
+    """Gauss-Legendre ensemble in u = cos(theta0) on [-1, 1], cached.
 
     Uniform-in-u quadrature realizes the (1/2) sin(theta0) dtheta0
-    measure exactly; weights are halved to normalize.
+    measure exactly; weights are halved to normalize. The package asks
+    only for the power-of-two rules of ``defaults.ensemble_nodes``, so the
+    cache holds at most 15. Its arrays are shared and read-only.
     """
     if n_nodes < 2:
         raise InvalidNodeCount(f"need at least 2 nodes, got {n_nodes}")
-    return ClassicalEnsemble(*_gauss_legendre(n_nodes))
+    # roots_legendre runs Golub-Welsch (an eigensolve of the banded Jacobi
+    # matrix), the costly step that the cache saves
+    u, w = roots_legendre(n_nodes)
+    rule = (np.arccos(u), w / 2.0)
+    for arr in rule:
+        arr.setflags(write=False)
+    return ClassicalEnsemble(*rule)
 
 
 def _kick_increment(kind: KickKind, strength: float, theta: np.ndarray) -> np.ndarray:
@@ -131,47 +131,42 @@ def two_kick_theta(theta0, p_s: float, p_a: float, t_1, t_2,
     return th1 + t_2 * omega
 
 
-def classical_observable(
-    seq: PulseSequence,
-    k: int,
-    t_eval,
-    n_nodes: int | None = None,
-    tol: float = defaults.QUADRATURE_TOL,
-    node_cap: int = defaults.NODE_CAP,
-) -> ObservableSeries:
+def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries:
     """Ensemble-averaged <cos^k theta> on a time grid, k = 1 or 2.
 
-    Node count defaults to the strength-time rule and is then doubled
-    until successive quadratures agree within ``tol`` uniformly.
+    The node count starts from the strength-time rule and is doubled
+    until successive quadratures agree within ``QUADRATURE_TOL`` at every
+    time.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 (orientation) or 2 (alignment)")
     seq = validate_sequence(seq)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    if n_nodes is None:
-        times = list(t_eval) + [kk.time for kk in seq.kicks]
-        span = (max(times) - min(times)) if times else 0.0
-        n_nodes = defaults.ensemble_nodes(seq.total_strength(), span)
-
-    vals = _refine(lambda ens: propagate_classical(seq, ens, t_eval),
-                   k, n_nodes, tol, node_cap)
+    times = list(t_eval) + [kk.time for kk in seq.kicks]
+    span = (max(times) - min(times)) if times else 0.0
+    vals = _refine(lambda ens: propagate_classical(seq, ens, t_eval), k,
+                   defaults.ensemble_nodes(seq.total_strength(), span))
     kind = ObservableKind.ORIENTATION if k == 1 else ObservableKind.ALIGNMENT
     return ObservableSeries(t_eval, vals, kind)
 
 
-def _refine(values_fn, k: int, n_nodes: int, tol: float, node_cap: int) -> np.ndarray:
-    n = max(2, n_nodes)
-    prev = None
+def _refine(values_fn, k: int, n_nodes: int) -> np.ndarray:
+    """<cos^k> over the angles ``values_fn`` gives for an ensemble, the
+    rule doubled from ``n_nodes`` until two successive rules agree within
+    ``defaults.QUADRATURE_TOL`` at every sample (an empty grid agrees at
+    once), or ``defaults.NODE_CAP`` is reached."""
+    tol, cap = defaults.QUADRATURE_TOL, defaults.NODE_CAP
+    n, prev = n_nodes, None
     while True:
         ens = make_ensemble(n)
         theta = values_fn(ens)  # (..., nodes)
         cos_th = np.cos(theta)
         vals = (cos_th if k == 1 else cos_th**2) @ ens.weights
-        if prev is not None and np.max(np.abs(vals - prev)) < tol:
+        if prev is not None and np.all(np.abs(vals - prev) < tol):
             return vals
-        if 2 * n > node_cap:
+        if 2 * n > cap:
             raise ConvergenceFailure(
-                f"quadrature not converged below {tol} at node cap {node_cap}"
+                f"quadrature not converged below {tol} at node cap {cap}"
             )
         prev = vals
         n *= 2
@@ -184,9 +179,6 @@ def two_kick_observable(
     t_2,
     order: PulseOrder = PulseOrder.LASER_FIRST,
     k: int = 1,
-    n_nodes: int | None = None,
-    tol: float = defaults.QUADRATURE_TOL,
-    node_cap: int = defaults.NODE_CAP,
 ) -> np.ndarray:
     """<cos^k theta> of the closed-form two-pulse trajectory on a t_2 grid.
 
@@ -194,12 +186,11 @@ def two_kick_observable(
     optimizer's inner evaluation; it is vectorized over ``t_2``.
     """
     t_2 = np.atleast_1d(np.asarray(t_2, dtype=float))
-    if n_nodes is None:
-        span = abs(t_1) + float(np.max(np.abs(t_2))) if t_2.size else abs(t_1)
-        n_nodes = defaults.ensemble_nodes(abs(p_s) + abs(p_a), span)
+    span = abs(t_1) + float(np.max(np.abs(t_2))) if t_2.size else abs(t_1)
 
     def values_fn(ens: ClassicalEnsemble) -> np.ndarray:
         return two_kick_theta(ens.theta0[None, :], p_s, p_a, t_1,
                               t_2[:, None], order)
 
-    return _refine(values_fn, k, n_nodes, tol, node_cap)
+    return _refine(values_fn, k,
+                   defaults.ensemble_nodes(abs(p_s) + abs(p_a), span))

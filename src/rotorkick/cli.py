@@ -86,12 +86,10 @@ def _cmd_simulate(args) -> int:
                 # revival window
                 vals = classical.two_kick_observable(
                     args.ps, args.pa, args.t1,
-                    t - args.t1 - args.classical_shift, order, k=k,
-                    n_nodes=args.nodes)
+                    t - args.t1 - args.classical_shift, order, k=k)
             else:
                 s = seq or two_pulse_sequence(args.ps, args.pa, args.t1, order)
-                vals = classical.classical_observable(
-                    s, k, t, n_nodes=args.nodes).values
+                vals = classical.classical_observable(s, k, t).values
         else:
             s = seq or two_pulse_sequence(args.ps, args.pa, args.t1, order)
             vals = quantum.run_sequence(s, t, k=k, l_max_hint=args.lmax).values
@@ -245,8 +243,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=2.0 * math.pi)
     p.add_argument("--t-points", type=int, default=512)
-    p.add_argument("--nodes", type=int, help="fixed classical node count "
-                   "(default: adaptive)")
     p.add_argument("--lmax", type=int, help="quantum basis size hint")
     p.add_argument("--classical-shift", type=float,
                    help="report the classical closed-form continuation on a "

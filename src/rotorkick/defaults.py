@@ -1,15 +1,15 @@
 """Single table of numeric defaults used across the engines and optimizer.
 
-Only some entries can be overridden per call or from the CLI:
-``QUADRATURE_TOL`` and ``NODE_CAP`` (keywords of the classical
-evaluators), ``L_MAX_CAP`` (keyword of ``quantum.apply_kick``), the
-node-count and basis-size rules (``n_nodes`` / ``l_max`` keywords,
-``--nodes`` / ``--lmax``) and the optimizer windows (``BoundsBox``, the
-CLI's bound options). ``TAIL_TOL``, ``TAIL_MARGIN``, ``TIME_REFINE_TOL``,
-``REVIVAL_WINDOW``, ``SIMPLEX_*``, ``QUANTUM_SWEEP_PA_MAX``, the
-``PS_RATIO_*`` defaults and ``scan_step`` are fixed here. The rules are
-functions of the kick strengths so that classical results respect the
-exact scaling invariance
+Only the basis-size hint (``l_max_hint`` of ``quantum.run_sequence``,
+``l_max`` of ``quantum.two_kick_state``, CLI ``--lmax``) and the
+optimizer box (``BoundsBox``, the CLI's bound options) can be
+overridden. Everything else is fixed here, and the engines read it at
+call time: the caps ``QUADRATURE_TOL``, ``NODE_CAP`` and ``L_MAX_CAP``,
+the power-of-two node ladder of :func:`ensemble_nodes`, ``TAIL_TOL``,
+``TAIL_MARGIN``, ``TIME_REFINE_TOL``, ``REVIVAL_WINDOW``, ``SIMPLEX_*``,
+``QUANTUM_SWEEP_PA_MAX``, the ``PS_RATIO_*`` defaults and ``scan_step``.
+The rules are functions of the kick strengths so that classical results
+respect the exact scaling invariance
 (p_s, p_a, t_1, t_2) -> (lam*p_s, lam*p_a, t_1/lam, t_2/lam).
 """
 
@@ -49,13 +49,17 @@ PS_RATIO_MAX = 1.0
 
 
 def ensemble_nodes(total_strength: float, time_span: float) -> int:
-    """Default quadrature node count.
+    """Starting quadrature node count: a rung of the power-of-two ladder.
 
     The integrand cos^k(theta(t; theta0)) oscillates in theta0 with
-    frequency proportional to P*t, so the node count grows with that
-    product. Refinement doubling on top of this handles the rest.
+    frequency proportional to P*t, so the count is the power of two
+    nearest (in ratio) to 8*P*t, at least 64 and at most ``NODE_CAP``.
+    Refinement doubles it from there up to ``NODE_CAP``, so every rule
+    the classical engine builds has 2^6 ... 2^20 nodes: at most 15
+    distinct rules.
     """
-    return max(64, math.ceil(8.0 * total_strength * time_span))
+    target = max(64.0, 8.0 * total_strength * time_span)
+    return min(NODE_CAP, 2 ** round(math.log2(target)))
 
 
 def quantum_l_max(total_strength: float) -> int:

@@ -156,14 +156,14 @@ def _tail_population(coeffs: np.ndarray) -> float:
     return float(np.sum(np.abs(coeffs[coeffs.size - margin:]) ** 2))
 
 
-def apply_kick(psi: RotorWavefunction, kick: Kick,
-               l_max_cap: int = defaults.L_MAX_CAP) -> RotorWavefunction:
+def apply_kick(psi: RotorWavefunction, kick: Kick) -> RotorWavefunction:
     """Apply one impulsive kick, enlarging the basis if the tail fills.
 
     The post-kick population above l_max - 10 must stay below 1e-10;
     otherwise the pre-kick state is zero-padded to twice the basis size
-    and the kick is recomputed, up to the hard cap.
+    and the kick is recomputed, up to ``defaults.L_MAX_CAP``.
     """
+    cap = defaults.L_MAX_CAP
     coeffs = psi.coeffs
     while True:
         l_max = coeffs.size - 1
@@ -171,11 +171,9 @@ def apply_kick(psi: RotorWavefunction, kick: Kick,
         new = op.apply(coeffs, kick.strength)
         if _tail_population(new) < defaults.TAIL_TOL:
             return RotorWavefunction(new)
-        if l_max >= l_max_cap:
-            raise BasisOverflow(
-                f"kick {kick} needs l_max beyond the cap {l_max_cap}"
-            )
-        grown = min(l_max_cap, 2 * l_max + 1)
+        if l_max >= cap:
+            raise BasisOverflow(f"kick {kick} needs l_max beyond the cap {cap}")
+        grown = min(cap, 2 * l_max + 1)
         padded = np.zeros(grown + 1, dtype=complex)
         padded[: coeffs.size] = coeffs
         coeffs = padded

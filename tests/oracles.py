@@ -33,8 +33,9 @@ TWO_PI = 2.0 * np.pi
 
 @lru_cache(maxsize=8)
 def _grid(n_grid: int):
-    # roots_legendre stays O(n); leggauss eigensolves a dense companion
-    # matrix and needs minutes at the node counts used here
+    # roots_legendre eigensolves the banded Jacobi matrix (Golub-Welsch);
+    # leggauss eigensolves a dense companion matrix and needs minutes at
+    # the node counts used here
     u, w = roots_legendre(n_grid)
     return u, w
 

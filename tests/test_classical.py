@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from oracles import mc_classical_observable
 from rotorkick import defaults
@@ -11,6 +12,7 @@ from rotorkick.classical import (classical_observable, make_ensemble,
 from rotorkick.core import (Kick, KickKind, PulseOrder, two_pulse_sequence,
                             validate_sequence)
 from rotorkick.errors import ConvergenceFailure, InvalidNodeCount
+from rotorkick.quantum import run_sequence
 
 
 def closed_form_reference(theta0, ps, pa, t1, t2, order):
@@ -127,15 +129,50 @@ def test_observable_against_monte_carlo():
     assert abs(mean2 - exact2) < 3.0 * stderr2
 
 
-def test_quadrature_refinement_converges_and_caps():
+def test_quadrature_refinement_converges_and_caps(monkeypatch):
     seq = two_pulse_sequence(-10.0, 40.0, 0.1, PulseOrder.LASER_FIRST)
     ts = np.linspace(0.05, 1.0, 40)
     a = classical_observable(seq, 1, ts)
-    b = classical_observable(seq, 1, ts, n_nodes=6000)
+    monkeypatch.setattr(defaults, "ensemble_nodes", lambda p, span: 8192)
+    b = classical_observable(seq, 1, ts)
     assert np.max(np.abs(a.values - b.values)) < 5e-6
 
+    monkeypatch.setattr(defaults, "ensemble_nodes", lambda p, span: 8)
+    monkeypatch.setattr(defaults, "NODE_CAP", 64)
     with pytest.raises(ConvergenceFailure):
-        classical_observable(seq, 1, ts, n_nodes=8, node_cap=64)
+        classical_observable(seq, 1, ts)
+
+
+def test_ensemble_nodes_ladder():
+    for p, span in [(0.0, 5.0), (10.0, 0.0), (1.0, 7.9), (12.0, 0.5)]:
+        assert defaults.ensemble_nodes(p, span) == 64
+    assert defaults.ensemble_nodes(1e6, 1e3) == defaults.NODE_CAP
+    rng = np.random.default_rng(5)
+    for p, span in zip(rng.uniform(0, 200, 200), rng.uniform(0, 7, 200)):
+        n = defaults.ensemble_nodes(p, span)
+        assert n >= 64 and n & (n - 1) == 0
+        target = 8.0 * p * span
+        if target > 64.0:  # the nearest power of two in ratio
+            assert n / 2 ** 0.5 <= target <= n * 2 ** 0.5
+
+
+def test_empty_time_grids():
+    seq = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
+    assert classical_observable(seq, 1, []).values.shape == (0,)
+    assert two_kick_observable(-2.0, 10.0, 0.3, []).shape == (0,)
+    assert run_sequence(seq, []).values.shape == (0,)
+
+
+def test_cached_rule_is_read_only():
+    ens = make_ensemble(64)
+    with pytest.raises(ValueError):
+        ens.theta0[:] = 0.0
+    with pytest.raises(ValueError):
+        ens.weights[:] = 0.0
+    u, w = roots_legendre(64)
+    again = make_ensemble(64)
+    assert np.array_equal(again.theta0, np.arccos(u))
+    assert np.array_equal(again.weights, w / 2.0)
 
 
 def test_two_kick_observable_vectorized_consistency():
@@ -160,12 +197,14 @@ def test_two_kick_observable_alignment_range():
     (PulseOrder.LASER_FIRST, 20.0, 0.400000000043, -2.04863696418,
      -0.0804779193416),
 ], ids=["simultaneous", "hcp-first", "laser-first-revival"])
-def test_pair_optima_converged_in_node_count(order, p_a, p_s, t_1, t_2):
+def test_pair_optima_converged_in_node_count(order, p_a, p_s, t_1, t_2,
+                                            monkeypatch):
     """Around each classical optimum, the objective from the default node
     count agrees with the one from twice that count."""
     t2 = t_2 * np.linspace(0.5, 1.5, 21)
     n = defaults.ensemble_nodes(abs(p_s) + p_a, abs(t_1) + abs(1.5 * t_2))
     base = two_kick_observable(p_s, p_a, t_1, t2, order)
-    doubled = two_kick_observable(p_s, p_a, t_1, t2, order, n_nodes=2 * n)
+    monkeypatch.setattr(defaults, "ensemble_nodes", lambda p, span: 2 * n)
+    doubled = two_kick_observable(p_s, p_a, t_1, t2, order)
     assert np.max(np.abs(doubled - base)) < defaults.QUADRATURE_TOL
     assert np.max(np.abs(base)) > 0.88

@@ -341,3 +341,21 @@ def test_csv_row_format(simul10):
     assert fields[0] == f"{simul10.p_a:.11e}"
     assert fields[5:8] == ["prompt", "simultaneous", "classical"]
     assert fields[8] == str(simul10.evaluations)
+
+
+def test_rule_cache_stays_on_the_ladder():
+    """Objective evaluations across the classical check 3-5 boxes build
+    only power-of-two rules, so the shared rule cache stays small."""
+    problems = [classical_problem(PulseOrder.SIMULTANEOUS, 10.0),
+                classical_problem(PulseOrder.HCP_FIRST, 100.0),
+                classical_problem(PulseOrder.LASER_FIRST, 100.0),
+                classical_problem(PulseOrder.LASER_FIRST, 100.0,
+                                  Branch.REVIVAL)]
+    rng = np.random.default_rng(11)
+    classical.make_ensemble.cache_clear()
+    for prob in problems:
+        for _ in range(10):
+            p_s = rng.uniform(*prob.bounds.p_s)
+            t_1 = rng.uniform(*prob.bounds.t_1)
+            evaluate_objective(prob, p_s, t_1)
+    assert classical.make_ensemble.cache_info().currsize <= 15

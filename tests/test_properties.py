@@ -12,7 +12,7 @@ from rotorkick.core import (Kick, KickKind, PulseOrder, PulseSequence,
                             validate_sequence)
 from rotorkick.quantum import (RotorWavefunction, apply_kick, expectation,
                                free_propagate, ground_state,
-                               observable_scan, run_sequence)
+                               observable_scan, run_sequence, two_kick_state)
 
 SETTINGS = settings(deadline=None, max_examples=40)
 
@@ -84,6 +84,32 @@ def test_trajectory_time_reversal(p_s, p_a, t_1, t_2, order):
     rev = two_kick_theta(theta0, p_s, p_a, -t_1, -t_2, order)
     flipped = two_kick_theta(theta0, -p_s, -p_a, t_1, t_2, order)
     assert np.max(np.abs(rev - flipped)) < 1e-9
+
+
+@given(strengths, strengths, times, times, orders)
+@SETTINGS
+def test_quantum_time_mirror_flips_orientation(p_s, p_a, t_1, t_2, order):
+    # the revival branch rests on this: free flight is 2 pi periodic, so
+    # running the pair back from 2 pi with the laser sign flipped mirrors
+    # the orientation
+    if order is PulseOrder.SIMULTANEOUS:
+        t_1 = 0.0
+    fwd = observable_scan(two_kick_state(p_s, p_a, t_1, order), 1, t_2)
+    back = observable_scan(
+        two_kick_state(-p_s, p_a, 2.0 * math.pi - t_1, order), 1,
+        2.0 * math.pi - t_2)
+    assert abs(back[0] + fwd[0]) < 1e-12
+
+
+@given(strengths, strengths, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       orders)
+@SETTINGS
+def test_classical_time_mirror_flips_orientation(p_s, p_a, t_1, t_2, order):
+    # the classical revival branch: negative times with the laser sign
+    # flipped mirror the orientation
+    fwd = two_kick_observable(p_s, p_a, t_1, [t_2], order)
+    back = two_kick_observable(-p_s, p_a, -t_1, [-t_2], order)
+    assert abs(back[0] + fwd[0]) < 1e-12
 
 
 @given(strengths, st.floats(0.5, 15.0), st.floats(0.01, 1.0),

@@ -78,10 +78,11 @@ def test_apply_kick_grows_basis_to_meet_tail_bound():
     assert np.sum(np.abs(kicked.coeffs) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_basis_overflow_raises():
+def test_basis_overflow_raises(monkeypatch):
     psi = ground_state(8)
-    with pytest.raises(BasisOverflow):
-        apply_kick(psi, Kick(KickKind.ASYMMETRIC, 30.0, 0.0), l_max_cap=16)
+    with monkeypatch.context() as m, pytest.raises(BasisOverflow):
+        m.setattr(defaults, "L_MAX_CAP", 16)
+        apply_kick(psi, Kick(KickKind.ASYMMETRIC, 30.0, 0.0))
     with pytest.raises(BasisOverflow):
         two_kick_state(0.0, 5000.0, 0.0)  # default hint exceeds the cap
 
