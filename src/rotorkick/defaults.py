@@ -69,7 +69,11 @@ def quantum_l_max(total_strength: float) -> int:
 
 
 def scan_step(total_strength: float) -> float:
-    """Grid step for locating observable extrema in time."""
+    """Largest first-scan step of the optimizer's t_2 finder.
+
+    The classical grid uses this step; the quantum FFT uses the smallest
+    power-of-two length whose sample spacing 2 pi / n is within it.
+    """
     return min(0.002, 0.05 / max(total_strength, 1.0))
 
 

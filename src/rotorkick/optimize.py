@@ -2,9 +2,10 @@
 
 The objective |<cos theta>|(p_s, t_1, t_2) is violently multimodal in
 the observation time t_2 but smooth in (p_s, t_1) near its optima, so
-the search is nested: an exhaustive t_2 scan (a dense grid, then
-rescans of the best sample's bracket on finer grids) inside a
-multi-start Nelder-Mead simplex over (p_s, t_1), run in scaled
+the search is nested: an exhaustive t_2 scan (a first scan of the whole
+window - a dense grid classically, one FFT of the periodic quantum
+signal - then rescans of the best sample's bracket on finer grids)
+inside a multi-start Nelder-Mead simplex over (p_s, t_1), run in scaled
 coordinates (p_s/p_a, t_1*p_a).
 
 Branches
@@ -145,26 +146,30 @@ def evaluate_objective(
 ) -> tuple[float, float]:
     """Best signed <cos theta> over the branch's t_2 window, and its t_2.
 
-    One finder for both engines: the engine's vectorized t_2 sampler
-    scans the window at the strength-scaled step, then rescans the two
-    steps around the best sample on ZOOM_POINTS points until the step is
-    at most ``TIME_REFINE_TOL``. The returned t_2 is a sample inside the
+    One finder for both engines: a first scan of the window at the
+    strength-scaled step, then rescans of the two steps around the best
+    sample on ZOOM_POINTS points until the step is at most
+    ``TIME_REFINE_TOL``. The classical first scan is a grid of the
+    engine's vectorized sampler, the quantum one a single FFT
+    (:func:`_fft_bracket`). The returned t_2 is a sample inside the
     window.
     """
     lo, hi = _t2_window(prob, t_1)
+    step = defaults.scan_step(abs(p_s) + abs(prob.p_a))
     if prob.engine is Engine.CLASSICAL:
         def sample(t2: np.ndarray) -> np.ndarray:
             return classical.two_kick_observable(p_s, prob.p_a, t_1, t2,
                                                  prob.order, k=1)
+
+        n = max(8, int(math.ceil((hi - lo) / step)) + 1)
+        grid = np.linspace(min(lo + 1e-12, hi), hi, n)
     else:
         psi = quantum.two_kick_state(p_s, prob.p_a, t_1, prob.order)
 
         def sample(t2: np.ndarray) -> np.ndarray:
             return quantum.observable_scan(psi, 1, t2)
 
-    step = defaults.scan_step(abs(p_s) + abs(prob.p_a))
-    n = max(8, int(math.ceil((hi - lo) / step)) + 1)
-    grid = np.linspace(min(lo + 1e-12, hi), hi, n)
+        grid = _fft_bracket(prob, psi, step, lo, hi)
     while True:
         vals = sample(grid)
         j = int(np.argmax(prob.transform(vals)))
@@ -172,6 +177,33 @@ def evaluate_objective(
             return float(vals[j]), float(grid[j])
         grid = np.linspace(grid[max(0, j - 1)], grid[min(grid.size - 1, j + 1)],
                            ZOOM_POINTS)
+
+
+def _fft_bracket(prob: OptimizationProblem, psi: quantum.RotorWavefunction,
+                 step: float, lo: float, hi: float) -> np.ndarray:
+    """The first rescan grid of the quantum t_2 finder.
+
+    Orientation after the last kick has period 2 pi, so one FFT of n
+    points samples every t = 2 pi j / n: n is the smallest power of two
+    with n >= 4(l_max + 1) and 2 pi / n <= ``step``. The window [lo, hi]
+    is the index range of those samples (read mod n, so boxes beyond one
+    period wrap), and the best sample's two-step bracket, clipped to the
+    window, is returned; a window holding no sample is returned whole,
+    and an empty one (lo > hi) as the point hi, as the classical grid
+    does.
+    """
+    lo = min(lo, hi)
+    n = 1 << (max(4 * (psi.l_max + 1),
+                  math.ceil(REVIVAL_PERIOD / step)) - 1).bit_length()
+    h = REVIVAL_PERIOD / n
+    first, last = math.ceil(lo / h), math.floor(hi / h)
+    if first > last:
+        return np.linspace(lo, hi, ZOOM_POINTS)
+    # one period of indices holds the first best sample of any longer range
+    idx = np.arange(first, min(last, first + n - 1) + 1)
+    vals = quantum.orientation_samples(psi, n)[idx % n]
+    t = idx[int(np.argmax(prob.transform(vals)))] * h
+    return np.linspace(max(lo, t - h), min(hi, t + h), ZOOM_POINTS)
 
 
 def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:

@@ -190,20 +190,27 @@ def expectation(psi: RotorWavefunction, k: int) -> float:
     return float(observable_scan(psi, k, 0.0)[0])
 
 
+def _orientation_beats(psi: RotorWavefunction) -> np.ndarray:
+    """q_l = conj(a_l) a_{l+1} <l|cos theta|l+1>, beating at rate l + 1."""
+    a = psi.coeffs
+    return np.conj(a[:-1]) * a[1:] * cos_offdiag(psi.l_max)
+
+
 def observable_scan(psi: RotorWavefunction, k: int, dts) -> np.ndarray:
     """<cos^k theta> after freely evolving ``psi`` by each time in ``dts``.
 
     The one home of the band formulas (:func:`expectation` is the dt = 0
-    sample): orientation couples l, l+1 coherences with phase rates l+1,
-    alignment couples l, l+2 with rates 2l+3.
+    sample, :func:`orientation_samples` the FFT of the k = 1 band):
+    orientation couples l, l+1 coherences with phase rates l+1,
+    alignment couples l, l+2 with rates 2l+3. Samples at arbitrary
+    times: the optimizer's t_2 rescans and each kick-free stretch of
+    :func:`run_sequence`.
     """
     a = psi.coeffs
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
     if k == 1:
-        c = cos_offdiag(psi.l_max)
-        q = np.conj(a[:-1]) * a[1:] * c
         phases = np.exp(-1j * np.outer(dts, np.arange(1, psi.l_max + 1)))
-        return 2.0 * np.real(phases @ q)
+        return 2.0 * np.real(phases @ _orientation_beats(psi))
     if k == 2:
         diag, off2 = cos2_bands(psi.l_max)
         base = float(np.real(np.conj(a) @ (diag * a)))
@@ -211,6 +218,22 @@ def observable_scan(psi: RotorWavefunction, k: int, dts) -> np.ndarray:
         phases = np.exp(-1j * np.outer(dts, 2.0 * np.arange(psi.l_max - 1) + 3.0))
         return base + 2.0 * np.real(phases @ r)
     raise ValueError("k must be 1 or 2")
+
+
+def orientation_samples(psi: RotorWavefunction, n: int) -> np.ndarray:
+    """<cos theta> after freely evolving ``psi`` by dt = 2 pi j / n,
+    j = 0..n-1, from one FFT.
+
+    Orientation is 2 Re sum_{m=1..l_max} q_{m-1} exp(-i m dt), a
+    trigonometric polynomial of period 2 pi, so zero-padding q to n
+    entries samples it exactly on the uniform grid once n > l_max.
+    """
+    if n <= psi.l_max:
+        raise ValueError(f"n = {n} must exceed l_max = {psi.l_max}: "
+                         "beat frequencies would alias")
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[1: psi.l_max + 1] = _orientation_beats(psi)
+    return 2.0 * np.real(np.fft.fft(spectrum))
 
 
 def run_sequence(
@@ -221,7 +244,7 @@ def run_sequence(
 ) -> ObservableSeries:
     """Propagate the ground state through a kick sequence, recording
     <cos^k theta> at each requested time; the times between two kicks are
-    one :func:`observable_scan` call, the optimizer's t_2 sampler.
+    one :func:`observable_scan` call.
 
     Simultaneous kicks commute exactly in the angle representation (both
     are phase factors); they are applied symmetric-first for a
@@ -255,8 +278,8 @@ def two_kick_state(
 ) -> RotorWavefunction:
     """State just after the second kick of the canonical pulse pair.
 
-    The optimizer's workhorse: combine with :func:`observable_scan` to
-    sweep the observation time t_2.
+    The optimizer's workhorse: :func:`orientation_samples` and
+    :func:`observable_scan` then sweep the observation time t_2.
     """
     if l_max is None:
         l_max = defaults.quantum_l_max(abs(p_s) + abs(p_a))

@@ -191,6 +191,75 @@ def test_t2_finder_stays_in_a_degenerate_window(pair):
             float(_pair_sampler(*pair)(np.array([t]))[0]), abs=1e-12)
 
 
+CHECK6 = FINDER_PAIRS[1]
+
+
+def _fft_step(p_s, p_a, t_1):
+    """The quantum finder's FFT sample spacing for one pulse pair."""
+    l_max = quantum.two_kick_state(p_s, p_a, t_1).l_max
+    step = defaults.scan_step(abs(p_s) + p_a)
+    n = 1
+    while n < 4 * (l_max + 1) or TWO_PI / n > step:
+        n *= 2
+    return TWO_PI / n
+
+
+def test_quantum_t2_window_wraps_by_periodicity():
+    _, order, p_a, p_s, t_1 = CHECK6
+    prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a)
+    value, t2 = evaluate_objective(prob, p_s, t_1)
+    box = replace(prob.bounds, t_2=(TWO_PI, 2.0 * TWO_PI))
+    shifted, t2_shifted = evaluate_objective(replace(prob, bounds=box),
+                                             p_s, t_1)
+    assert shifted == pytest.approx(value, abs=1e-12)
+    assert abs(t2_shifted - (t2 + TWO_PI)) <= defaults.TIME_REFINE_TOL
+
+
+def test_quantum_t2_window_between_fft_samples():
+    _, order, p_a, p_s, t_1 = CHECK6
+    prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a)
+    _, peak = evaluate_objective(prob, p_s, t_1)
+    h = _fft_step(p_s, p_a, t_1)
+    j = math.floor(peak / h)
+    lo, hi = (j + 1.0 / 3.0) * h, (j + 2.0 / 3.0) * h
+    assert math.ceil(lo / h) > math.floor(hi / h)  # no sample inside
+    box = replace(prob.bounds, t_2=(lo, hi))
+    value, t2 = evaluate_objective(replace(prob, bounds=box), p_s, t_1)
+    assert lo <= t2 <= hi
+    assert value == pytest.approx(
+        float(_pair_sampler(*CHECK6)(np.array([t2]))[0]), abs=1e-12)
+
+
+def test_quantum_t2_finder_scores_an_empty_window_at_its_end():
+    # a delay past the revival leaves the revival window [lo, hi] with
+    # lo > hi; the finder scores t_2 = hi, as the classical grid does
+    prob = OptimizationProblem(engine=Engine.QUANTUM,
+                               order=PulseOrder.LASER_FIRST, p_a=5.0,
+                               branch=Branch.REVIVAL)
+    t_1 = TWO_PI + 1.0
+    value, t2 = evaluate_objective(prob, 2.0, t_1)
+    assert t2 == TWO_PI - t_1
+    assert value == pytest.approx(float(quantum.observable_scan(
+        quantum.two_kick_state(2.0, 5.0, t_1), 1, [t2])[0]), abs=1e-12)
+
+
+def test_quantum_t2_finder_makes_three_scans(monkeypatch):
+    """The FFT replaces the full-window scan: only the three rescans of
+    the best sample's bracket call ``observable_scan``."""
+    _, order, p_a, p_s, t_1 = CHECK6
+    prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a)
+    calls = []
+    scan = quantum.observable_scan
+
+    def counted(psi, k, dts):
+        calls.append(len(dts))
+        return scan(psi, k, dts)
+
+    monkeypatch.setattr(quantum, "observable_scan", counted)
+    evaluate_objective(prob, p_s, t_1)
+    assert calls == [optimize_module.ZOOM_POINTS] * 3
+
+
 def test_optimizer_scaling_law(hcp_pair):
     lo, hi = hcp_pair
     assert hi.p_s / lo.p_s == pytest.approx(2.0, rel=1e-3)

@@ -12,7 +12,8 @@ from rotorkick.core import (Kick, KickKind, PulseOrder, PulseSequence,
                             validate_sequence)
 from rotorkick.quantum import (RotorWavefunction, apply_kick, expectation,
                                free_propagate, ground_state,
-                               observable_scan, run_sequence, two_kick_state)
+                               observable_scan, orientation_samples,
+                               run_sequence, two_kick_state)
 
 SETTINGS = settings(deadline=None, max_examples=40)
 
@@ -73,6 +74,26 @@ def test_free_evolution_revives(psi, dt):
     there = free_propagate(psi, dt)
     back = free_propagate(there, 2.0 * math.pi - dt)
     assert np.max(np.abs(back.coeffs - psi.coeffs)) < 1e-10
+
+
+@st.composite
+def sampled_states(draw):
+    """A random normalized state with l_max in 4..200 and an FFT length
+    from l_max + 1 to 4096."""
+    l_max = draw(st.integers(4, 200))
+    n = draw(st.integers(l_max + 1, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.normal(size=l_max + 1) + 1j * rng.normal(size=l_max + 1)
+    return RotorWavefunction(c / np.linalg.norm(c)), n
+
+
+@given(sampled_states())
+@SETTINGS
+def test_orientation_samples_match_the_scan(case):
+    psi, n = case
+    fft = orientation_samples(psi, n)
+    scan = observable_scan(psi, 1, 2.0 * math.pi * np.arange(n) / n)
+    assert np.max(np.abs(fft - scan)) < 1e-13
 
 
 @given(strengths, strengths, st.floats(0.01, 3.0), st.floats(0.01, 3.0),

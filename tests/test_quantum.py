@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import grid_expectation, grid_propagate
+from oracles import (grid_expectation, grid_propagate,
+                     quadrature_operator_matrix)
 from rotorkick import defaults, quantum
 from rotorkick.core import (Kick, KickKind, PulseOrder, validate_sequence)
 from rotorkick.errors import BasisOverflow
 from rotorkick.quantum import (RotorWavefunction, apply_kick, cos2_bands,
                                cos_offdiag, expectation, free_propagate,
                                ground_state, kick_operator, observable_scan,
-                               run_sequence, two_kick_state)
+                               orientation_samples, run_sequence,
+                               two_kick_state)
 
 
 def normalized(coeffs) -> RotorWavefunction:
@@ -108,6 +110,27 @@ def test_observable_scan_matches_pointwise_evolution():
         scanned = observable_scan(psi, k, ts)
         stepped = [expectation(free_propagate(psi, t), k) for t in ts]
         assert scanned == pytest.approx(stepped, abs=1e-12)
+
+
+def test_orientation_samples_refuse_aliasing():
+    psi = two_kick_state(-3.0, 6.0, 0.4)
+    ts = 2.0 * math.pi * np.arange(psi.l_max + 1) / (psi.l_max + 1)
+    assert orientation_samples(psi, psi.l_max + 1) == pytest.approx(
+        observable_scan(psi, 1, ts), abs=1e-13)
+    for n in (psi.l_max, 1):
+        with pytest.raises(ValueError, match="alias"):
+            orientation_samples(psi, n)
+
+
+def test_band_formulas_match_the_quadrature_oracle():
+    """The analytic bands equal the oracle's quadrature-built matrices to
+    round-off; cos^2 is the truncated square, exact for l <= l_max - 1."""
+    l_max = 64
+    cos = kick_operator(KickKind.ASYMMETRIC, l_max).matrix
+    assert np.max(np.abs(quadrature_operator_matrix(1, l_max) - cos)) < 1e-13
+    cos2 = kick_operator(KickKind.SYMMETRIC, l_max).matrix
+    diff = quadrature_operator_matrix(2, l_max) - cos2
+    assert np.max(np.abs(diff[:l_max, :l_max])) < 1e-13
 
 
 def test_free_propagation_revives():
