@@ -6,12 +6,14 @@ from scipy.special import roots_legendre
 
 from oracles import mc_classical_observable
 from rotorkick import defaults
-from rotorkick.classical import (classical_observable, make_ensemble,
+from rotorkick.classical import (_after_kicks, _free_flight_average,
+                                 classical_observable, make_ensemble,
                                  propagate_classical, two_kick_observable,
                                  two_kick_theta)
 from rotorkick.core import (Kick, KickKind, PulseOrder, two_pulse_sequence,
                             validate_sequence)
-from rotorkick.errors import ConvergenceFailure, InvalidNodeCount
+from rotorkick.errors import (ConvergenceFailure, InvalidNodeCount,
+                              NonFiniteValue)
 from rotorkick.quantum import run_sequence
 
 
@@ -183,10 +185,48 @@ def test_two_kick_observable_vectorized_consistency():
     assert batch == pytest.approx(singles, abs=2e-6)
 
 
+@pytest.mark.parametrize("order", list(PulseOrder))
+def test_free_flight_average_matches_direct_quadrature(order):
+    """At one fixed rule, the matrix-product sampler agrees with the
+    direct sum of cos^k over the (t_2 x nodes) angle array, on even grids
+    of every size class and on an uneven array."""
+    ens = make_ensemble(512)
+    rng = np.random.default_rng(17)
+    grids = [np.linspace(-0.7, 1.3, n) for n in (1, 2, 3, 33, 4001)]
+    grids.append(np.array([0.05, 0.21, 0.4]))
+    for t2 in grids:
+        for k in (1, 2):
+            p_s, p_a = rng.uniform(-20, 20, 2)
+            t_1, sign = rng.uniform(-1.5, 1.5), rng.choice([-1.0, 1.0])
+            theta = two_kick_theta(ens.theta0[None, :], p_s, p_a, t_1,
+                                   sign * t2[:, None], order)
+            direct = np.cos(theta) ** k @ ens.weights
+            got = _free_flight_average(
+                *_after_kicks(ens.theta0, p_s, p_a, t_1, order),
+                ens.weights, sign * t2, k)
+            assert got.shape == t2.shape
+            assert np.max(np.abs(got - direct)) < 1e-12
+
+
+def test_non_finite_input_raises_before_quadrature():
+    bad = [(math.nan, 2.0, 0.1, [0.1]), (-2.0, 10.0, 0.1, [0.1, math.nan]),
+           (-2.0, 10.0, math.inf, [0.1]), (-2.0, 10.0, 0.1, [math.inf]),
+           (-2.0, -math.inf, 0.1, [0.1])]
+    for p_s, p_a, t_1, t_2 in bad:
+        with pytest.raises(NonFiniteValue):
+            two_kick_observable(p_s, p_a, t_1, t_2)
+    seq = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
+    for t_eval in ([math.nan], [0.1, math.inf]):
+        with pytest.raises(NonFiniteValue):
+            classical_observable(seq, 1, t_eval)
+
+
 def test_two_kick_observable_alignment_range():
     vals = two_kick_observable(-6.0, 0.0, 0.1, np.linspace(0, 1, 50),
                                PulseOrder.LASER_FIRST, k=2)
     assert np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)
+    with pytest.raises(ValueError):
+        two_kick_observable(-6.0, 0.0, 0.1, [0.5], k=3)
 
 
 @pytest.mark.parametrize("order, p_a, p_s, t_1, t_2", [

@@ -85,6 +85,16 @@ def test_simulate_classical_shift(tmp_path, capsys):
     assert code == 2 and "--classical-shift" in err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--classical-shift", "nan"],
+    ["--classical-shift", "6.2", "--t1", "inf"],
+])
+def test_simulate_non_finite_shift_is_a_usage_error(capsys, extra):
+    code, out, err = run(capsys, "simulate", "--pa", "10", "--ps", "-2",
+                         *extra)
+    assert code == 2 and out == "" and "non-finite" in err
+
+
 def test_simulate_requires_both_strengths(capsys):
     code, _, err = run(capsys, "simulate", "--pa", "5")
     assert code == 2 and "rotorkick: error:" in err
