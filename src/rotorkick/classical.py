@@ -10,18 +10,19 @@ angular velocity instantaneously:
 Between kicks the angle advances linearly, tracked on the real line
 (cos is periodic, so no wrapping is needed).
 
-Two entry points coexist deliberately. :func:`propagate_classical` is
-causal: kicks act in time order and the ensemble is at rest before the
-earliest kick. :func:`two_kick_theta` is the closed-form two-pulse
-trajectory with *signed* flight times, i.e. the analytic continuation
-used by the revival-branch optimizer, where a negative delay or
-observation time runs the free flight backward.
+One walker, one sampler: the causal :func:`classical_observable` (kicks
+act in time order, the ensemble rests before the earliest kick) and the
+closed-form pair :func:`two_kick_theta` / :func:`two_kick_observable`, in
+the order of :func:`core.pulse_pair`, step the ensemble with the same fly
+and kick functions. The closed form allows *signed* flight times, the
+analytic continuation of the revival-branch optimizer, where a negative
+delay or observation time runs the free flight backward.
 
-After the last kick of the closed form, theta = theta1 + t_2 * omega per
-node, so :func:`two_kick_observable` never forms the (t_2 x nodes) angle
-array: on an evenly spaced grid t_0 + (qB + r) h, B = ceil(sqrt(n)), each
-rule's average is one complex matrix product of (anchor x node) and
-(node x offset) powers, and any other array takes it with B = 1.
+Between kicks theta = theta1 + t * omega per node, so no average forms the
+(time x nodes) angle array: :func:`_free_flight_average` reads each stretch
+off one complex matrix product of (anchor x node) and (node x offset)
+powers. :func:`propagate_classical`, the same walker returning the angles,
+is the tests' reference.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from scipy.special import roots_legendre
 
 from . import defaults
 from .core import (KickKind, ObservableKind, ObservableSeries, PulseOrder,
-                   PulseSequence, validate_sequence, walk_sequence)
+                   PulseSequence, pulse_pair, validate_sequence,
+                   walk_sequence)
 from .errors import ConvergenceFailure, InvalidNodeCount, NonFiniteValue
 
 
@@ -82,6 +84,18 @@ def _kick_increment(kind: KickKind, strength: float, theta: np.ndarray) -> np.nd
     return -strength * np.sin(theta)
 
 
+def _fly(state, dt):
+    theta, omega = state
+    return theta + omega * dt, omega
+
+
+def _kick(state, kicks):
+    theta, omega = state  # simultaneous kicks share the pre-kick angle
+    increments = [_kick_increment(k.kind, k.strength, theta) for k in kicks]
+    # summed from the first increment: starting from 0 costs an array add
+    return theta, omega + sum(increments[1:], *increments[:1])
+
+
 def propagate_classical(
     seq: PulseSequence, ens: ClassicalEnsemble, t_eval
 ) -> np.ndarray:
@@ -95,43 +109,16 @@ def propagate_classical(
     """
     seq = validate_sequence(seq)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    if t_eval.size > 1 and np.any(np.diff(t_eval) < 0):
-        raise ValueError("t_eval must be sorted ascending")
-
-    def fly(state, dt):
-        theta, omega = state
-        return theta + omega * dt, omega
-
-    def kick(state, kicks):
-        theta, omega = state  # simultaneous kicks share the pre-kick angle
-        return theta, omega + sum(_kick_increment(k.kind, k.strength, theta)
-                                  for k in kicks)
-
-    def observe(state, dts):
-        theta, omega = state
-        return theta + omega * dts[:, None]
-
-    rest = (ens.theta0.copy(), np.zeros_like(ens.theta0))
-    return walk_sequence(seq, t_eval, rest, fly, kick, observe)
+    rest = (ens.theta0, np.zeros(ens.theta0.shape))
+    return walk_sequence(seq, t_eval, rest, _fly, _kick,
+                         lambda state, dts: _fly(state, dts[:, None])[0])
 
 
-def _after_kicks(theta0, p_s: float, p_a: float, t_1,
-                 order: PulseOrder) -> tuple[np.ndarray, np.ndarray]:
-    """(theta1, omega) of the closed-form two-pulse trajectory: the angle
-    at the last kick and the angular velocity after it, so that
-    theta(t_2) = theta1 + t_2 * omega."""
-    if order is PulseOrder.LASER_FIRST:
-        sin_2 = np.sin(2.0 * theta0)
-        th1 = theta0 - p_s * t_1 * sin_2
-        omega = -p_s * sin_2 - p_a * np.sin(th1)
-    elif order is PulseOrder.HCP_FIRST:
-        sin_1 = np.sin(theta0)
-        th1 = theta0 - p_a * t_1 * sin_1
-        omega = -p_a * sin_1 - p_s * np.sin(2.0 * th1)
-    else:
-        th1 = theta0
-        omega = -p_s * np.sin(2.0 * theta0) - p_a * np.sin(theta0)
-    return th1, omega
+def _after_kicks(theta0, first, second, t_1) -> tuple[np.ndarray, np.ndarray]:
+    """(theta1, omega) just after the pulses ``first`` and ``second`` of
+    :func:`core.pulse_pair`, t_1 apart: theta(t_2) = theta1 + t_2 * omega."""
+    rest = (theta0, np.zeros(theta0.shape))
+    return _kick(_fly(_kick(rest, first), t_1), second)
 
 
 def two_kick_theta(theta0, p_s: float, p_a: float, t_1, t_2,
@@ -144,8 +131,8 @@ def two_kick_theta(theta0, p_s: float, p_a: float, t_1, t_2,
     give the analytic continuation of the same formula (kicks applied in
     scheme order, free flight run backward).
     """
-    th1, omega = _after_kicks(np.asarray(theta0, dtype=float), p_s, p_a,
-                              t_1, order)
+    th1, omega = _after_kicks(np.asarray(theta0, dtype=float),
+                              *pulse_pair(p_s, p_a, order), t_1)
     return th1 + t_2 * omega
 
 
@@ -161,7 +148,8 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
 
     The node count starts from the strength-time rule and is doubled
     until successive quadratures agree within ``QUADRATURE_TOL`` at every
-    time.
+    time. Each pass walks the sequence once, the times between two kicks
+    one :func:`_free_flight_average` call.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 (orientation) or 2 (alignment)")
@@ -172,8 +160,10 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
     span = (max(times) - min(times)) if times else 0.0
 
     def average(ens: ClassicalEnsemble) -> np.ndarray:
-        cos_th = np.cos(propagate_classical(seq, ens, t_eval))
-        return (cos_th if k == 1 else cos_th**2) @ ens.weights
+        rest = (ens.theta0, np.zeros(ens.theta0.shape))
+        return walk_sequence(seq, t_eval, rest, _fly, _kick,
+                             lambda state, dts: _free_flight_average(
+                                 *state, ens.weights, dts, k))
 
     vals = _refine(average,
                    defaults.ensemble_nodes(seq.total_strength(), span))
@@ -185,19 +175,21 @@ def _refine(average, n_nodes: int) -> np.ndarray:
     """The ensemble average ``average`` gives for a rule, the rule doubled
     from ``n_nodes`` until two successive rules agree within
     ``defaults.QUADRATURE_TOL`` at every sample (an empty grid agrees at
-    once), or ``defaults.NODE_CAP`` is reached."""
+    once), or ``defaults.NODE_CAP`` is reached. A start whose doubled
+    rule is already beyond the cap fails before any rule is built."""
     tol, cap = defaults.QUADRATURE_TOL, defaults.NODE_CAP
-    n, prev = n_nodes, None
-    while True:
-        vals = average(make_ensemble(n))
-        if prev is not None and np.all(np.abs(vals - prev) < tol):
-            return vals
-        if 2 * n > cap:
-            raise ConvergenceFailure(
-                f"quadrature not converged below {tol} at node cap {cap}"
-            )
-        prev = vals
+    if 2 * n_nodes > cap:
+        raise ConvergenceFailure(f"quadrature needs a rule of {2 * n_nodes} "
+                                 f"nodes, beyond the node cap {cap}")
+    n, prev = n_nodes, average(make_ensemble(n_nodes))
+    while 2 * n <= cap:
         n *= 2
+        vals = average(make_ensemble(n))
+        if (np.abs(vals - prev) < tol).all():
+            return vals
+        prev = vals
+    raise ConvergenceFailure(
+        f"quadrature not converged below {tol} at node cap {cap}")
 
 
 def _powers(z: np.ndarray, m: int, first=1.0) -> np.ndarray:
@@ -228,7 +220,7 @@ def _free_flight_average(theta1: np.ndarray, omega: np.ndarray,
     t_0 = t_2[0] if n else 0.0
     h = (t_2[-1] - t_0) / (n - 1) if n > 1 else 0.0
     grid = t_0 + h * np.arange(n)
-    if np.all(np.abs(t_2 - grid) <= 1e-12 * np.max(np.abs(t_2), initial=0.0)):
+    if (np.abs(t_2 - grid) <= 1e-12 * np.abs(t_2).max(initial=0.0)).all():
         b = math.isqrt(n - 1) + 1 if n else 1
         anchor = weights * np.exp(1j * k * (theta1 + t_0 * omega))
         a = _powers(np.exp(1j * k * b * h * omega), -(-n // b), anchor)
@@ -262,8 +254,10 @@ def two_kick_observable(
     _require_finite("t_2", t_2)
     span = abs(t_1) + float(np.max(np.abs(t_2))) if t_2.size else abs(t_1)
 
+    pulses = pulse_pair(p_s, p_a, order)
+
     def average(ens: ClassicalEnsemble) -> np.ndarray:
-        theta1, omega = _after_kicks(ens.theta0, p_s, p_a, t_1, order)
+        theta1, omega = _after_kicks(ens.theta0, *pulses, t_1)
         return _free_flight_average(theta1, omega, ens.weights, t_2, k)
 
     return _refine(average, defaults.ensemble_nodes(abs(p_s) + abs(p_a), span))

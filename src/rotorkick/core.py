@@ -147,6 +147,8 @@ def walk_sequence(seq: PulseSequence, t_eval: np.ndarray, state,
     time are never applied. Returns the samples joined along the first
     axis (an empty ``t_eval`` is observed once, at rest).
     """
+    if np.any(np.diff(t_eval) < 0):
+        raise ValueError("t_eval must be sorted ascending")
     groups = seq.time_groups()
     clock = min([t for t, _ in groups[:1]] + list(t_eval[:1]), default=0.0)
     out, start = [], 0
@@ -163,6 +165,24 @@ def walk_sequence(seq: PulseSequence, t_eval: np.ndarray, state,
     return np.concatenate(out) if out else observe(state, t_eval - clock)
 
 
+def pulse_pair(p_s: float, p_a: float,
+               order: PulseOrder) -> tuple[tuple[Kick, ...], tuple[Kick, ...]]:
+    """The one home of the pulse order: the kicks of the first and of the
+    second pulse of the canonical pair, each at time 0.
+
+    Laser first is ``((sym,), (asym,))``, HCP first ``((asym,), (sym,))``;
+    simultaneous pulses are one hybrid second pulse ``((), (sym, asym))``,
+    so the delay before it acts on an ensemble at rest.
+    """
+    sym = Kick(KickKind.SYMMETRIC, p_s, 0.0)
+    asym = Kick(KickKind.ASYMMETRIC, p_a, 0.0)
+    if order is PulseOrder.LASER_FIRST:
+        return (sym,), (asym,)
+    if order is PulseOrder.HCP_FIRST:
+        return (asym,), (sym,)
+    return (), (sym, asym)
+
+
 def two_pulse_sequence(
     p_s: float, p_a: float, delay: float, order: PulseOrder
 ) -> PulseSequence:
@@ -175,16 +195,10 @@ def two_pulse_sequence(
     if delay < 0:
         raise ValueError("delay must be >= 0; negative-time continuations are "
                          "handled by the classical closed-form evaluators")
-    if order is PulseOrder.LASER_FIRST:
-        kicks = (Kick(KickKind.SYMMETRIC, p_s, 0.0),
-                 Kick(KickKind.ASYMMETRIC, p_a, delay))
-    elif order is PulseOrder.HCP_FIRST:
-        kicks = (Kick(KickKind.ASYMMETRIC, p_a, 0.0),
-                 Kick(KickKind.SYMMETRIC, p_s, delay))
-    else:
-        kicks = (Kick(KickKind.SYMMETRIC, p_s, 0.0),
-                 Kick(KickKind.ASYMMETRIC, p_a, 0.0))
-    return validate_sequence(kicks)
+    first, second = pulse_pair(p_s, p_a, order)
+    t_second = delay if first else 0.0
+    return validate_sequence(
+        first + tuple(Kick(k.kind, k.strength, t_second) for k in second))
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,8 @@ def ensemble_nodes(total_strength: float, time_span: float) -> int:
     the classical engine builds has 2^6 ... 2^20 nodes: at most 15
     distinct rules.
     """
-    target = max(64.0, 8.0 * total_strength * time_span)
-    return min(NODE_CAP, 2 ** round(math.log2(target)))
+    target = 8.0 * float(total_strength) * float(time_span)  # may be inf
+    return 2 ** round(math.log2(min(max(64.0, target), NODE_CAP)))
 
 
 def quantum_l_max(total_strength: float) -> int:

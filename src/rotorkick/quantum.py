@@ -25,7 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import defaults
 from .core import (Kick, KickKind, ObservableKind, ObservableSeries,
-                   PulseOrder, PulseSequence, validate_sequence,
+                   PulseOrder, PulseSequence, pulse_pair, validate_sequence,
                    walk_sequence)
 from .errors import BasisOverflow
 
@@ -185,6 +185,15 @@ def free_propagate(psi: RotorWavefunction, dt: float) -> RotorWavefunction:
     return RotorWavefunction(psi.coeffs * np.exp(-0.5j * l * (l + 1.0) * dt))
 
 
+def _kick_group(psi: RotorWavefunction, kicks) -> RotorWavefunction:
+    """Apply kicks that share one time. They commute exactly in the angle
+    representation (both are phase factors); they are applied
+    symmetric-first for a deterministic truncated-basis result."""
+    for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
+        psi = apply_kick(psi, kk)
+    return psi
+
+
 def expectation(psi: RotorWavefunction, k: int) -> float:
     """<cos^k theta> of the state, k = 1 or 2."""
     return float(observable_scan(psi, k, 0.0)[0])
@@ -244,11 +253,8 @@ def run_sequence(
 ) -> ObservableSeries:
     """Propagate the ground state through a kick sequence, recording
     <cos^k theta> at each requested time; the times between two kicks are
-    one :func:`observable_scan` call.
-
-    Simultaneous kicks commute exactly in the angle representation (both
-    are phase factors); they are applied symmetric-first for a
-    deterministic truncated-basis result.
+    one :func:`observable_scan` call, each kick group one
+    :func:`_kick_group`.
     """
     seq = validate_sequence(seq)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
@@ -257,13 +263,7 @@ def run_sequence(
     if l_max_hint is None:
         l_max_hint = defaults.quantum_l_max(seq.total_strength())
     psi = ground_state(max(_check_basis_size(l_max_hint), 4))
-
-    def kick(psi, kicks):
-        for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
-            psi = apply_kick(psi, kk)
-        return psi
-
-    values = walk_sequence(seq, t_eval, psi, free_propagate, kick,
+    values = walk_sequence(seq, t_eval, psi, free_propagate, _kick_group,
                            lambda psi, dts: observable_scan(psi, k, dts))
     kind = ObservableKind.ORIENTATION if k == 1 else ObservableKind.ALIGNMENT
     return ObservableSeries(t_eval, values, kind)
@@ -284,15 +284,5 @@ def two_kick_state(
     if l_max is None:
         l_max = defaults.quantum_l_max(abs(p_s) + abs(p_a))
     psi = ground_state(max(_check_basis_size(l_max), 4))
-    sym = Kick(KickKind.SYMMETRIC, p_s, 0.0)
-    asym = Kick(KickKind.ASYMMETRIC, p_a, 0.0)
-    if order is PulseOrder.LASER_FIRST:
-        first, second = sym, asym
-    elif order is PulseOrder.HCP_FIRST:
-        first, second = asym, sym
-    else:
-        psi = apply_kick(psi, sym)
-        return apply_kick(psi, asym)
-    psi = apply_kick(psi, first)
-    psi = free_propagate(psi, t_1)
-    return apply_kick(psi, second)
+    first, second = pulse_pair(p_s, p_a, order)
+    return _kick_group(free_propagate(_kick_group(psi, first), t_1), second)

@@ -5,13 +5,13 @@ import pytest
 from scipy.special import roots_legendre
 
 from oracles import mc_classical_observable
-from rotorkick import defaults
+from rotorkick import classical, defaults
 from rotorkick.classical import (_after_kicks, _free_flight_average,
                                  classical_observable, make_ensemble,
                                  propagate_classical, two_kick_observable,
                                  two_kick_theta)
-from rotorkick.core import (Kick, KickKind, PulseOrder, two_pulse_sequence,
-                            validate_sequence)
+from rotorkick.core import (Kick, KickKind, PulseOrder, pulse_pair,
+                            two_pulse_sequence, validate_sequence)
 from rotorkick.errors import (ConvergenceFailure, InvalidNodeCount,
                               NonFiniteValue)
 from rotorkick.quantum import run_sequence
@@ -145,6 +145,18 @@ def test_quadrature_refinement_converges_and_caps(monkeypatch):
         classical_observable(seq, 1, ts)
 
 
+def test_rule_beyond_the_cap_fails_before_any_pass(monkeypatch):
+    built = []
+    monkeypatch.setattr(classical, "make_ensemble", built.append)
+    needed = str(2 * defaults.NODE_CAP)
+    with pytest.raises(ConvergenceFailure, match=needed):
+        two_kick_observable(-2.0, 10.0, 0.1, [1e6])
+    seq = two_pulse_sequence(-2.0, 30.0, 0.0, PulseOrder.LASER_FIRST)
+    with pytest.raises(ConvergenceFailure, match=needed):
+        classical_observable(seq, 1, [0.0, 1e307])  # 8 P t overflows
+    assert built == []
+
+
 def test_ensemble_nodes_ladder():
     for p, span in [(0.0, 5.0), (10.0, 0.0), (1.0, 7.9), (12.0, 0.5)]:
         assert defaults.ensemble_nodes(p, span) == 64
@@ -163,6 +175,14 @@ def test_empty_time_grids():
     assert classical_observable(seq, 1, []).values.shape == (0,)
     assert two_kick_observable(-2.0, 10.0, 0.3, []).shape == (0,)
     assert run_sequence(seq, []).values.shape == (0,)
+
+
+def test_unsorted_time_grids_are_rejected():
+    seq = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
+    with pytest.raises(ValueError, match="ascending"):
+        propagate_classical(seq, make_ensemble(16), [0.5, 0.1])
+    with pytest.raises(ValueError, match="ascending"):
+        classical_observable(seq, 1, [0.5, 0.1])
 
 
 def test_cached_rule_is_read_only():
@@ -202,7 +222,7 @@ def test_free_flight_average_matches_direct_quadrature(order):
                                    sign * t2[:, None], order)
             direct = np.cos(theta) ** k @ ens.weights
             got = _free_flight_average(
-                *_after_kicks(ens.theta0, p_s, p_a, t_1, order),
+                *_after_kicks(ens.theta0, *pulse_pair(p_s, p_a, order), t_1),
                 ens.weights, sign * t2, k)
             assert got.shape == t2.shape
             assert np.max(np.abs(got - direct)) < 1e-12

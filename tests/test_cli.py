@@ -244,3 +244,8 @@ def test_numerical_failure_exit_code(capsys):
                        "--pa", "2000", "--ps", "0",
                        "--t-points", "4", "--t-max", "0.1")
     assert code == 3 and "numerical failure" in err
+    # the quadrature rule this span needs is beyond the node cap: it fails
+    # at once, before any rule is built or any row printed
+    code, out, err = run(capsys, "simulate", "--pa", "30", "--ps", "-2",
+                         "--t-max", "1e307")
+    assert code == 3 and out == "" and "node cap" in err

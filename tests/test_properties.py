@@ -2,11 +2,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotorkick import defaults
-from rotorkick.classical import (make_ensemble, propagate_classical,
-                                 two_kick_observable, two_kick_theta)
+from rotorkick import classical, defaults
+from rotorkick.classical import (classical_observable, make_ensemble,
+                                 propagate_classical, two_kick_observable,
+                                 two_kick_theta)
 from rotorkick.core import (Kick, KickKind, PulseOrder, PulseSequence,
                             format_sequence, parse_sequence,
                             validate_sequence)
@@ -219,6 +221,25 @@ def test_segment_walk_matches_point_by_point(case):
     batched = propagate_classical(seq, ens, ts)
     ref = np.stack([_point_theta(seq, ens.theta0, t) for t in ts])
     assert np.array_equal(batched, ref)
+    # the classical sampler: at one fixed rule, each non-empty stretch
+    # between kicks is one _free_flight_average call
+    cuts = [np.searchsorted(ts, t, side="left") for t, _ in seq.time_groups()]
+    segments = [n for n in np.diff([0, *cuts, ts.size]) if n]
+    calls, sampler = [], classical._free_flight_average
+
+    def counted(theta, omega, weights, dts, k):
+        calls.append(dts.size)
+        return sampler(theta, omega, weights, dts, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_free_flight_average", counted)
+        mp.setattr(classical, "_refine", lambda average, n: average(ens))
+        for k in (1, 2):
+            calls.clear()
+            values = classical_observable(seq, k, ts).values
+            assert calls == segments
+            assert np.max(np.abs(values - np.cos(ref) ** k @ ens.weights)) \
+                < 1e-12
     for k in (1, 2):
         values = run_sequence(seq, ts, k=k).values
         point = [observable_scan(psi, k, [dt])[0]
