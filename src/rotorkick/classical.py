@@ -14,20 +14,18 @@ One walker, one sampler: the causal :func:`classical_observable` (kicks
 act in time order, the ensemble rests before the earliest kick) and the
 closed-form pair :func:`two_kick_theta` / :func:`two_kick_observable`, in
 the order of :func:`core.pulse_pair`, step the ensemble with the same fly
-and kick functions. The closed form allows *signed* flight times, the
-analytic continuation of the revival-branch optimizer, where a negative
-delay or observation time runs the free flight backward.
-
-Between kicks theta = theta1 + t * omega per node, so no average forms the
-(time x nodes) angle array: :func:`_free_flight_average` reads each stretch
-off one complex matrix product of (anchor x node) and (node x offset)
-powers. :func:`propagate_classical`, the same walker returning the angles,
-is the tests' reference.
+and kick functions. Between kicks theta = theta1 + t * omega per node, so
+:func:`_free_flight_average` reads each stretch off
+:func:`core.phase_sum`, the free-flight sampler of both engines, and no
+average forms the (time x nodes) angle array. The closed form allows
+*signed* flight times, the analytic continuation of the revival-branch
+optimizer, where a negative delay or observation time runs the free
+flight backward. :func:`propagate_classical`, the same walker returning
+the angles, is the tests' reference.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,9 +33,9 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import defaults
-from .core import (KickKind, ObservableKind, ObservableSeries, PulseOrder,
-                   PulseSequence, pulse_pair, validate_sequence,
-                   walk_sequence)
+from .core import (KickKind, ObservableSeries, PulseOrder, PulseSequence,
+                   observable_kind, phase_sum, pulse_pair, time_grid,
+                   validate_sequence, walk_sequence)
 from .errors import ConvergenceFailure, InvalidNodeCount, NonFiniteValue
 
 
@@ -104,11 +102,11 @@ def propagate_classical(
     The ensemble is at rest before the earliest kick, a kick at exactly t
     has acted by t, and simultaneous kicks both act on the same pre-kick
     angle. Each stretch of ``t_eval`` between two kicks is one broadcast
-    ``theta + omega * dts``. ``t_eval`` must be sorted ascending (repeats
-    allowed) and may extend before the first kick or between kicks.
+    ``theta + omega * dts``. ``t_eval`` must be strictly ascending and may
+    extend before the first kick or between kicks.
     """
     seq = validate_sequence(seq)
-    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
+    t_eval = time_grid(t_eval)
     rest = (ens.theta0, np.zeros(ens.theta0.shape))
     return walk_sequence(seq, t_eval, rest, _fly, _kick,
                          lambda state, dts: _fly(state, dts[:, None])[0])
@@ -136,13 +134,6 @@ def two_kick_theta(theta0, p_s: float, p_a: float, t_1, t_2,
     return th1 + t_2 * omega
 
 
-def _require_finite(name: str, values) -> None:
-    """Raise ``NonFiniteValue`` for NaN or infinite ``values``, before a
-    quadrature that could never converge on them."""
-    if not np.isfinite(values).all():
-        raise NonFiniteValue(f"non-finite value in {name}")
-
-
 def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries:
     """Ensemble-averaged <cos^k theta> on a time grid, k = 1 or 2.
 
@@ -151,11 +142,9 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
     time. Each pass walks the sequence once, the times between two kicks
     one :func:`_free_flight_average` call.
     """
-    if k not in (1, 2):
-        raise ValueError("k must be 1 (orientation) or 2 (alignment)")
+    kind = observable_kind(k)
     seq = validate_sequence(seq)
-    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    _require_finite("t_eval", t_eval)
+    t_eval = time_grid(t_eval)
     times = list(t_eval) + [kk.time for kk in seq.kicks]
     span = (max(times) - min(times)) if times else 0.0
 
@@ -167,7 +156,6 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
 
     vals = _refine(average,
                    defaults.ensemble_nodes(seq.total_strength(), span))
-    kind = ObservableKind.ORIENTATION if k == 1 else ObservableKind.ALIGNMENT
     return ObservableSeries(t_eval, vals, kind)
 
 
@@ -192,43 +180,13 @@ def _refine(average, n_nodes: int) -> np.ndarray:
         f"quadrature not converged below {tol} at node cap {cap}")
 
 
-def _powers(z: np.ndarray, m: int, first=1.0) -> np.ndarray:
-    """Rows first * z**j for j = 0 .. m-1, by repeated multiplication."""
-    out = np.empty((m, z.size), dtype=complex)
-    out[:1] = first
-    for j in range(1, m):  # a row at a time: np.cumprod is slower on complex
-        np.multiply(out[j - 1], z, out=out[j])
-    return out
-
-
 def _free_flight_average(theta1: np.ndarray, omega: np.ndarray,
                          weights: np.ndarray, t_2: np.ndarray,
                          k: int) -> np.ndarray:
-    """sum_i w_i cos^k(theta1_i + t omega_i) at every t of ``t_2``.
-
-    Both k = 1 and, through cos^2 x = (1 + cos 2x) / 2, k = 2 are read
-    off S(t) = sum_i w_i exp(ik(theta1_i + t omega_i)). On an evenly
-    spaced grid t_j = t_0 + (qB + r) h, B = ceil(sqrt(n)), S is the
-    complex matrix product A @ C with A[q, i] = w_i exp(ik(theta1_i +
-    (t_0 + qBh) omega_i)) and C[i, r] = exp(ikrh omega_i), both built as
-    powers by repeated multiplication: three complex exponentials per
-    node instead of n cosines. Any other array (spacing off by more than
-    1e-12 of its largest |t|) takes the same product with B = 1, each
-    time its own anchor.
-    """
-    n = t_2.size
-    t_0 = t_2[0] if n else 0.0
-    h = (t_2[-1] - t_0) / (n - 1) if n > 1 else 0.0
-    grid = t_0 + h * np.arange(n)
-    if (np.abs(t_2 - grid) <= 1e-12 * np.abs(t_2).max(initial=0.0)).all():
-        b = math.isqrt(n - 1) + 1 if n else 1
-        anchor = weights * np.exp(1j * k * (theta1 + t_0 * omega))
-        a = _powers(np.exp(1j * k * b * h * omega), -(-n // b), anchor)
-        c = _powers(np.exp(1j * k * h * omega), b)
-    else:
-        a = weights * np.exp(1j * k * (theta1 + t_2[:, None] * omega))
-        c = np.ones((1, omega.size))
-    s = (a @ c.T).real.ravel()[:n]
+    """sum_i w_i cos^k(theta1_i + t omega_i) at every t of ``t_2``, k = 1
+    and (cos^2 x = (1 + cos 2x) / 2) k = 2 read off :func:`core.phase_sum`
+    at phases k theta1_i and rates k omega_i."""
+    s = phase_sum(weights, k * theta1, k * omega, t_2)
     return s if k == 1 else 0.5 * (weights.sum() + s)
 
 
@@ -243,21 +201,18 @@ def two_kick_observable(
     """<cos^k theta> of the closed-form two-pulse trajectory on a t_2 grid.
 
     Signed times are allowed (analytic continuation). This is the
-    optimizer's inner evaluation. Each rule's average is one complex
-    matrix product over the grid (:func:`_free_flight_average`); an
-    array that is not evenly spaced takes it with one anchor per time.
+    optimizer's inner evaluation; each rule's average is one
+    :func:`_free_flight_average` call over the whole grid.
     """
-    if k not in (1, 2):
-        raise ValueError("k must be 1 (orientation) or 2 (alignment)")
+    observable_kind(k)
     t_2 = np.atleast_1d(np.asarray(t_2, dtype=float))
-    _require_finite("(p_s, p_a, t_1)", (p_s, p_a, t_1))
-    _require_finite("t_2", t_2)
+    if not (np.isfinite([p_s, p_a, t_1]).all() and np.isfinite(t_2).all()):
+        raise NonFiniteValue("non-finite value in (p_s, p_a, t_1, t_2)")
     span = abs(t_1) + float(np.max(np.abs(t_2))) if t_2.size else abs(t_1)
 
-    pulses = pulse_pair(p_s, p_a, order)
-
     def average(ens: ClassicalEnsemble) -> np.ndarray:
-        theta1, omega = _after_kicks(ens.theta0, *pulses, t_1)
+        theta1, omega = _after_kicks(ens.theta0,
+                                     *pulse_pair(p_s, p_a, order), t_1)
         return _free_flight_average(theta1, omega, ens.weights, t_2, k)
 
     return _refine(average, defaults.ensemble_nodes(abs(p_s) + abs(p_a), span))

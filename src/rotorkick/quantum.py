@@ -4,7 +4,8 @@ States live on Y_l^0, l = 0..l_max (linearly polarized impulsive fields
 conserve m, and the initial state is the isotropic ground state, so only
 m = 0 ever appears). Free evolution multiplies a_l by
 exp(-i l(l+1) dt / 2); the revival period is exactly 2*pi because all
-l(l+1)/2 phase rates are integers.
+l(l+1)/2 phase rates are integers, as are the rates of the beats that
+:func:`core.phase_sum`, the free-flight sampler of both engines, sums.
 
 Kicks are pure phase factors in the angle representation,
 exp(i P cos theta) or exp(i P cos^2 theta), realized here as matrix
@@ -24,9 +25,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import defaults
-from .core import (Kick, KickKind, ObservableKind, ObservableSeries,
-                   PulseOrder, PulseSequence, pulse_pair, validate_sequence,
-                   walk_sequence)
+from .core import (Kick, KickKind, ObservableSeries, PulseOrder,
+                   PulseSequence, observable_kind, phase_sum, pulse_pair,
+                   time_grid, validate_sequence, walk_sequence)
 from .errors import BasisOverflow
 
 
@@ -208,25 +209,20 @@ def _orientation_beats(psi: RotorWavefunction) -> np.ndarray:
 def observable_scan(psi: RotorWavefunction, k: int, dts) -> np.ndarray:
     """<cos^k theta> after freely evolving ``psi`` by each time in ``dts``.
 
-    The one home of the band formulas (:func:`expectation` is the dt = 0
-    sample, :func:`orientation_samples` the FFT of the k = 1 band):
-    orientation couples l, l+1 coherences with phase rates l+1,
-    alignment couples l, l+2 with rates 2l+3. Samples at arbitrary
-    times: the optimizer's t_2 rescans and each kick-free stretch of
-    :func:`run_sequence`.
+    The one home of the band formulas, each band one :func:`core.phase_sum`:
+    orientation couples l, l+1 coherences at phase rates l+1, alignment
+    l, l+2 at rates 2l+3 (:func:`expectation` is the dt = 0 sample,
+    :func:`orientation_samples` the FFT of the k = 1 band).
     """
-    a = psi.coeffs
+    observable_kind(k)
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
     if k == 1:
-        phases = np.exp(-1j * np.outer(dts, np.arange(1, psi.l_max + 1)))
-        return 2.0 * np.real(phases @ _orientation_beats(psi))
-    if k == 2:
-        diag, off2 = cos2_bands(psi.l_max)
-        base = float(np.real(np.conj(a) @ (diag * a)))
-        r = np.conj(a[:-2]) * a[2:] * off2
-        phases = np.exp(-1j * np.outer(dts, 2.0 * np.arange(psi.l_max - 1) + 3.0))
-        return base + 2.0 * np.real(phases @ r)
-    raise ValueError("k must be 1 or 2")
+        return phase_sum(2.0 * _orientation_beats(psi), 0.0,
+                         -np.arange(1.0, psi.l_max + 1), dts)
+    a, (diag, off2) = psi.coeffs, cos2_bands(psi.l_max)
+    r = 2.0 * np.conj(a[:-2]) * a[2:] * off2
+    return (np.real(np.conj(a) @ (diag * a))
+            + phase_sum(r, 0.0, -2.0 * np.arange(psi.l_max - 1) - 3.0, dts))
 
 
 def orientation_samples(psi: RotorWavefunction, n: int) -> np.ndarray:
@@ -256,16 +252,14 @@ def run_sequence(
     one :func:`observable_scan` call, each kick group one
     :func:`_kick_group`.
     """
+    kind = observable_kind(k)
     seq = validate_sequence(seq)
-    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    if t_eval.size > 1 and np.any(np.diff(t_eval) <= 0):
-        raise ValueError("t_eval must be strictly increasing")
+    t_eval = time_grid(t_eval)
     if l_max_hint is None:
         l_max_hint = defaults.quantum_l_max(seq.total_strength())
     psi = ground_state(max(_check_basis_size(l_max_hint), 4))
     values = walk_sequence(seq, t_eval, psi, free_propagate, _kick_group,
                            lambda psi, dts: observable_scan(psi, k, dts))
-    kind = ObservableKind.ORIENTATION if k == 1 else ObservableKind.ALIGNMENT
     return ObservableSeries(t_eval, values, kind)
 
 

@@ -185,6 +185,21 @@ def test_unsorted_time_grids_are_rejected():
         classical_observable(seq, 1, [0.5, 0.1])
 
 
+def test_bad_grids_and_k_are_refused_before_any_quadrature(monkeypatch):
+    """Repeated times (the README pair on a doubled grid) and a k other
+    than 1 or 2 fail before a single rule is built."""
+    seq = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
+    built = []
+    monkeypatch.setattr(classical, "make_ensemble", built.append)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        classical_observable(seq, 1, np.linspace(0.0, 60.0, 3).repeat(2))
+    with pytest.raises(ValueError, match="k must be 1"):
+        classical_observable(seq, 3, [0.1, 0.2])
+    with pytest.raises(ValueError, match="k must be 1"):
+        two_kick_observable(-2.0, 10.0, 0.3, [0.1], k=3)
+    assert built == []
+
+
 def test_cached_rule_is_read_only():
     ens = make_ensemble(64)
     with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ import pytest
 
 from rotorkick.core import (Kick, KickKind, ObservableKind, ObservableSeries,
                             OptimizationResult, PulseOrder, PulseSequence,
-                            format_sequence, parse_sequence,
-                            two_pulse_sequence, validate_sequence,
-                            walk_sequence)
+                            format_sequence, observable_kind, parse_sequence,
+                            phase_sum, time_grid, two_pulse_sequence,
+                            validate_sequence, walk_sequence)
 from rotorkick.core import Branch, Engine
 from rotorkick.errors import NonFiniteValue, TooManyKicksAtSameTime
 
@@ -145,6 +145,40 @@ def test_walk_sequence_observes_once_per_segment():
     assert len(observed) == 1 and observed[0][0] == ()
     assert kicked == [1, 1, 1, 2]
     assert np.array_equal(observed[0][1], [0.0, 1.5])
+
+
+def test_phase_sum_matches_the_direct_sum():
+    """The shared free-flight sampler against Re sum_i w_i e^{i(phi_i +
+    nu_i t)} summed term by term, with complex weights and signed
+    non-integer rates, on even grids of every size class, an uneven array
+    and an empty one."""
+    rng = np.random.default_rng(23)
+    m = 300
+    weights = (rng.normal(size=m) + 1j * rng.normal(size=m)) / m
+    phases = rng.uniform(-math.pi, math.pi, m)
+    rates = rng.uniform(-40.0, 40.0, m)
+    grids = [np.linspace(-0.7, 1.3, n) for n in (1, 2, 3, 33, 4001)]
+    grids += [np.array([0.05, 0.21, 0.4, 1.7]), np.array([])]
+    for t in grids:
+        direct = np.real(np.exp(1j * (phases + np.outer(t, rates))) @ weights)
+        got = phase_sum(weights, phases, rates, t)
+        assert got.shape == t.shape
+        assert np.max(np.abs(got - direct), initial=0.0) < 1e-12
+
+
+def test_time_grid_and_observable_kind_refuse_bad_input():
+    assert time_grid(0.5).shape == (1,)
+    assert time_grid([]).shape == (0,)
+    for bad in ([0.0, 0.0], [0.2, 0.1], np.linspace(0.0, 60.0, 3).repeat(2)):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            time_grid(bad)
+    with pytest.raises(NonFiniteValue):
+        time_grid([0.0, math.inf])
+    assert observable_kind(1) is ObservableKind.ORIENTATION
+    assert observable_kind(2) is ObservableKind.ALIGNMENT
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="k must be 1"):
+            observable_kind(k)
 
 
 def test_observable_series_validation():

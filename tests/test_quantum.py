@@ -8,7 +8,7 @@ from oracles import (grid_expectation, grid_propagate,
 from rotorkick import defaults, quantum
 from rotorkick.core import (Kick, KickKind, PulseOrder, two_pulse_sequence,
                             validate_sequence)
-from rotorkick.errors import BasisOverflow
+from rotorkick.errors import BasisOverflow, NonFiniteValue
 from rotorkick.quantum import (RotorWavefunction, apply_kick, cos2_bands,
                                cos_offdiag, expectation, free_propagate,
                                ground_state, kick_operator, observable_scan,
@@ -111,6 +111,60 @@ def test_observable_scan_matches_pointwise_evolution():
         scanned = observable_scan(psi, k, ts)
         stepped = [expectation(free_propagate(psi, t), k) for t in ts]
         assert scanned == pytest.approx(stepped, abs=1e-12)
+
+
+def _outer_product_scan(psi, k, dts):
+    """<cos^k theta> from the (time x beat) array of complex exponentials,
+    the band sums written out without the shared sampler."""
+    a = psi.coeffs
+    if k == 1:
+        phases = np.exp(-1j * np.outer(dts, np.arange(1, psi.l_max + 1)))
+        beats = np.conj(a[:-1]) * a[1:] * cos_offdiag(psi.l_max)
+        return 2.0 * np.real(phases @ beats)
+    diag, off2 = cos2_bands(psi.l_max)
+    base = float(np.real(np.conj(a) @ (diag * a)))
+    phases = np.exp(-1j * np.outer(dts, 2.0 * np.arange(psi.l_max - 1) + 3.0))
+    return base + 2.0 * np.real(phases @ (np.conj(a[:-2]) * a[2:] * off2))
+
+
+def test_observable_scan_matches_the_outer_product_formula():
+    """In the shape of a seeded CLI trace (total strength 36, so l_max =
+    128, and 5376 samples after the last kick) the scan agrees with the
+    band sums written out as one array of exponentials."""
+    psi = two_kick_state(-14.0, 22.0, 0.7)
+    assert psi.l_max == 128
+    dts = np.linspace(0.3, 9.3, 5376)
+    for k in (1, 2):
+        got = observable_scan(psi, k, dts)
+        assert np.max(np.abs(got - _outer_product_scan(psi, k, dts))) < 1e-12
+
+
+def test_bad_k_and_grids_are_refused_before_any_kick(monkeypatch):
+    """Every sample after the last kick: k = 3 still fails before the
+    first kick is applied, as do repeated and NaN times."""
+    seq = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
+    kicked = []
+    monkeypatch.setattr(quantum, "apply_kick",
+                        lambda psi, kick: kicked.append(kick))
+    with pytest.raises(ValueError, match="k must be 1"):
+        run_sequence(seq, [1.0, 2.0], k=3)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        run_sequence(seq, [1.0, 1.0])
+    with pytest.raises(NonFiniteValue):
+        run_sequence(seq, [1.0, math.nan])
+    with pytest.raises(ValueError, match="k must be 1"):
+        observable_scan(ground_state(8), 3, [0.0])
+    assert kicked == []
+
+
+def test_orientation_that_vanishes_by_parity_is_positive_zero():
+    """Before the HCP kick every orientation beat is exactly zero: the
+    samples are +0.0, so the CSV prints 0.00000000000e+00, never -0."""
+    seq = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
+    ts = np.linspace(0.0, 6.28, 600)
+    before = run_sequence(seq, ts, k=1).values[ts < 0.3]
+    assert before.size and np.array_equal(before, np.zeros(before.size))
+    assert not np.signbit(before).any()
 
 
 def test_orientation_samples_refuse_aliasing():
