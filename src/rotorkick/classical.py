@@ -12,12 +12,14 @@ Between kicks the angle advances linearly, tracked on the real line
 
 One walker, one sampler: the causal :func:`classical_observable` (kicks
 act in time order, the ensemble rests before the earliest kick) and the
-closed-form pair :func:`two_kick_theta` / :func:`two_kick_observable`, in
-the order of :func:`core.pulse_pair`, step the ensemble with the same fly
+closed-form pair :func:`two_kick_theta` / :class:`TwoKickScan`, in the
+order of :func:`core.pulse_pair`, step the ensemble with the same fly
 and kick functions. Between kicks theta = theta1 + t * omega per node, so
 :func:`_free_flight_average` reads each stretch off
 :func:`core.phase_sum`, the free-flight sampler of both engines, and no
-average forms the (time x nodes) angle array. The closed form allows
+average forms the (time x nodes) angle array; :meth:`TwoKickScan.jet`
+reads one time's t-derivatives off :func:`core.phase_jet` for the
+optimizer's t_2 finder. The closed form allows
 *signed* flight times, the analytic continuation of the revival-branch
 optimizer, where a negative delay or observation time runs the free
 flight backward. :func:`propagate_classical`, the same walker returning
@@ -34,8 +36,8 @@ from scipy.special import roots_legendre
 
 from . import defaults
 from .core import (KickKind, ObservableSeries, PulseOrder, PulseSequence,
-                   observable_kind, phase_sum, pulse_pair, time_grid,
-                   validate_sequence, walk_sequence)
+                   observable_kind, phase_jet, phase_sum, pulse_pair,
+                   time_grid, validate_sequence, walk_sequence)
 from .errors import ConvergenceFailure, InvalidNodeCount, NonFiniteValue
 
 
@@ -190,6 +192,65 @@ def _free_flight_average(theta1: np.ndarray, omega: np.ndarray,
     return s if k == 1 else 0.5 * (weights.sum() + s)
 
 
+class TwoKickScan:
+    """<cos^k theta> of the closed-form pulse pair on a t_2 grid
+    (:attr:`values`), then its t-derivatives at single times (:meth:`jet`).
+
+    Signed times are allowed (analytic continuation). The grid is one
+    :func:`_refine`, each rule's average one :func:`_free_flight_average`
+    call over the whole grid. The kicked (theta1, omega) of every rule
+    reached are kept with the scan, so :meth:`jet` reads the converged
+    rule pair without kicking again.
+    """
+
+    def __init__(self, p_s: float, p_a: float, t_1: float, t_2,
+                 order: PulseOrder = PulseOrder.LASER_FIRST, k: int = 1):
+        observable_kind(k)
+        t_2 = np.atleast_1d(np.asarray(t_2, dtype=float))
+        if not (np.isfinite([p_s, p_a, t_1]).all() and np.isfinite(t_2).all()):
+            raise NonFiniteValue("non-finite value in (p_s, p_a, t_1, t_2)")
+        self._pulses, self._t_1, self._k = pulse_pair(p_s, p_a, order), t_1, k
+        self._kicked: dict[int, tuple[np.ndarray, ...]] = {}
+        span = abs(t_1) + float(np.max(np.abs(t_2))) if t_2.size else abs(t_1)
+        self.values = _refine(
+            lambda ens: _free_flight_average(*self._state(ens), t_2, k),
+            defaults.ensemble_nodes(abs(p_s) + abs(p_a), span))
+
+    def _state(self, ens: ClassicalEnsemble) -> tuple[np.ndarray, ...]:
+        """(theta1, omega, weights) of the rule ``ens`` after the pair."""
+        if len(ens) not in self._kicked:
+            self._kicked[len(ens)] = (
+                *_after_kicks(ens.theta0, *self._pulses, self._t_1),
+                ens.weights)
+        return self._kicked[len(ens)]
+
+    def jet(self, t: float) -> np.ndarray:
+        """(f, f', f'') of the average at the one time ``t``, from
+        :func:`core.phase_jet` on the finest rule reached.
+
+        The check of :func:`_refine`, at this time: the value must agree
+        with the next coarser rule's within ``defaults.QUADRATURE_TOL``,
+        else the rule doubles, up to ``defaults.NODE_CAP``.
+        """
+        tol, cap = defaults.QUADRATURE_TOL, defaults.NODE_CAP
+        n = max(self._kicked)
+        prev = self._jet(n // 2, t)[0]
+        while True:
+            out = self._jet(n, t)
+            if abs(out[0] - prev) < tol:
+                return out
+            if 2 * n > cap:
+                raise ConvergenceFailure(
+                    f"quadrature not converged below {tol} at node cap {cap}")
+            n, prev = 2 * n, out[0]
+
+    def _jet(self, n_nodes: int, t: float) -> np.ndarray:
+        theta1, omega, weights = self._state(make_ensemble(n_nodes))
+        k = self._k  # as in _free_flight_average
+        s = phase_jet(weights, k * theta1, k * omega, t)
+        return s if k == 1 else 0.5 * (s + [weights.sum(), 0.0, 0.0])
+
+
 def two_kick_observable(
     p_s: float,
     p_a: float,
@@ -198,21 +259,9 @@ def two_kick_observable(
     order: PulseOrder = PulseOrder.LASER_FIRST,
     k: int = 1,
 ) -> np.ndarray:
-    """<cos^k theta> of the closed-form two-pulse trajectory on a t_2 grid.
+    """<cos^k theta> of the closed-form two-pulse trajectory on a t_2 grid:
+    the values of a :class:`TwoKickScan`.
 
-    Signed times are allowed (analytic continuation). This is the
-    optimizer's inner evaluation; each rule's average is one
-    :func:`_free_flight_average` call over the whole grid.
+    Signed times are allowed (analytic continuation).
     """
-    observable_kind(k)
-    t_2 = np.atleast_1d(np.asarray(t_2, dtype=float))
-    if not (np.isfinite([p_s, p_a, t_1]).all() and np.isfinite(t_2).all()):
-        raise NonFiniteValue("non-finite value in (p_s, p_a, t_1, t_2)")
-    span = abs(t_1) + float(np.max(np.abs(t_2))) if t_2.size else abs(t_1)
-
-    def average(ens: ClassicalEnsemble) -> np.ndarray:
-        theta1, omega = _after_kicks(ens.theta0,
-                                     *pulse_pair(p_s, p_a, order), t_1)
-        return _free_flight_average(theta1, omega, ens.weights, t_2, k)
-
-    return _refine(average, defaults.ensemble_nodes(abs(p_s) + abs(p_a), span))
+    return TwoKickScan(p_s, p_a, t_1, t_2, order, k).values

@@ -186,6 +186,16 @@ def phase_sum(weights: np.ndarray, phases, rates: np.ndarray,
     return (a @ c.T).real.ravel()[:n] + 0.0
 
 
+def phase_jet(weights: np.ndarray, phases, rates: np.ndarray,
+              t) -> np.ndarray:
+    """Rows (f, f', f'') at every time of ``t`` (a scalar gives one
+    column, flattened) of f = :func:`phase_sum`: the same sum with
+    weights w, i nu w and -nu^2 w, read at each time directly."""
+    z = weights * np.exp(1j * (phases + np.multiply.outer(t, rates)))
+    return np.array([z.real.sum(-1), -(z.imag @ rates),
+                     -(z.real @ rates**2)])
+
+
 def walk_sequence(seq: PulseSequence, t_eval: np.ndarray, state,
                   fly, kick, observe) -> np.ndarray:
     """The one event walker over a kick sequence, shared by both engines.

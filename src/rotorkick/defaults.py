@@ -30,7 +30,8 @@ L_MAX_CAP = 4096
 TAIL_TOL = 1.0e-10
 TAIL_MARGIN = 10
 
-#: the t_2 extremum finder rescans until its grid step is at most this
+#: the t_2 extremum finder's Newton polish ends on the iterate after a
+#: step of at most this
 TIME_REFINE_TOL = 1.0e-6
 
 #: half-width of the quantum revival search window (dimensionless time)

@@ -4,9 +4,10 @@ The objective |<cos theta>|(p_s, t_1, t_2) is violently multimodal in
 the observation time t_2 but smooth in (p_s, t_1) near its optima, so
 the search is nested: an exhaustive t_2 scan (a first scan of the whole
 window - a dense grid classically, one FFT of the periodic quantum
-signal - then rescans of the best sample's bracket on finer grids)
-inside a multi-start Nelder-Mead simplex over (p_s, t_1), run in scaled
-coordinates (p_s/p_a, t_1*p_a).
+signal - then safeguarded Newton steps from its best sample on the
+analytic t-derivatives of the engine's free flight) inside a multi-start
+Nelder-Mead simplex over (p_s, t_1), run in scaled coordinates
+(p_s/p_a, t_1*p_a).
 
 Branches
 --------
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -136,74 +137,98 @@ def _t2_window(prob: OptimizationProblem, t_1: float) -> tuple[float, float]:
     return lo, hi
 
 
-#: samples of each rescan of the best sample's two-step bracket, so each
-#: round is 16x finer than the last
-ZOOM_POINTS = 33
-
-
 def evaluate_objective(
     prob: OptimizationProblem, p_s: float, t_1: float
 ) -> tuple[float, float]:
     """Best signed <cos theta> over the branch's t_2 window, and its t_2.
 
     One finder for both engines: a first scan of the window at the
-    strength-scaled step, then rescans of the two steps around the best
-    sample on ZOOM_POINTS points until the step is at most
-    ``TIME_REFINE_TOL``. The classical first scan is a grid of the
-    engine's vectorized sampler, the quantum one a single FFT
-    (:func:`_fft_bracket`). The returned t_2 is a sample inside the
-    window.
+    strength-scaled step, then :func:`_polish` of its best sample inside
+    the two steps around it, on the engine's analytic t-derivatives. The
+    classical first scan is a grid of :class:`classical.TwoKickScan`,
+    whose converged rule pair the polish reads on; the quantum one is a
+    single FFT (:func:`_fft_bracket`) and the polish reads
+    :func:`quantum.observable_scan` at one time per iterate. The returned
+    t_2 lies in the window; an empty window (lo > hi) is scored at hi.
     """
     lo, hi = _t2_window(prob, t_1)
+    lo = min(lo, hi)
     step = defaults.scan_step(abs(p_s) + abs(prob.p_a))
     if prob.engine is Engine.CLASSICAL:
-        def sample(t2: np.ndarray) -> np.ndarray:
-            return classical.two_kick_observable(p_s, prob.p_a, t_1, t2,
-                                                 prob.order, k=1)
-
         n = max(8, int(math.ceil((hi - lo) / step)) + 1)
         grid = np.linspace(min(lo + 1e-12, hi), hi, n)
-    else:
-        psi = quantum.two_kick_state(p_s, prob.p_a, t_1, prob.order)
-
-        def sample(t2: np.ndarray) -> np.ndarray:
-            return quantum.observable_scan(psi, 1, t2)
-
-        grid = _fft_bracket(prob, psi, step, lo, hi)
-    while True:
-        vals = sample(grid)
-        j = int(np.argmax(prob.transform(vals)))
-        if (grid[-1] - grid[0]) / (grid.size - 1) <= defaults.TIME_REFINE_TOL:
-            return float(vals[j]), float(grid[j])
-        grid = np.linspace(grid[max(0, j - 1)], grid[min(grid.size - 1, j + 1)],
-                           ZOOM_POINTS)
+        scan = classical.TwoKickScan(p_s, prob.p_a, t_1, grid, prob.order)
+        j = int(np.argmax(prob.transform(scan.values)))
+        return _polish(prob, scan.jet, grid[max(0, j - 1)], grid[j],
+                       grid[min(n - 1, j + 1)], scan.values[j])
+    psi = quantum.two_kick_state(p_s, prob.p_a, t_1, prob.order)
+    return _polish(prob, partial(quantum.observable_scan, psi, 1, jet=True),
+                   *_fft_bracket(prob, psi, step, lo, hi))
 
 
 def _fft_bracket(prob: OptimizationProblem, psi: quantum.RotorWavefunction,
-                 step: float, lo: float, hi: float) -> np.ndarray:
-    """The first rescan grid of the quantum t_2 finder.
+                 step: float, lo: float, hi: float):
+    """The quantum first scan: (a, t, b, value) of its best sample t in
+    the window [lo, hi], lo <= hi, and the sample's bracket [a, b].
 
     Orientation after the last kick has period 2 pi, so one FFT of n
     points samples every t = 2 pi j / n: n is the smallest power of two
-    with n >= 4(l_max + 1) and 2 pi / n <= ``step``. The window [lo, hi]
-    is the index range of those samples (read mod n, so boxes beyond one
-    period wrap), and the best sample's two-step bracket, clipped to the
-    window, is returned; a window holding no sample is returned whole,
-    and an empty one (lo > hi) as the point hi, as the classical grid
-    does.
+    with n >= 4(l_max + 1) and 2 pi / n <= ``step``. The window is the
+    index range of those samples (read mod n, so boxes beyond one period
+    wrap), and the bracket is the best sample's two steps, clipped to
+    the window. A window holding no sample is the bracket of its
+    midpoint, with no value.
     """
-    lo = min(lo, hi)
     n = 1 << (max(4 * (psi.l_max + 1),
                   math.ceil(REVIVAL_PERIOD / step)) - 1).bit_length()
     h = REVIVAL_PERIOD / n
     first, last = math.ceil(lo / h), math.floor(hi / h)
     if first > last:
-        return np.linspace(lo, hi, ZOOM_POINTS)
+        return lo, 0.5 * (lo + hi), hi, None
     # one period of indices holds the first best sample of any longer range
     idx = np.arange(first, min(last, first + n - 1) + 1)
     vals = quantum.orientation_samples(psi, n)[idx % n]
-    t = idx[int(np.argmax(prob.transform(vals)))] * h
-    return np.linspace(max(lo, t - h), min(hi, t + h), ZOOM_POINTS)
+    j = int(np.argmax(prob.transform(vals)))
+    t = min(max(idx[j] * h, lo), hi)
+    return max(lo, t - h), t, min(hi, t + h), vals[j]
+
+
+def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
+            value: float | None) -> tuple[float, float]:
+    """Safeguarded Newton ascent of the score from the sample t in [a, b].
+
+    ``jet(t)`` is (f, f', f'') of the signed orientation, ``value`` the
+    first scan's f at t (None if there is no sample). Each iterate keeps
+    the side of [a, b] that the score rises to, then steps to the Newton
+    point t - f'/f'' (clipped to [a, b]) if that moves uphill by at most
+    half the last step, else to the midpoint of [a, b], as rtsafe of
+    Numerical Recipes does; the steps shrink at least geometrically. The
+    polish ends on the iterate after a step of at most
+    ``defaults.TIME_REFINE_TOL``, or when [a, b] has shrunk to t, so a
+    peak cut by the window's edge ends on the edge. Returns the best
+    (f, t) scored, the start included.
+    """
+    best, t_best, last_step, done = value, t, b - a, False
+    while True:
+        f, slope, curve = map(float, jet(t))
+        if best is None or prob.transform(f) > prob.transform(best):
+            best, t_best = f, t
+        if done:
+            break
+        flip = prob.objective_sign is ObjectiveSign.MAXIMIZE_ABS and f < 0
+        if (slope < 0) if flip else (slope > 0):  # the score rises
+            a = t
+        else:
+            b = t
+        newton = t - slope / curve if curve else math.nan
+        nxt = min(max(newton, a), b)  # past [a, b]: the end it points to
+        if not 0.0 < abs(nxt - t) <= 0.5 * last_step:
+            nxt = 0.5 * (a + b)
+        if nxt == t:
+            break
+        last_step, t = abs(nxt - t), nxt
+        done = last_step <= defaults.TIME_REFINE_TOL
+    return float(best), float(t_best)
 
 
 def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:

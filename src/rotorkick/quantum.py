@@ -18,17 +18,18 @@ conservation is structural, not numerical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import defaults
 from .core import (Kick, KickKind, ObservableSeries, PulseOrder,
-                   PulseSequence, observable_kind, phase_sum, pulse_pair,
-                   time_grid, validate_sequence, walk_sequence)
-from .errors import BasisOverflow
+                   PulseSequence, observable_kind, phase_jet, phase_sum,
+                   pulse_pair, time_grid, validate_sequence, walk_sequence)
+from .errors import BasisOverflow, NonFiniteValue
 
 
 def cos_offdiag(l_max: int) -> np.ndarray:
@@ -70,6 +71,14 @@ class RotorWavefunction:
     @property
     def l_max(self) -> int:
         return self.coeffs.size - 1
+
+    @cached_property
+    def orientation_beats(self) -> np.ndarray:
+        """q_l = conj(a_l) a_{l+1} <l|cos theta|l+1>, beating at rate
+        l + 1; built once per state, as the t_2 finder reads it at each
+        Newton iterate."""
+        a = self.coeffs
+        return np.conj(a[:-1]) * a[1:] * cos_offdiag(self.l_max)
 
 
 @dataclass(frozen=True)
@@ -162,8 +171,14 @@ def apply_kick(psi: RotorWavefunction, kick: Kick) -> RotorWavefunction:
 
     The post-kick population above l_max - 10 must stay below 1e-10;
     otherwise the pre-kick state is zero-padded to twice the basis size
-    and the kick is recomputed, up to ``defaults.L_MAX_CAP``.
+    and the kick is recomputed, up to ``defaults.L_MAX_CAP``. A NaN or
+    infinite strength raises ``NonFiniteValue`` before any operator is
+    built.
     """
+    if not math.isfinite(kick.strength):
+        # a NaN state never passes the tail test: refuse it before the
+        # basis grows to the cap through cached eigendecompositions
+        raise NonFiniteValue(f"non-finite kick strength: {kick}")
     cap = defaults.L_MAX_CAP
     coeffs = psi.coeffs
     while True:
@@ -200,14 +215,12 @@ def expectation(psi: RotorWavefunction, k: int) -> float:
     return float(observable_scan(psi, k, 0.0)[0])
 
 
-def _orientation_beats(psi: RotorWavefunction) -> np.ndarray:
-    """q_l = conj(a_l) a_{l+1} <l|cos theta|l+1>, beating at rate l + 1."""
-    a = psi.coeffs
-    return np.conj(a[:-1]) * a[1:] * cos_offdiag(psi.l_max)
-
-
-def observable_scan(psi: RotorWavefunction, k: int, dts) -> np.ndarray:
-    """<cos^k theta> after freely evolving ``psi`` by each time in ``dts``.
+def observable_scan(psi: RotorWavefunction, k: int, dts,
+                    jet: bool = False) -> np.ndarray:
+    """<cos^k theta> after freely evolving ``psi`` by each time in ``dts``;
+    with ``jet``, the rows (f, f', f'') of that value and its first two
+    t-derivatives (:func:`core.phase_jet`; a scalar time gives the one
+    column, flattened), as the t_2 finder's Newton polish reads them.
 
     The one home of the band formulas, each band one :func:`core.phase_sum`:
     orientation couples l, l+1 coherences at phase rates l+1, alignment
@@ -215,14 +228,20 @@ def observable_scan(psi: RotorWavefunction, k: int, dts) -> np.ndarray:
     :func:`orientation_samples` the FFT of the k = 1 band).
     """
     observable_kind(k)
-    dts = np.atleast_1d(np.asarray(dts, dtype=float))
+    dts = np.asarray(dts, dtype=float)
     if k == 1:
-        return phase_sum(2.0 * _orientation_beats(psi), 0.0,
-                         -np.arange(1.0, psi.l_max + 1), dts)
-    a, (diag, off2) = psi.coeffs, cos2_bands(psi.l_max)
-    r = 2.0 * np.conj(a[:-2]) * a[2:] * off2
-    return (np.real(np.conj(a) @ (diag * a))
-            + phase_sum(r, 0.0, -2.0 * np.arange(psi.l_max - 1) - 3.0, dts))
+        weights, mean = 2.0 * psi.orientation_beats, 0.0
+        rates = -np.arange(1.0, psi.l_max + 1)
+    else:
+        a, (diag, off2) = psi.coeffs, cos2_bands(psi.l_max)
+        weights = 2.0 * np.conj(a[:-2]) * a[2:] * off2
+        rates = -2.0 * np.arange(psi.l_max - 1) - 3.0
+        mean = np.real(np.conj(a) @ (diag * a))
+    if jet:
+        out = phase_jet(weights, 0.0, rates, dts)
+        out[0] += mean
+        return out
+    return mean + phase_sum(weights, 0.0, rates, np.atleast_1d(dts))
 
 
 def orientation_samples(psi: RotorWavefunction, n: int) -> np.ndarray:
@@ -237,7 +256,7 @@ def orientation_samples(psi: RotorWavefunction, n: int) -> np.ndarray:
         raise ValueError(f"n = {n} must exceed l_max = {psi.l_max}: "
                          "beat frequencies would alias")
     spectrum = np.zeros(n, dtype=complex)
-    spectrum[1: psi.l_max + 1] = _orientation_beats(psi)
+    spectrum[1: psi.l_max + 1] = psi.orientation_beats
     return 2.0 * np.real(np.fft.fft(spectrum))
 
 
@@ -273,8 +292,12 @@ def two_kick_state(
     """State just after the second kick of the canonical pulse pair.
 
     The optimizer's workhorse: :func:`orientation_samples` and
-    :func:`observable_scan` then sweep the observation time t_2.
+    :func:`observable_scan` then search the observation time t_2. A NaN
+    or infinite strength or delay raises ``NonFiniteValue`` before the
+    basis is sized.
     """
+    if not np.isfinite([p_s, p_a, t_1]).all():
+        raise NonFiniteValue("non-finite value in (p_s, p_a, t_1)")
     if l_max is None:
         l_max = defaults.quantum_l_max(abs(p_s) + abs(p_a))
     psi = ground_state(max(_check_basis_size(l_max), 4))

@@ -6,10 +6,10 @@ from scipy.special import roots_legendre
 
 from oracles import mc_classical_observable
 from rotorkick import classical, defaults
-from rotorkick.classical import (_after_kicks, _free_flight_average,
-                                 classical_observable, make_ensemble,
-                                 propagate_classical, two_kick_observable,
-                                 two_kick_theta)
+from rotorkick.classical import (TwoKickScan, _after_kicks,
+                                 _free_flight_average, classical_observable,
+                                 make_ensemble, propagate_classical,
+                                 two_kick_observable, two_kick_theta)
 from rotorkick.core import (Kick, KickKind, PulseOrder, pulse_pair,
                             two_pulse_sequence, validate_sequence)
 from rotorkick.errors import (ConvergenceFailure, InvalidNodeCount,
@@ -155,6 +155,27 @@ def test_rule_beyond_the_cap_fails_before_any_pass(monkeypatch):
     with pytest.raises(ConvergenceFailure, match=needed):
         classical_observable(seq, 1, [0.0, 1e307])  # 8 P t overflows
     assert built == []
+
+
+def test_jet_doubles_a_disagreeing_rule_pair_up_to_the_cap(monkeypatch):
+    """A scan of t_2 = 0 converges on small rules; at t_2 = 6 those
+    disagree, so the jet doubles the rule until a pair agrees and reads
+    the value a scan there converges to. With the cap at the scan's own
+    rule it raises instead, building no rule beyond it."""
+    rules, build = [], classical.make_ensemble
+    monkeypatch.setattr(classical, "make_ensemble",
+                        lambda n: rules.append(n) or build(n))
+    scan = TwoKickScan(-2.0, 10.0, 0.3, [0.0])
+    converged = max(rules)
+    f = scan.jet(6.0)[0]
+    assert max(rules) > converged
+    assert f == pytest.approx(two_kick_observable(-2.0, 10.0, 0.3, [6.0])[0],
+                              abs=defaults.QUADRATURE_TOL)
+    monkeypatch.setattr(defaults, "NODE_CAP", converged)
+    rules.clear()
+    with pytest.raises(ConvergenceFailure):
+        TwoKickScan(-2.0, 10.0, 0.3, [0.0]).jet(6.0)
+    assert max(rules) == converged
 
 
 def test_ensemble_nodes_ladder():

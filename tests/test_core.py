@@ -6,7 +6,8 @@ import pytest
 from rotorkick.core import (Kick, KickKind, ObservableKind, ObservableSeries,
                             OptimizationResult, PulseOrder, PulseSequence,
                             format_sequence, observable_kind, parse_sequence,
-                            phase_sum, time_grid, two_pulse_sequence,
+                            phase_jet, phase_sum, time_grid,
+                            two_pulse_sequence,
                             validate_sequence, walk_sequence)
 from rotorkick.core import Branch, Engine
 from rotorkick.errors import NonFiniteValue, TooManyKicksAtSameTime
@@ -164,6 +165,35 @@ def test_phase_sum_matches_the_direct_sum():
         got = phase_sum(weights, phases, rates, t)
         assert got.shape == t.shape
         assert np.max(np.abs(got - direct), initial=0.0) < 1e-12
+
+
+def test_phase_jet_matches_the_direct_sums():
+    """(f, f', f'') against the term-by-term sums with weights w, i nu w
+    and -nu^2 w, for real and for complex weights, at single times and
+    on an array of them; f is also the sampler's value there."""
+    rng = np.random.default_rng(29)
+    m = 300
+    phases = rng.uniform(-math.pi, math.pi, m)
+    rates = rng.uniform(-40.0, 40.0, m)
+    scale = 1e-12 * np.array([1.0, 40.0, 1600.0])
+    times = np.array([-0.7, 0.0, 0.31, 12.5])
+    for weights in (rng.uniform(0.0, 2.0 / m, m),
+                    (rng.normal(size=m) + 1j * rng.normal(size=m)) / m):
+        direct = []
+        for t in times:
+            terms = weights * np.exp(1j * (phases + t * rates))
+            direct.append([np.sum(terms).real, np.sum(1j * rates * terms).real,
+                           np.sum(-rates**2 * terms).real])
+            got = phase_jet(weights, phases, rates, t)
+            assert got.shape == (3,)
+            assert np.allclose(got, direct[-1], rtol=0.0, atol=scale)
+            assert got[0] == pytest.approx(
+                phase_sum(weights, phases, rates, np.array([t]))[0],
+                abs=1e-12)
+        got = phase_jet(weights, phases, rates, times)
+        assert got.shape == (3, times.size)
+        assert np.allclose(got, np.transpose(direct), rtol=0.0,
+                           atol=scale[:, None])
 
 
 def test_time_grid_and_observable_kind_refuse_bad_input():

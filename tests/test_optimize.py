@@ -243,21 +243,87 @@ def test_quantum_t2_finder_scores_an_empty_window_at_its_end():
         quantum.two_kick_state(2.0, 5.0, t_1), 1, [t2])[0]), abs=1e-12)
 
 
-def test_quantum_t2_finder_makes_three_scans(monkeypatch):
-    """The FFT replaces the full-window scan: only the three rescans of
-    the best sample's bracket call ``observable_scan``."""
+def test_quantum_t2_finder_makes_one_fft(monkeypatch):
+    """The FFT is the only scan: after it the polish reads
+    ``observable_scan`` at one time per Newton iterate, so no rescan of
+    several times is left."""
     _, order, p_a, p_s, t_1 = CHECK6
     prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a)
     calls = []
-    scan = quantum.observable_scan
 
-    def counted(psi, k, dts):
-        calls.append(len(dts))
-        return scan(psi, k, dts)
+    def spy(name, size):
+        real = getattr(quantum, name)
 
-    monkeypatch.setattr(quantum, "observable_scan", counted)
+        def counted(*args, **kwargs):
+            calls.append((name, size(*args), kwargs))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(quantum, name, counted)
+
+    spy("observable_scan", lambda psi, k, dts: np.size(dts))
+    spy("orientation_samples", lambda psi, n: n)
     evaluate_objective(prob, p_s, t_1)
-    assert calls == [optimize_module.ZOOM_POINTS] * 3
+    (first, n, _), *reads = calls
+    assert first == "orientation_samples"
+    assert n == round(TWO_PI / _fft_step(p_s, p_a, t_1))
+    assert 1 <= len(reads) <= 10
+    assert all(read == ("observable_scan", 1, {"jet": True}) for read in reads)
+
+
+@pytest.mark.parametrize("pair", FINDER_PAIRS, ids=["classical", "quantum"])
+def test_t2_finder_returns_the_edge_that_cuts_a_peak(pair):
+    """A box ending on the rising flank of the peak: the best t_2 is the
+    box's upper edge itself, scored as the sampler scores it."""
+    engine, order, p_a, p_s, t_1 = pair
+    prob = OptimizationProblem(engine=engine, order=order, p_a=p_a)
+    _, peak = evaluate_objective(prob, p_s, t_1)
+    box = replace(prob.bounds, t_2=(peak - 0.006, peak - 0.002))
+    value, t2 = evaluate_objective(replace(prob, bounds=box), p_s, t_1)
+    assert t2 == peak - 0.002
+    assert value == pytest.approx(
+        float(_pair_sampler(*pair)(np.array([t2]))[0]), abs=1e-12)
+
+
+def test_quantum_plus_sign_finds_the_signed_maximum():
+    """The check 6 pair dips to -0.864; maximizing the signed value finds
+    the positive peak instead, at least as high as a 2^16-point FFT sees
+    it and resolved as a dense scan around it resolves it."""
+    _, order, p_a, p_s, t_1 = CHECK6
+    prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a,
+                               objective_sign=ObjectiveSign.MAXIMIZE_PLUS)
+    value, t2 = evaluate_objective(prob, p_s, t_1)
+    fine = quantum.orientation_samples(quantum.two_kick_state(p_s, p_a, t_1),
+                                       1 << 16)
+    assert 0.0 < fine.max() <= value
+    ts = np.linspace(t2 - 1e-4, t2 + 1e-4, 2001)
+    dense = _pair_sampler(*CHECK6)(ts)
+    j = int(np.argmax(dense))
+    assert dense[j] <= value + 1e-12
+    assert abs(ts[j] - t2) <= defaults.TIME_REFINE_TOL
+
+
+def test_polished_value_never_falls_below_the_first_scan(monkeypatch):
+    """At random (p_s, t_1) of both engines' boxes, the polish returns a
+    score at least that of the first scan's best sample."""
+    starts = []
+    polish = optimize_module._polish
+
+    def spy(prob, jet, a, t, b, value):
+        found = polish(prob, jet, a, t, b, value)
+        starts.append((prob.transform(value), prob.transform(found[0])))
+        return found
+
+    monkeypatch.setattr(optimize_module, "_polish", spy)
+    rng = np.random.default_rng(17)
+    for prob in (classical_problem(),
+                 classical_problem(order=PulseOrder.HCP_FIRST),
+                 OptimizationProblem(engine=Engine.QUANTUM,
+                                     order=PulseOrder.LASER_FIRST, p_a=3.0)):
+        for _ in range(10):
+            evaluate_objective(prob, rng.uniform(*prob.bounds.p_s),
+                               rng.uniform(*prob.bounds.t_1))
+    assert len(starts) == 30
+    assert all(found >= first for first, found in starts)
+    assert sum(found > first for first, found in starts) >= 20
 
 
 def test_optimizer_scaling_law(hcp_pair):
@@ -266,6 +332,16 @@ def test_optimizer_scaling_law(hcp_pair):
     assert hi.t_1 / lo.t_1 == pytest.approx(0.5, rel=1e-3)
     assert hi.t_2 / lo.t_2 == pytest.approx(0.5, rel=1e-3)
     assert hi.objective == pytest.approx(lo.objective, abs=1e-5)
+
+
+def test_laser_first_optimum_is_scale_free_to_1e9(prompt10):
+    """Classical kicks from rest are invariant under (p_s, p_a, t_1, t_2)
+    -> (lam p_s, lam p_a, t_1 / lam, t_2 / lam): the laser-first optimum
+    at p_a = 100 is the one at p_a = 10, scaled."""
+    res100 = optimize(classical_problem(p_a=100.0))
+    scaled = [(r.p_s / r.p_a, r.p_a * r.t_1, r.p_a * r.t_2, r.objective)
+              for r in (prompt10, res100)]
+    assert scaled[1] == pytest.approx(scaled[0], rel=0.0, abs=1e-9)
 
 
 def test_hcp_first_optimum_shape(hcp_pair):

@@ -12,8 +12,8 @@ from rotorkick.errors import BasisOverflow, NonFiniteValue
 from rotorkick.quantum import (RotorWavefunction, apply_kick, cos2_bands,
                                cos_offdiag, expectation, free_propagate,
                                ground_state, kick_operator, observable_scan,
-                               orientation_samples, run_sequence,
-                               two_kick_state)
+                               orientation_samples,
+                               run_sequence, two_kick_state)
 
 
 def normalized(coeffs) -> RotorWavefunction:
@@ -165,6 +165,38 @@ def test_orientation_that_vanishes_by_parity_is_positive_zero():
     before = run_sequence(seq, ts, k=1).values[ts < 0.3]
     assert before.size and np.array_equal(before, np.zeros(before.size))
     assert not np.signbit(before).any()
+
+
+def test_non_finite_strengths_are_refused_before_any_operator_build():
+    """NaN never passes the tail test, so unrefused it would grow the
+    basis to the cap through cached eigendecompositions."""
+    built = kick_operator.cache_info().currsize
+    for bad in (math.nan, math.inf, -math.inf):
+        for kind in KickKind:
+            with pytest.raises(NonFiniteValue):
+                apply_kick(ground_state(8), Kick(kind, bad, 0.0))
+        for args in ((bad, 5.0, 0.3), (-2.0, bad, 0.3), (-2.0, 5.0, bad)):
+            for order in PulseOrder:
+                with pytest.raises(NonFiniteValue):
+                    two_kick_state(*args, order)
+    assert kick_operator.cache_info().currsize == built
+
+
+def test_observable_scan_jet_matches_the_scan():
+    """The polish's rows (f, f', f'') against the scan's values and their
+    central differences, for both observables."""
+    psi = two_kick_state(-2.0, 5.0, 4.9)
+    h = 1e-4
+    times = np.array([0.0, 1.3, 5.95, 8.0])
+    for k in (1, 2):
+        rows = observable_scan(psi, k, times, jet=True)
+        assert rows.shape == (3, times.size)
+        for (f, slope, curve), t in zip(rows.T, times):
+            left, mid, right = observable_scan(psi, k, [t - h, t, t + h])
+            assert f == pytest.approx(mid, abs=1e-13)
+            assert slope == pytest.approx((right - left) / (2 * h), abs=1e-6)
+            assert curve == pytest.approx((right - 2 * mid + left) / h**2,
+                                          abs=1e-5)
 
 
 def test_orientation_samples_refuse_aliasing():
