@@ -23,9 +23,10 @@ of a periodic system.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -284,6 +285,14 @@ def optimize(
     deterministic grid (the only use of randomness). Results from all
     starts are merged deterministically: best transformed objective,
     ties broken by smaller |p_s|.
+
+    The starts are scored in this process, then their simplexes run side
+    by side in forked worker processes, one per CPU this process may use
+    (its CPU affinity: ``taskset`` or a container's CPU set limits them),
+    and serially where there is one such CPU, no ``fork`` start method,
+    another thread running, or the caller is a daemonic process. The
+    result is identical to a serial run, ``evaluations`` included, and
+    no worker outlives the call.
     """
     if prob.p_a == 0.0:
         warnings.warn("p_a = 0: a symmetric kick alone never orients; "
@@ -299,7 +308,7 @@ def optimize(
             evaluations=1, stagnated=True,
         )
 
-    evaluate = _memoized_objective(prob)
+    evaluate = _Objective(prob)
     (ps_lo, ps_hi) = prob.bounds.p_s
     (t1_lo, t1_hi) = prob.bounds.t_1
     starts = _start_points(prob)
@@ -310,35 +319,83 @@ def optimize(
             t1 = rng.uniform(t1_lo, t1_hi) if t1_hi > t1_lo else t1_lo
             starts.append((ps, t1))
 
+    # scored here, so the workers fork with the rule and operator caches warm
     scored = [(prob.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
-    ends = [end for end in (_simplex_from(prob, evaluate, *s)
-                            for s in starts) if end is not None]
+    runs = _map_starts(partial(_simplex_from, evaluate), starts)
+    for _, added in runs:
+        evaluate.update(added)
+    ends = [end for end, _ in runs if end is not None]
 
     score, ps_best, t1_best = max(ends + scored,
                                   key=lambda c: (c[0], -abs(c[1])))
     best_start_score = max(c[0] for c in scored)
-    return _result(prob, evaluate, ps_best, t1_best,
+    return _result(evaluate, ps_best, t1_best,
                    stagnated=bool(score <= best_start_score + 1e-12))
 
 
-def _memoized_objective(prob: OptimizationProblem):
-    """:func:`evaluate_objective` of one problem, memoized on (p_s, t_1).
-
-    The cache size (``cache_info().currsize``) is the evaluation count.
+class _Objective(dict):
+    """:func:`evaluate_objective` of one problem, memoized on (p_s, t_1):
+    a dict of (p_s, t_1) -> (value, t_2), so a worker's entries merge
+    into the parent's with ``update``. Its length is the evaluation count.
     """
-    return lru_cache(maxsize=None)(
-        lambda ps, t1: evaluate_objective(prob, ps, t1))
+
+    def __init__(self, prob: OptimizationProblem):
+        super().__init__()
+        self.prob = prob
+
+    def __missing__(self, key: tuple[float, float]) -> tuple[float, float]:
+        self[key] = evaluate_objective(self.prob, *key)
+        return self[key]
+
+    def __call__(self, ps: float, t1: float) -> tuple[float, float]:
+        return self[ps, t1]
 
 
-def _simplex_from(prob: OptimizationProblem, evaluate, ps0: float,
-                  t10: float) -> tuple[float, float, float] | None:
-    """One Nelder-Mead run from (ps0, t10), bounded by the problem's box.
+def _worker_count(tasks: int) -> int:
+    """Processes for ``tasks`` simplexes: one per CPU this process may
+    use, at most one per task; 1 without the ``fork`` start method, in a
+    daemonic process (such as a worker of the caller's own pool), which
+    may not have children, or while another thread runs, which a forked
+    child could deadlock on."""
+    import multiprocessing
+    import threading
+    if (multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(tasks, cpus)
+
+
+def _map_starts(task, starts: list) -> list:
+    """``task`` of every start, in start order: over a pool of
+    :func:`_worker_count` forked processes, closed before it returns, or
+    with the builtin ``map`` when that count is 1. A worker's exception
+    reaches the caller with its type and message."""
+    workers = _worker_count(len(starts))
+    if workers < 2:
+        return list(map(task, starts))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork, not spawn: a spawned worker would import the package again
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        return list(pool.map(task, starts))
+
+
+def _simplex_from(evaluate: _Objective, start: tuple[float, float]):
+    """One Nelder-Mead run from ``start`` = (p_s, t_1), bounded by the
+    box of ``evaluate``'s problem.
 
     The simplex moves in scaled coordinates (p_s/p_a, t_1*p_a), 1-d for
     simultaneous pulses; points outside the box score 1e3. Returns
     (transformed objective, p_s, t_1) at the end point, or None if the
-    run ends outside the box.
+    run ends outside the box, and the entries the run added to
+    ``evaluate`` (in a worker, to its own copy of the memo).
     """
+    prob, known = evaluate.prob, len(evaluate)
+    ps0, t10 = start
     pa_mag = abs(prob.p_a)
     simultaneous = prob.order is PulseOrder.SIMULTANEOUS
 
@@ -359,16 +416,18 @@ def _simplex_from(prob: OptimizationProblem, evaluate, ps0: float,
                  "maxiter": defaults.SIMPLEX_MAXITER},
     )
     ps, t1 = unscale(res.x)
-    return (-res.fun, ps, t1) if prob.bounds.contains(ps, t1) else None
+    end = (-res.fun, ps, t1) if prob.bounds.contains(ps, t1) else None
+    return end, list(evaluate.items())[known:]
 
 
-def _result(prob: OptimizationProblem, evaluate, ps: float, t1: float,
+def _result(evaluate: _Objective, ps: float, t1: float,
             stagnated: bool = False) -> OptimizationResult:
+    prob = evaluate.prob
     value, t2 = evaluate(ps, t1)
     return OptimizationResult(
         p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
         branch=prob.branch, order=prob.order, engine=prob.engine,
-        evaluations=evaluate.cache_info().currsize, stagnated=stagnated,
+        evaluations=len(evaluate), stagnated=stagnated,
     )
 
 
@@ -412,11 +471,11 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
                 lam = pa / prev.p_a
                 ps0, t10 = prev.p_s * lam, prev.t_1 / lam
                 if prob.bounds.contains(ps0, t10):
-                    evaluate = _memoized_objective(prob)
-                    end = _simplex_from(prob, evaluate, ps0, t10)
+                    evaluate = _Objective(prob)
+                    end, _ = _simplex_from(evaluate, (ps0, t10))
                     if end is not None and \
                             end[0] > prob.transform(result.objective):
-                        result = _result(prob, evaluate, end[1], end[2])
+                        result = _result(evaluate, end[1], end[2])
             rows.append(SweepRow(pa, result))
             prev = result
         except (RotorkickError, ValueError) as exc:

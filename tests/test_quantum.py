@@ -62,6 +62,21 @@ def test_kick_operator_unitary_and_reconstructs(kind, strength):
     assert np.max(np.abs(op.reconstructed() - op.matrix)) < 1e-12
 
 
+def test_kick_operator_cache_is_bounded():
+    """Every l_max the optimizer visits is a new key; the cache keeps at
+    most its bound, and a rebuilt operator equals the evicted one."""
+    bound = kick_operator.cache_info().maxsize
+    first = kick_operator(KickKind.ASYMMETRIC, 4)
+    for l_max in range(4, 4 + bound):
+        for kind in KickKind:
+            kick_operator(kind, l_max)
+            assert kick_operator.cache_info().currsize <= bound
+    rebuilt = kick_operator(KickKind.ASYMMETRIC, 4)
+    assert rebuilt is not first
+    for (_, vals, vecs), (_, vals0, vecs0) in zip(rebuilt.blocks, first.blocks):
+        assert np.array_equal(vals, vals0) and np.array_equal(vecs, vecs0)
+
+
 def test_symmetric_kick_preserves_parity_exactly():
     l_max = 20
     rng = np.random.default_rng(5)
@@ -170,7 +185,7 @@ def test_orientation_that_vanishes_by_parity_is_positive_zero():
 def test_non_finite_strengths_are_refused_before_any_operator_build():
     """NaN never passes the tail test, so unrefused it would grow the
     basis to the cap through cached eigendecompositions."""
-    built = kick_operator.cache_info().currsize
+    built = kick_operator.cache_info().misses
     for bad in (math.nan, math.inf, -math.inf):
         for kind in KickKind:
             with pytest.raises(NonFiniteValue):
@@ -179,7 +194,7 @@ def test_non_finite_strengths_are_refused_before_any_operator_build():
             for order in PulseOrder:
                 with pytest.raises(NonFiniteValue):
                     two_kick_state(*args, order)
-    assert kick_operator.cache_info().currsize == built
+    assert kick_operator.cache_info().misses == built
 
 
 def test_observable_scan_jet_matches_the_scan():
