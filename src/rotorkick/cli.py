@@ -17,6 +17,7 @@ configuration or validation errors, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -31,8 +32,9 @@ from .errors import (BasisOverflow, ConfigError, ConvergenceFailure,
 from .labunits import (KCL, HalfCyclePulse, LaserPulse, MoleculeParams,
                        kick_strength, time_from_dimensionless,
                        time_to_dimensionless)
-from .optimize import (CSV_HEADER, CSV_NUM, BoundsBox, OptimizationProblem,
-                       default_bounds, optimize, result_csv_row, sweep)
+from .optimize import (CSV_FLOAT, CSV_HEADER, CSV_NUM, BoundsBox,
+                       OptimizationProblem, default_bounds, optimize,
+                       result_csv_row, sweep)
 
 _NUMERICAL_ERRORS = (ConvergenceFailure, BasisOverflow,
                      SeriesTruncationFailure)
@@ -93,8 +95,9 @@ def _cmd_simulate(args) -> int:
         else:
             s = seq or two_pulse_sequence(args.ps, args.pa, args.t1, order)
             vals = quantum.run_sequence(s, t, k=k, l_max_hint=args.lmax).values
-        lines += [f"{CSV_NUM(ti)},{CSV_NUM(vi)},{kind},{engine.value}"
-                  for ti, vi in zip(t, vals)]
+        # one template per block, filled from Python floats
+        row = f"{CSV_FLOAT},{CSV_FLOAT},{kind},{engine.value}"
+        lines += [row % tv for tv in zip(t.tolist(), vals.tolist())]
     _emit(lines, args.out)
     return 0
 
@@ -217,8 +220,11 @@ def _add_common_out(p: argparse.ArgumentParser) -> None:
                    "command-line options override it")
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser,
                              dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers, built once per process: ``main``
+    leaves their defaults as it found them."""
     parser = argparse.ArgumentParser(
         prog="rotorkick",
         description="Field-free orientation of linear dipolar molecules "
@@ -314,8 +320,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     return parser, commands
 
 
-def _apply_config(path: str, command: argparse.ArgumentParser) -> None:
-    """Install config-file values as defaults on the chosen subparser."""
+def _apply_config(path: str, command: argparse.ArgumentParser) -> dict:
+    """Install config-file values as defaults on the chosen subparser;
+    returns the defaults they replaced."""
     actions = {a.dest: a for a in command._actions
                if a.dest not in ("help", "config", "func")}
     updates = {}
@@ -341,7 +348,9 @@ def _apply_config(path: str, command: argparse.ArgumentParser) -> None:
             raise ConfigError(f"{path}:{lineno}: {key!r} must be one of "
                               f"{sorted(action.choices)}")
         updates[key] = parsed
+    replaced = {key: command.get_default(key) for key in updates}
     command.set_defaults(**updates)
+    return replaced
 
 
 def main(argv=None) -> int:
@@ -350,8 +359,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            _apply_config(args.config, commands[args.command])
-            args = parser.parse_args(argv)
+            command = commands[args.command]
+            replaced = _apply_config(args.config, command)
+            try:
+                args = parser.parse_args(argv)
+            finally:  # the cached parser serves the next call too
+                command.set_defaults(**replaced)
         return args.func(args)
     except SystemExit as exc:  # argparse already reported the problem
         code = exc.code

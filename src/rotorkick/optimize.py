@@ -7,7 +7,9 @@ window - a dense grid classically, one FFT of the periodic quantum
 signal - then safeguarded Newton steps from its best sample on the
 analytic t-derivatives of the engine's free flight) inside a multi-start
 Nelder-Mead simplex over (p_s, t_1), run in scaled coordinates
-(p_s/p_a, t_1*p_a).
+(p_s/p_a, t_1*p_a). The simplex is the package's own port of scipy's
+Nelder-Mead (:func:`_nelder_mead`), so importing the package does not
+load ``scipy.optimize``.
 
 Branches
 --------
@@ -29,7 +31,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import classical, defaults, quantum
 from .core import (REVIVAL_PERIOD, Branch, Engine, ObjectiveSign,
@@ -292,8 +293,10 @@ def optimize(
     and serially where there is one such CPU, no ``fork`` start method,
     another thread running, or the caller is a daemonic process. The
     result is identical to a serial run, ``evaluations`` included, and
-    no worker outlives the call.
+    no worker outlives the call. A negative ``extra_starts`` raises
+    ValueError.
     """
+    _check_extra_starts(extra_starts)
     if prob.p_a == 0.0:
         warnings.warn("p_a = 0: a symmetric kick alone never orients; "
                       "objective is identically zero", stacklevel=2)
@@ -331,6 +334,11 @@ def optimize(
     best_start_score = max(c[0] for c in scored)
     return _result(evaluate, ps_best, t1_best,
                    stagnated=bool(score <= best_start_score + 1e-12))
+
+
+def _check_extra_starts(extra_starts: int) -> None:
+    if extra_starts < 0:
+        raise ValueError(f"extra_starts must be >= 0, got {extra_starts}")
 
 
 class _Objective(dict):
@@ -386,7 +394,8 @@ def _map_starts(task, starts: list) -> list:
 
 def _simplex_from(evaluate: _Objective, start: tuple[float, float]):
     """One Nelder-Mead run from ``start`` = (p_s, t_1), bounded by the
-    box of ``evaluate``'s problem.
+    box of ``evaluate``'s problem, on :func:`_nelder_mead`, the
+    package's own port of scipy's simplex.
 
     The simplex moves in scaled coordinates (p_s/p_a, t_1*p_a), 1-d for
     simultaneous pulses; points outside the box score 1e3. Returns
@@ -410,14 +419,70 @@ def _simplex_from(evaluate: _Objective, start: tuple[float, float]):
 
     u0 = np.array([ps0 / pa_mag] if simultaneous
                   else [ps0 / pa_mag, t10 * pa_mag])
-    res = minimize(
-        neg_objective, u0, method="Nelder-Mead",
-        options={"xatol": defaults.SIMPLEX_XATOL, "fatol": 1e-9,
-                 "maxiter": defaults.SIMPLEX_MAXITER},
-    )
-    ps, t1 = unscale(res.x)
-    end = (-res.fun, ps, t1) if prob.bounds.contains(ps, t1) else None
+    u, fun = _nelder_mead(neg_objective, u0, xatol=defaults.SIMPLEX_XATOL,
+                          fatol=1e-9, maxiter=defaults.SIMPLEX_MAXITER)
+    ps, t1 = unscale(u)
+    end = (-fun, ps, t1) if prob.bounds.contains(ps, t1) else None
     return end, list(evaluate.items())[known:]
+
+
+def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float,
+                 maxiter: int):
+    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex: returns the
+    best vertex and its value.
+
+    A port of scipy.optimize's ``_minimize_neldermead`` (scipy 1.17)
+    with its standard coefficients (rho = 1, chi = 2, psi = sigma = 0.5,
+    folded into the constants below) and initial simplex, cut to what
+    :func:`_simplex_from` uses: no bounds, callback, adaptive
+    coefficients or call cap. The arithmetic, its order and the
+    re-sorts are scipy's, so the run is bit-identical to
+    ``minimize(f, x0, method="Nelder-Mead", options={"xatol": xatol,
+    "fatol": fatol, "maxiter": maxiter})``.
+    """
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    # scipy sorts the first simplex twice; argsort need not be stable
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expansion
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
+                fxc = f(xc)
+                keep = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
+                fxc = f(xc)
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])  # shrink
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], np.min(fsim)
 
 
 def _result(evaluate: _Objective, ps: float, t1: float,
@@ -442,9 +507,11 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
           extra_starts: int = 0, seed: int | None = None) -> list[SweepRow]:
     """One optimize per p_a, warm-started from the previous optimum.
 
-    p_a values must be positive and sorted ascending. Failures are
-    captured per point so a sweep always returns one row per input.
+    p_a values must be positive and sorted ascending, and
+    ``extra_starts`` not negative. Failures are captured per point so a
+    sweep always returns one row per input.
     """
+    _check_extra_starts(extra_starts)
     p_a_values = list(p_a_values)
     if any(p <= 0 for p in p_a_values):
         raise ValueError("sweep p_a values must be positive")
@@ -487,8 +554,10 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
 
 CSV_HEADER = "p_a,p_s,t1,t2,objective,branch,order,engine,evals"
 
-#: the one CSV float format: 12 significant digits, byte-stable across runs
-CSV_NUM = "{:.11e}".format
+#: the one CSV float format: 12 significant digits, byte-stable across
+#: runs; ``%`` formatting prints the same bytes as ``"{:.11e}".format``
+CSV_FLOAT = "%.11e"
+CSV_NUM = CSV_FLOAT.__mod__
 
 
 def result_csv_row(r: OptimizationResult) -> str:

@@ -1,12 +1,26 @@
 """End-to-end command-line checks driven through cli.main(argv)."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotorkick
 from rotorkick.classical import two_kick_observable
 from rotorkick.cli import main
-from rotorkick.optimize import CSV_NUM
+from rotorkick.optimize import CSV_FLOAT, CSV_NUM
+
+SRC = str(Path(rotorkick.__file__).resolve().parents[1])
+
+
+def fresh_python(*args) -> bytes:
+    """stdout of ``python args...`` in a new interpreter on this source."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, timeout=300).stdout
 
 
 def run(capsys, *argv):
@@ -230,12 +244,64 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert code2 == 0 and len(out2.splitlines()) == 8
 
 
+def test_config_leaves_no_default_behind(tmp_path, capsys):
+    """The parser is built once per process: values a config file set,
+    or half set before a bad line, must not reach a later call."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("t-points = 7\nbogus = 1\n")
+    good = tmp_path / "good.cfg"
+    good.write_text("t-points = 5\nobservable = alignment\nengine = both\n"
+                    "pa = 5\nps = -1\n")
+    assert run(capsys, "simulate", "--config", str(bad))[0] == 2
+    code, out, _ = run(capsys, "simulate", "--config", str(good))
+    assert code == 0 and len(out.splitlines()) == 11
+    plain = ["simulate", "--pa", "10", "--ps", "-2"]
+    code, out, _ = run(capsys, *plain)
+    assert code == 0 and len(out.splitlines()) == 513
+    assert out.encode() == fresh_python("-m", "rotorkick.cli", *plain)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    out = fresh_python("-c", "import sys, rotorkick.cli; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m.startswith('scipy.optimize')))")
+    assert out == b"[]\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan,
+                  math.inf, -math.inf, np.float64(-0.1234567890123456),
+                  np.float64(2.5e-17), np.float64(math.pi)]
+
+
+@pytest.mark.parametrize("x", SPECIAL_FLOATS, ids=repr)
+def test_csv_float_format_prints_str_format_bytes(x):
+    want = "{:.11e}".format(x)
+    assert CSV_NUM(x) == want
+    assert CSV_FLOAT % float(x) == want  # simulate formats Python floats
+
+
+def test_csv_float_format_on_random_doubles():
+    bits = np.random.default_rng(5).integers(0, 2**64, 20000,
+                                             dtype=np.uint64)
+    for x in bits.view(np.float64).tolist():
+        assert CSV_FLOAT % x == "{:.11e}".format(x)
+
+
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tpoints = 4\n")
     code, _, err = run(capsys, "simulate", "--config", str(cfg),
                        "--pa", "5", "--ps", "-1")
     assert code == 2 and "tpoints" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--order", "simultaneous", "--pa", "10"],
+    ["sweep", "--order", "simultaneous", "--pa-list", "5,10"],
+])
+def test_negative_starts_are_a_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--starts", "-3")
+    assert code == 2 and out == "" and "extra_starts" in err
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -427,6 +427,22 @@ def test_sweep_rows_and_warm_start():
         sweep(template, [-1.0, 5.0])
 
 
+@pytest.mark.parametrize("p_a", [10.0, 0.0])
+def test_negative_extra_starts_are_refused_before_any_evaluation(
+        monkeypatch, p_a):
+    def never(prob, p_s, t_1):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(optimize_module, "evaluate_objective", never)
+    prob = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=p_a)
+    with pytest.raises(ValueError, match="extra_starts"):
+        optimize(prob, extra_starts=-3, seed=1)
+    # a sweep refuses it as a whole, not as annotated rows
+    with pytest.raises(ValueError, match="extra_starts"):
+        sweep(classical_problem(order=PulseOrder.SIMULTANEOUS),
+              [5.0, 10.0], extra_starts=-1)
+
+
 def test_sweep_annotates_failed_points():
     template = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=5.0)
     rows = sweep(template, [5.0, 2e4])
