@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import defaults
 from .core import (KickKind, ObservableSeries, PulseOrder, PulseSequence,
@@ -58,19 +57,51 @@ class ClassicalEnsemble:
         return self.theta0.size
 
 
+def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n >= 2.
+
+    Newton steps on P_n from Tricomi's initial guesses, for the
+    non-negative half of the nodes at once. P_n and P_n' come from the
+    three-term recurrence, so a step costs O(n^2); the steps stop once
+    they are at round-off (three or four from these guesses). The
+    weights are 2 / ((1 - u^2) P_n'(u)^2). The rule is mirrored, so
+    u_j = -u_{n-1-j} and w_j = w_{n-1-j} exactly, and the middle node of
+    an odd n is exactly 0.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1)
+                                                 / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0  # P_n(0) = 0 exactly for odd n
+    for _ in range(10):
+        p_prev, p = np.ones_like(x), x
+        for l in range(1, n):
+            p_prev, p = p, ((2 * l + 1) * x * p - l * p_prev) / (l + 1)
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 2.0 * np.finfo(float).eps:
+            break
+    # dp was taken a round-off step before the final x
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    half = x.size - n % 2  # nodes with a negative mirror
+    return (np.concatenate((-x[:half], x[::-1])),
+            np.concatenate((w[:half], w[::-1])))
+
+
 @lru_cache(maxsize=None)
 def make_ensemble(n_nodes: int) -> ClassicalEnsemble:
     """Gauss-Legendre ensemble in u = cos(theta0) on [-1, 1], cached.
 
     Uniform-in-u quadrature realizes the (1/2) sin(theta0) dtheta0
-    measure exactly; weights are halved to normalize. The package asks
-    only for the power-of-two rules of ``defaults.ensemble_nodes``, so the
-    cache holds at most 15. Its arrays are shared and read-only.
+    measure exactly; weights are halved to normalize. The rule is the
+    package's own :func:`roots_legendre`, an O(n^2) Newton solve and the
+    costly step that the cache saves. The package asks only for the
+    power-of-two rules of ``defaults.ensemble_nodes``, so the cache holds
+    at most 15. Its arrays are shared and read-only.
     """
     if n_nodes < 2:
         raise InvalidNodeCount(f"need at least 2 nodes, got {n_nodes}")
-    # roots_legendre runs Golub-Welsch (an eigensolve of the banded Jacobi
-    # matrix), the costly step that the cache saves
     u, w = roots_legendre(n_nodes)
     rule = (np.arccos(u), w / 2.0)
     for arr in rule:

@@ -272,7 +272,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
                        help=f"override default bound {name.replace('-', ' ')}")
     p.add_argument("--starts", type=int, default=0,
                    help="extra random simplex starts")
-    p.add_argument("--seed", type=int, help="seed for the extra starts")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the extra starts (default 0)")
     p.set_defaults(func=_cmd_optimize)
     _add_common_out(p)
     commands["optimize"] = p
@@ -291,7 +292,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--pa-max", type=float)
     p.add_argument("--pa-count", type=int, default=5)
     p.add_argument("--starts", type=int, default=0)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sweep)
     _add_common_out(p)
     commands["sweep"] = p

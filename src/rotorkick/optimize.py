@@ -8,8 +8,7 @@ signal - then safeguarded Newton steps from its best sample on the
 analytic t-derivatives of the engine's free flight) inside a multi-start
 Nelder-Mead simplex over (p_s, t_1), run in scaled coordinates
 (p_s/p_a, t_1*p_a). The simplex is the package's own port of scipy's
-Nelder-Mead (:func:`_nelder_mead`), so importing the package does not
-load ``scipy.optimize``.
+Nelder-Mead (:func:`_nelder_mead`); the package imports numpy alone.
 
 Branches
 --------

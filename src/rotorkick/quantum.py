@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import defaults
 from .core import (Kick, KickKind, ObservableSeries, PulseOrder,
@@ -126,9 +125,25 @@ class KickOperator:
         return m
 
 
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of the symmetric
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
+
+    Solved densely by ``numpy.linalg.eigh``; perfbench counts the kick
+    eigensolves under this name."""
+    return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
 @lru_cache(maxsize=64)
 def kick_operator(kind: KickKind, l_max: int) -> KickOperator:
     """Cached eigen-decomposed kick operator for a basis size.
+
+    Each tridiagonal block (the cos matrix, or one parity block of cos^2)
+    is solved densely by :func:`eigh_tridiagonal`, ``numpy.linalg.eigh``:
+    O(n^3) against O(n^2) for a tridiagonal solver, but under 3 ms a
+    block up to l_max 128 (the optimizer's bases stay below 200). Only
+    from about l_max 1000 on does an operator pair (cos and cos^2) cost
+    more than importing scipy's tridiagonal solver would.
 
     The cache keeps the 64 operators used last: the quantum pair
     optimizations of the benchmark build 92 over three problems, the same

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
 
-from oracles import mc_classical_observable
+from oracles import _grid, mc_classical_observable
 from rotorkick import classical, defaults
 from rotorkick.classical import (TwoKickScan, _after_kicks,
                                  _free_flight_average, classical_observable,
                                  make_ensemble, propagate_classical,
-                                 two_kick_observable, two_kick_theta)
+                                 roots_legendre, two_kick_observable,
+                                 two_kick_theta)
 from rotorkick.core import (Kick, KickKind, PulseOrder, pulse_pair,
                             two_pulse_sequence, validate_sequence)
 from rotorkick.errors import (ConvergenceFailure, InvalidNodeCount,
@@ -231,6 +231,31 @@ def test_cached_rule_is_read_only():
     again = make_ensemble(64)
     assert np.array_equal(again.theta0, np.arccos(u))
     assert np.array_equal(again.weights, w / 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 1024, 2048])
+def test_roots_legendre_matches_the_oracle_rule(n):
+    """Against ``oracles._grid`` (scipy's Golub-Welsch rule after a
+    Newton polish). Measured: nodes within 1.1e-16 for every n; weights
+    within 3.4e-14 relative (n = 64), 1.1e-14 (1024), 1.6e-14 (2048) and
+    below 1e-15 for the rest. The weights' spread is the 1-ulp node
+    difference times the weights' slope near the ends."""
+    u, w = roots_legendre(n)
+    ref_u, ref_w = _grid(n)
+    assert u.shape == w.shape == (n,)
+    assert np.all(np.diff(u) > 0.0)
+    assert np.max(np.abs(u - ref_u)) <= 2.3e-16
+    assert np.max(np.abs(w / ref_w - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 65, 255, 256, 1025])
+def test_roots_legendre_is_mirror_symmetric_and_sums_to_two(n):
+    u, w = roots_legendre(n)
+    assert np.array_equal(u, -u[::-1])
+    assert np.array_equal(w, w[::-1])
+    if n % 2:
+        assert u[n // 2] == 0.0 and not np.signbit(u[n // 2])
+    assert abs(w.sum() - 2.0) <= 1e-14
 
 
 def test_two_kick_observable_vectorized_consistency():

@@ -261,11 +261,24 @@ def test_config_leaves_no_default_behind(tmp_path, capsys):
     assert out.encode() == fresh_python("-m", "rotorkick.cli", *plain)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def test_import_leaves_scipy_unloaded():
     out = fresh_python("-c", "import sys, rotorkick.cli; "
                        "print(sorted(m for m in sys.modules "
-                       "if m.startswith('scipy.optimize')))")
+                       "if m.startswith('scipy')))")
     assert out == b"[]\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--order", "simultaneous", "--pa", "10"],
+    ["sweep", "--order", "simultaneous", "--pa-list", "5,10"],
+])
+def test_extra_starts_without_seed_repeat_byte_for_byte(capsys, command):
+    """``--seed`` defaults to 0, so random extra starts print the same
+    rows on every call, and the rows of an explicit ``--seed 0``."""
+    outs = [run(capsys, *command, "--starts", "2", *extra)
+            for extra in ([], [], ["--seed", "0"])]
+    assert all(code == 0 for code, _, _ in outs)
+    assert outs[0][1] == outs[1][1] == outs[2][1]
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan,

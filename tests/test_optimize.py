@@ -463,7 +463,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 # the classical laser-first revival optimum at p_a = 20, to full precision
 REVIVAL20 = OptimizationResult(
     p_a=20.0, p_s=0.4000000000426854, t_1=-2.048636964176131,
-    t_2=-0.08047794996599474, objective=-0.9464773094307661,
+    t_2=-0.08047794996599472, objective=-0.9464773094307509,
     branch=Branch.REVIVAL, order=PulseOrder.LASER_FIRST,
     engine=Engine.CLASSICAL, evaluations=1189)
 
