@@ -121,6 +121,8 @@ def _bounds_from_args(args, engine: Engine, order: PulseOrder,
 
 
 def _cmd_optimize(args) -> int:
+    if args.pa is None:
+        raise ConfigError("optimize needs --pa")
     engine = Engine(args.engine)
     order = PulseOrder(args.order)
     branch = Branch(args.branch)
@@ -223,8 +225,8 @@ def _add_common_out(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser,
                              dict[str, argparse.ArgumentParser]]:
-    """The parser and its subparsers, built once per process: ``main``
-    leaves their defaults as it found them."""
+    """The parser and its subparsers, built once per process; parsing
+    leaves them as they are."""
     parser = argparse.ArgumentParser(
         prog="rotorkick",
         description="Field-free orientation of linear dipolar molecules "
@@ -257,42 +259,38 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     _add_common_out(p)
     commands["simulate"] = p
 
-    p = sub.add_parser("optimize", help="best pulse pair at fixed p_a (CSV)")
-    p.add_argument("--engine", choices=["classical", "quantum"],
-                   default="classical")
-    p.add_argument("--order", choices=[o.value for o in PulseOrder],
-                   default="laser-first")
-    p.add_argument("--pa", type=float, required=True)
-    p.add_argument("--branch", choices=[b.value for b in Branch],
-                   default="prompt")
-    p.add_argument("--sign", choices=[s.value for s in ObjectiveSign],
-                   default="abs", help="maximize signed value or magnitude")
+    # the search options that optimize and sweep share
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--engine", choices=["classical", "quantum"],
+                        default="classical")
+    search.add_argument("--order", choices=[o.value for o in PulseOrder],
+                        default="laser-first")
+    search.add_argument("--branch", choices=[b.value for b in Branch],
+                        default="prompt")
+    search.add_argument("--sign", choices=[s.value for s in ObjectiveSign],
+                        default="abs",
+                        help="maximize signed value or magnitude")
+    search.add_argument("--starts", type=int, default=0,
+                        help="extra random simplex starts")
+    search.add_argument("--seed", type=int, default=0,
+                        help="seed for the extra starts (default 0)")
+
+    p = sub.add_parser("optimize", parents=[search],
+                       help="best pulse pair at fixed p_a (CSV)")
+    p.add_argument("--pa", type=float, help="orienting kick strength")
     for name in ("ps-min", "ps-max", "t1-min", "t1-max", "t2-min", "t2-max"):
         p.add_argument(f"--{name}", type=float,
                        help=f"override default bound {name.replace('-', ' ')}")
-    p.add_argument("--starts", type=int, default=0,
-                   help="extra random simplex starts")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the extra starts (default 0)")
     p.set_defaults(func=_cmd_optimize)
     _add_common_out(p)
     commands["optimize"] = p
 
-    p = sub.add_parser("sweep", help="optimize across p_a values (CSV)")
-    p.add_argument("--engine", choices=["classical", "quantum"],
-                   default="classical")
-    p.add_argument("--order", choices=[o.value for o in PulseOrder],
-                   default="laser-first")
-    p.add_argument("--branch", choices=[b.value for b in Branch],
-                   default="prompt")
-    p.add_argument("--sign", choices=[s.value for s in ObjectiveSign],
-                   default="abs")
+    p = sub.add_parser("sweep", parents=[search],
+                       help="optimize across p_a values (CSV)")
     p.add_argument("--pa-list", help="comma-separated p_a values, ascending")
     p.add_argument("--pa-min", type=float)
     p.add_argument("--pa-max", type=float)
     p.add_argument("--pa-count", type=int, default=5)
-    p.add_argument("--starts", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sweep)
     _add_common_out(p)
     commands["sweep"] = p
@@ -321,12 +319,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     return parser, commands
 
 
-def _apply_config(path: str, command: argparse.ArgumentParser) -> dict:
-    """Install config-file values as defaults on the chosen subparser;
-    returns the defaults they replaced."""
-    actions = {a.dest: a for a in command._actions
-               if a.dest not in ("help", "config", "func")}
-    updates = {}
+def _config_tokens(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """The ``key = value`` lines of a config file as ``--key=value``
+    tokens of ``command``; argparse checks their values."""
+    options = {a.dest for a in command._actions} - {"help", "config"}
+    tokens = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -334,24 +331,11 @@ def _apply_config(path: str, command: argparse.ArgumentParser) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key, value = key.strip().replace("-", "_"), value.strip()
-        if key not in actions:
+        key = key.strip().replace("-", "_")
+        if key not in options:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        action = actions[key]
-        if action.nargs == 0:
-            raise ConfigError(f"{path}:{lineno}: {key!r} is not configurable")
-        try:
-            parsed = action.type(value) if callable(action.type) else value
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: "
-                              f"{exc}") from None
-        if action.choices is not None and parsed not in action.choices:
-            raise ConfigError(f"{path}:{lineno}: {key!r} must be one of "
-                              f"{sorted(action.choices)}")
-        updates[key] = parsed
-    replaced = {key: command.get_default(key) for key in updates}
-    command.set_defaults(**updates)
-    return replaced
+        tokens.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -359,13 +343,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            command = commands[args.command]
-            replaced = _apply_config(args.config, command)
-            try:
-                args = parser.parse_args(argv)
-            finally:  # the cached parser serves the next call too
-                command.set_defaults(**replaced)
+        if args.config:
+            # the file's tokens go between the subcommand and the user's
+            # own arguments: argparse keeps the later value of an option,
+            # so command-line flags beat the file
+            tokens = _config_tokens(args.config, commands[args.command])
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
         return args.func(args)
     except SystemExit as exc:  # argparse already reported the problem
         code = exc.code

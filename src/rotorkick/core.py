@@ -303,6 +303,9 @@ class OptimizationResult:
     ``objective`` is the signed <cos theta> at the optimum; ``t_1`` is the
     delay between pulses and ``t_2`` the observation time after the last
     pulse (both may be negative on the classical revival continuation).
+    ``evaluations`` counts the distinct (p_s, t_1) points evaluated.
+    ``stagnated``: no simplex ended above the best start it was given (a
+    sweep row's warm start counts as a start).
     """
 
     p_a: float

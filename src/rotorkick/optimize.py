@@ -143,13 +143,15 @@ def evaluate_objective(
 ) -> tuple[float, float]:
     """Best signed <cos theta> over the branch's t_2 window, and its t_2.
 
-    One finder for both engines: a first scan of the window at the
-    strength-scaled step, then :func:`_polish` of its best sample inside
-    the two steps around it, on the engine's analytic t-derivatives. The
-    classical first scan is a grid of :class:`classical.TwoKickScan`,
-    whose converged rule pair the polish reads on; the quantum one is a
-    single FFT (:func:`_fft_bracket`) and the polish reads
-    :func:`quantum.observable_scan` at one time per iterate. The returned
+    One finder for both engines: a first scan samples the window at the
+    strength-scaled step, then :func:`_polish` ascends from its best
+    sample within one sample spacing each side (clipped to the window)
+    on the engine's analytic t-derivatives. The classical scan is an
+    even grid from edge to edge of :class:`classical.TwoKickScan`, whose
+    converged rule pair the polish reads on; the quantum one is the
+    window's samples of one FFT (:func:`_fft_samples`), and the polish
+    reads :func:`quantum.observable_scan` at one time per iterate. A
+    window holding no sample is polished from its midpoint. The returned
     t_2 lies in the window; an empty window (lo > hi) is scored at hi.
     """
     lo, hi = _t2_window(prob, t_1)
@@ -157,41 +159,40 @@ def evaluate_objective(
     step = defaults.scan_step(abs(p_s) + abs(prob.p_a))
     if prob.engine is Engine.CLASSICAL:
         n = max(8, int(math.ceil((hi - lo) / step)) + 1)
-        grid = np.linspace(min(lo + 1e-12, hi), hi, n)
-        scan = classical.TwoKickScan(p_s, prob.p_a, t_1, grid, prob.order)
-        j = int(np.argmax(prob.transform(scan.values)))
-        return _polish(prob, scan.jet, grid[max(0, j - 1)], grid[j],
-                       grid[min(n - 1, j + 1)], scan.values[j])
-    psi = quantum.two_kick_state(p_s, prob.p_a, t_1, prob.order)
-    return _polish(prob, partial(quantum.observable_scan, psi, 1, jet=True),
-                   *_fft_bracket(prob, psi, step, lo, hi))
+        ts = np.linspace(lo, hi, n)
+        scan = classical.TwoKickScan(p_s, prob.p_a, t_1, ts, prob.order)
+        values, h, jet = scan.values, (hi - lo) / (n - 1), scan.jet
+    else:
+        psi = quantum.two_kick_state(p_s, prob.p_a, t_1, prob.order)
+        ts, values, h = _fft_samples(psi, step, lo, hi)
+        jet = partial(quantum.observable_scan, psi, 1, jet=True)
+    if not ts.size:
+        return _polish(prob, jet, lo, 0.5 * (lo + hi), hi, None)
+    j = int(np.argmax(prob.transform(values)))
+    t = min(max(ts[j], lo), hi)
+    return _polish(prob, jet, max(lo, t - h), t, min(hi, t + h), values[j])
 
 
-def _fft_bracket(prob: OptimizationProblem, psi: quantum.RotorWavefunction,
-                 step: float, lo: float, hi: float):
-    """The quantum first scan: (a, t, b, value) of its best sample t in
-    the window [lo, hi], lo <= hi, and the sample's bracket [a, b].
+def _fft_samples(psi: quantum.RotorWavefunction, step: float, lo: float,
+                 hi: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The quantum first scan: the times in the window [lo, hi], lo <= hi,
+    of one FFT's samples, their orientation values and the spacing.
 
     Orientation after the last kick has period 2 pi, so one FFT of n
     points samples every t = 2 pi j / n: n is the smallest power of two
-    with n >= 4(l_max + 1) and 2 pi / n <= ``step``. The window is the
-    index range of those samples (read mod n, so boxes beyond one period
-    wrap), and the bracket is the best sample's two steps, clipped to
-    the window. A window holding no sample is the bracket of its
-    midpoint, with no value.
+    with n >= 4(l_max + 1) and 2 pi / n <= ``step``. The window's
+    samples are read mod n, so boxes beyond one period wrap; a window
+    holding no sample makes no FFT.
     """
     n = 1 << (max(4 * (psi.l_max + 1),
                   math.ceil(REVIVAL_PERIOD / step)) - 1).bit_length()
     h = REVIVAL_PERIOD / n
     first, last = math.ceil(lo / h), math.floor(hi / h)
-    if first > last:
-        return lo, 0.5 * (lo + hi), hi, None
     # one period of indices holds the first best sample of any longer range
     idx = np.arange(first, min(last, first + n - 1) + 1)
-    vals = quantum.orientation_samples(psi, n)[idx % n]
-    j = int(np.argmax(prob.transform(vals)))
-    t = min(max(idx[j] * h, lo), hi)
-    return max(lo, t - h), t, min(hi, t + h), vals[j]
+    if not idx.size:
+        return idx, idx, h
+    return idx * h, quantum.orientation_samples(psi, n)[idx % n], h
 
 
 def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
@@ -284,7 +285,8 @@ def optimize(
     ``extra_starts`` adds seeded uniform-random starts on top of the
     deterministic grid (the only use of randomness). Results from all
     starts are merged deterministically: best transformed objective,
-    ties broken by smaller |p_s|.
+    ties broken by smaller |p_s|. ``stagnated`` is set when no simplex
+    ended above the best start it was given.
 
     The starts are scored in this process, then their simplexes run side
     by side in forked worker processes, one per CPU this process may use
@@ -309,7 +311,16 @@ def optimize(
             branch=prob.branch, order=prob.order, engine=prob.engine,
             evaluations=1, stagnated=True,
         )
+    return _solve(prob, extra_starts, seed)
 
+
+def _solve(prob: OptimizationProblem, extra_starts: int, seed: int | None,
+           warm: tuple[float, float] | None = None) -> OptimizationResult:
+    """The one simplex driver of :func:`optimize` and :func:`sweep`: the
+    starts are the grid of :func:`_start_points`, ``extra_starts`` seeded
+    random points of the box and ``warm`` (a sweep row's scaled previous
+    optimum) if it lies in the box. They are scored here, so the workers
+    fork with the rule and operator caches warm."""
     evaluate = _Objective(prob)
     (ps_lo, ps_hi) = prob.bounds.p_s
     (t1_lo, t1_hi) = prob.bounds.t_1
@@ -320,19 +331,23 @@ def optimize(
             ps = rng.uniform(ps_lo, ps_hi)
             t1 = rng.uniform(t1_lo, t1_hi) if t1_hi > t1_lo else t1_lo
             starts.append((ps, t1))
+    if warm is not None and prob.bounds.contains(*warm):
+        starts.append(warm)
 
-    # scored here, so the workers fork with the rule and operator caches warm
     scored = [(prob.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
     runs = _map_starts(partial(_simplex_from, evaluate), starts)
     for _, added in runs:
         evaluate.update(added)
     ends = [end for end, _ in runs if end is not None]
 
-    score, ps_best, t1_best = max(ends + scored,
-                                  key=lambda c: (c[0], -abs(c[1])))
-    best_start_score = max(c[0] for c in scored)
-    return _result(evaluate, ps_best, t1_best,
-                   stagnated=bool(score <= best_start_score + 1e-12))
+    score, ps, t1 = max(ends + scored, key=lambda c: (c[0], -abs(c[1])))
+    value, t2 = evaluate(ps, t1)
+    return OptimizationResult(
+        p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
+        branch=prob.branch, order=prob.order, engine=prob.engine,
+        evaluations=len(evaluate),
+        stagnated=bool(score <= max(c[0] for c in scored) + 1e-12),
+    )
 
 
 def _check_extra_starts(extra_starts: int) -> None:
@@ -484,17 +499,6 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float,
     return sim[0], np.min(fsim)
 
 
-def _result(evaluate: _Objective, ps: float, t1: float,
-            stagnated: bool = False) -> OptimizationResult:
-    prob = evaluate.prob
-    value, t2 = evaluate(ps, t1)
-    return OptimizationResult(
-        p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
-        branch=prob.branch, order=prob.order, engine=prob.engine,
-        evaluations=len(evaluate), stagnated=stagnated,
-    )
-
-
 @dataclass(frozen=True)
 class SweepRow:
     p_a: float
@@ -506,9 +510,13 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
           extra_starts: int = 0, seed: int | None = None) -> list[SweepRow]:
     """One optimize per p_a, warm-started from the previous optimum.
 
-    p_a values must be positive and sorted ascending, and
-    ``extra_starts`` not negative. Failures are captured per point so a
-    sweep always returns one row per input.
+    A row after the first (sequential pulses) has one more start: the
+    previous optimum scaled by lam = p_a / p_a(previous) to (lam p_s,
+    t_1 / lam), if it lies in the box. It counts as a start for
+    ``stagnated``, and its simplex's points in ``evaluations``. p_a
+    values must be positive and sorted ascending, and ``extra_starts``
+    not negative. Failures are captured per point so a sweep always
+    returns one row per input.
     """
     _check_extra_starts(extra_starts)
     p_a_values = list(p_a_values)
@@ -531,17 +539,11 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
                 p_a=pa, branch=prob_template.branch,
                 objective_sign=prob_template.objective_sign,
             )
-            result = optimize(prob, extra_starts=extra_starts, seed=seed)
+            warm = None
             if prev is not None and prob.order is not PulseOrder.SIMULTANEOUS:
-                # warm start: previous optimum, strength-scaled
-                lam = pa / prev.p_a
-                ps0, t10 = prev.p_s * lam, prev.t_1 / lam
-                if prob.bounds.contains(ps0, t10):
-                    evaluate = _Objective(prob)
-                    end, _ = _simplex_from(evaluate, (ps0, t10))
-                    if end is not None and \
-                            end[0] > prob.transform(result.objective):
-                        result = _result(evaluate, end[1], end[2])
+                lam = pa / prev.p_a  # the previous optimum, strength-scaled
+                warm = prev.p_s * lam, prev.t_1 / lam
+            result = _solve(prob, extra_starts, seed, warm)
             rows.append(SweepRow(pa, result))
             prev = result
         except (RotorkickError, ValueError) as exc:

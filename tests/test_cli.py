@@ -244,6 +244,25 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert code2 == 0 and len(out2.splitlines()) == 8
 
 
+def test_config_file_alone_configures_optimize(tmp_path, capsys):
+    """A config file can preset every option of optimize, --pa included,
+    and a flag still beats the file."""
+    cfg = tmp_path / "optimize.cfg"
+    cfg.write_text("order = simultaneous\npa = 10\n")
+    flags = ["optimize", "--order", "simultaneous", "--pa"]
+    code, out, _ = run(capsys, "optimize", "--config", str(cfg))
+    assert (code, out) == run(capsys, *flags, "10")[:2]
+    assert code == 0
+    code, out, _ = run(capsys, "optimize", "--config", str(cfg), "--pa", "5")
+    assert (code, out) == run(capsys, *flags, "5")[:2]
+    assert out.splitlines()[1].startswith("5.00000000000e+00,")
+
+
+def test_optimize_without_pa_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "optimize", "--order", "simultaneous")
+    assert code == 2 and out == "" and "--pa" in err
+
+
 def test_config_leaves_no_default_behind(tmp_path, capsys):
     """The parser is built once per process: values a config file set,
     or half set before a bad line, must not reach a later call."""

@@ -271,16 +271,19 @@ def test_quantum_t2_finder_makes_one_fft(monkeypatch):
 
 @pytest.mark.parametrize("pair", FINDER_PAIRS, ids=["classical", "quantum"])
 def test_t2_finder_returns_the_edge_that_cuts_a_peak(pair):
-    """A box ending on the rising flank of the peak: the best t_2 is the
-    box's upper edge itself, scored as the sampler scores it."""
+    """A box ending on the rising flank of the peak, or starting on its
+    falling flank: the best t_2 is that edge of the box itself, scored as
+    the sampler scores it."""
     engine, order, p_a, p_s, t_1 = pair
     prob = OptimizationProblem(engine=engine, order=order, p_a=p_a)
     _, peak = evaluate_objective(prob, p_s, t_1)
-    box = replace(prob.bounds, t_2=(peak - 0.006, peak - 0.002))
-    value, t2 = evaluate_objective(replace(prob, bounds=box), p_s, t_1)
-    assert t2 == peak - 0.002
-    assert value == pytest.approx(
-        float(_pair_sampler(*pair)(np.array([t2]))[0]), abs=1e-12)
+    for lo, hi, edge in ((peak - 0.006, peak - 0.002, peak - 0.002),
+                         (peak + 0.002, peak + 0.006, peak + 0.002)):
+        box = replace(prob.bounds, t_2=(lo, hi))
+        value, t2 = evaluate_objective(replace(prob, bounds=box), p_s, t_1)
+        assert t2 == edge
+        assert value == pytest.approx(
+            float(_pair_sampler(*pair)(np.array([t2]))[0]), abs=1e-12)
 
 
 def test_quantum_plus_sign_finds_the_signed_maximum():
@@ -468,24 +471,41 @@ REVIVAL20 = OptimizationResult(
     engine=Engine.CLASSICAL, evaluations=1189)
 
 
-def test_sweep_warm_start_wins_over_a_poor_optimum(monkeypatch):
-    """Every optimize returns the p_a = 20 optimum with its objective
-    degraded, so at p_a = 40 the warm start from the scaled p_a = 20
-    optimum must win, with only its own evaluations counted."""
-    def poor(prob, extra_starts=0, seed=None):
-        return replace(REVIVAL20, p_a=prob.p_a, objective=-0.5)
+def test_sweep_warm_start_wins_over_a_poor_start_set(monkeypatch):
+    """At p_a = 40 the grid is one poor start, so the warm start from the
+    scaled p_a = 20 optimum must win; the row counts the evaluations of
+    both starts and their simplexes, every distinct point once."""
+    start_points = optimize_module._start_points
 
-    monkeypatch.setattr(optimize_module, "optimize", poor)
+    def poor(prob):
+        return start_points(prob) if prob.p_a == 20.0 else [(30.0, -0.5)]
+
+    seen = []
+    evaluate = optimize_module.evaluate_objective
+
+    def spy(prob, p_s, t_1):
+        seen.append((prob.p_a, p_s, t_1))
+        return evaluate(prob, p_s, t_1)
+
+    monkeypatch.setattr(optimize_module, "_start_points", poor)
+    monkeypatch.setattr(optimize_module, "evaluate_objective", spy)
+    # serial, so that the spy sees every evaluation
+    monkeypatch.setattr(optimize_module, "_worker_count", lambda tasks: 1)
     template = classical_problem(p_a=20.0, branch=Branch.REVIVAL)
     rows = sweep(template, [20.0, 40.0])
-    assert rows[0].result.objective == -0.5
+    assert rows[0].result == REVIVAL20
     fields = result_csv_row(rows[1].result).split(",")
-    assert fields[:3] + fields[5:] == [
+    assert fields[:3] + fields[5:8] == [
         "4.00000000000e+01", "8.00000000085e-01", "-1.02431848209e+00",
-        "revival", "laser-first", "classical", "65"]
+        "revival", "laser-first", "classical"]
     # t_2 is resolved to TIME_REFINE_TOL; the objective is flat there
     assert abs(float(fields[3]) + 4.02390905843e-02) <= defaults.TIME_REFINE_TOL
     assert abs(float(fields[4]) + 9.46477309421e-01) <= 1e-10
+    points = {point for point in seen if point[0] == 40.0}
+    assert rows[1].result.evaluations == len(points) > 65
+    # the poor start alone ends below the warm start's optimum
+    alone = optimize(classical_problem(p_a=40.0, branch=Branch.REVIVAL))
+    assert abs(alone.objective) < abs(rows[1].result.objective) - 1e-3
 
 
 def test_quantum_sweep_strength_guard():

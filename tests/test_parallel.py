@@ -49,6 +49,19 @@ def test_parallel_equals_serial(name, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_warm_started_sweep_parallel_equals_serial(monkeypatch):
+    """A sweep row's warm start runs with the other starts: its rows are
+    the same, evaluations included, on one worker and on two."""
+    template = classical_problem(p_a=20.0, branch=Branch.REVIVAL)
+    runs = []
+    for n in (1, 2):
+        with_workers(monkeypatch, n)
+        runs.append([repr(row) for row in sweep(template, [20.0, 40.0])])
+    assert runs[0] == runs[1]
+    assert "REVIVAL" in runs[0][1] and "error=None" in runs[0][1]
+    assert multiprocessing.active_children() == []
+
+
 def test_worker_count_follows_the_cpus_this_process_may_use():
     cpus = len(os.sched_getaffinity(0))
     assert optimize_module._worker_count(1000) == cpus
