@@ -145,11 +145,38 @@ def propagate_classical(
                          lambda state, dts: _fly(state, dts[:, None])[0])
 
 
-def _after_kicks(theta0, first, second, t_1) -> tuple[np.ndarray, np.ndarray]:
+def _after_kicks(theta0, first, second, t_1, tangents: bool = False):
     """(theta1, omega) just after the pulses ``first`` and ``second`` of
-    :func:`core.pulse_pair`, t_1 apart: theta(t_2) = theta1 + t_2 * omega."""
+    :func:`core.pulse_pair`, t_1 apart: theta(t_2) = theta1 + t_2 * omega.
+
+    With ``tangents``, also their derivatives (dtheta1, domega), each two
+    rows: d/dp_s (the symmetric kick's strength) and d/dt_1, carried
+    through the same kicks and flight.
+    """
     rest = (theta0, np.zeros(theta0.shape))
-    return _kick(_fly(_kick(rest, first), t_1), second)
+    kicked = _kick(rest, first)
+    flown = _fly(kicked, t_1)
+    after = _kick(flown, second)
+    if not tangents:
+        return after
+    d_theta = np.zeros((2,) + theta0.shape)
+    d_omega = _kick_tangent(theta0, first, d_theta, d_theta)
+    d_theta = d_theta + t_1 * d_omega
+    d_theta[1] += kicked[1]  # d(theta + t_1 omega)/dt_1
+    d_omega = _kick_tangent(flown[0], second, d_theta, d_omega)
+    return (*after, d_theta, d_omega)
+
+
+def _kick_tangent(theta, kicks, d_theta, d_omega):
+    """d omega after ``kicks`` at the pre-kick angle ``theta``, from the
+    pre-kick tangents: each increment -s sin(m theta) adds -s m cos(m
+    theta) d theta, and the symmetric one -sin(2 theta) to d/dp_s."""
+    for kk in kicks:
+        m = 2.0 if kk.kind is KickKind.SYMMETRIC else 1.0
+        d_omega = d_omega - kk.strength * m * np.cos(m * theta) * d_theta
+        if kk.kind is KickKind.SYMMETRIC:
+            d_omega[0] -= np.sin(2.0 * theta)
+    return d_omega
 
 
 def two_kick_theta(theta0, p_s: float, p_a: float, t_1, t_2,
@@ -225,13 +252,15 @@ def _free_flight_average(theta1: np.ndarray, omega: np.ndarray,
 
 class TwoKickScan:
     """<cos^k theta> of the closed-form pulse pair on a t_2 grid
-    (:attr:`values`), then its t-derivatives at single times (:meth:`jet`).
+    (:attr:`values`), then its t-derivatives (:meth:`jet`) and its
+    derivatives in (p_s, t_1) (:meth:`gradient`) at single times.
 
     Signed times are allowed (analytic continuation). The grid is one
     :func:`_refine`, each rule's average one :func:`_free_flight_average`
     call over the whole grid. The kicked (theta1, omega) of every rule
-    reached are kept with the scan, so :meth:`jet` reads the converged
-    rule pair without kicking again.
+    reached, and their tangents, are kept with the scan, so :meth:`jet`
+    and :meth:`gradient` read the converged rule pair without kicking
+    again.
     """
 
     def __init__(self, p_s: float, p_a: float, t_1: float, t_2,
@@ -241,18 +270,23 @@ class TwoKickScan:
         if not (np.isfinite([p_s, p_a, t_1]).all() and np.isfinite(t_2).all()):
             raise NonFiniteValue("non-finite value in (p_s, p_a, t_1, t_2)")
         self._pulses, self._t_1, self._k = pulse_pair(p_s, p_a, order), t_1, k
+        # d/d(p_s, t_1) -> d/d(p_s/p_a, p_a t_1), the scale-free variables
+        pa = abs(p_a) or 1.0
+        self._scale = np.array([pa, 1.0 / pa])
         self._kicked: dict[int, tuple[np.ndarray, ...]] = {}
         span = abs(t_1) + float(np.max(np.abs(t_2))) if t_2.size else abs(t_1)
         self.values = _refine(
-            lambda ens: _free_flight_average(*self._state(ens), t_2, k),
+            lambda ens: _free_flight_average(*self._state(ens)[:3], t_2, k),
             defaults.ensemble_nodes(abs(p_s) + abs(p_a), span))
 
     def _state(self, ens: ClassicalEnsemble) -> tuple[np.ndarray, ...]:
-        """(theta1, omega, weights) of the rule ``ens`` after the pair."""
+        """(theta1, omega, weights, dtheta1, domega) of the rule ``ens``
+        after the pair."""
         if len(ens) not in self._kicked:
-            self._kicked[len(ens)] = (
-                *_after_kicks(ens.theta0, *self._pulses, self._t_1),
-                ens.weights)
+            theta1, omega, d_theta, d_omega = _after_kicks(
+                ens.theta0, *self._pulses, self._t_1, tangents=True)
+            self._kicked[len(ens)] = (theta1, omega, ens.weights, d_theta,
+                                      d_omega)
         return self._kicked[len(ens)]
 
     def jet(self, t: float) -> np.ndarray:
@@ -263,23 +297,41 @@ class TwoKickScan:
         with the next coarser rule's within ``defaults.QUADRATURE_TOL``,
         else the rule doubles, up to ``defaults.NODE_CAP``.
         """
+        return self._settled(self._jet, t, lambda new, old: new[0] - old[0])
+
+    def gradient(self, t: float) -> np.ndarray:
+        """d/d(p_s, t_1) of the average at the one time ``t``: -sum_i w_i
+        d cos^k(theta_i), dtheta_i = dtheta1_i + t domega_i, on the finest
+        rule reached, with the coarser-rule check of :meth:`jet` on each
+        component in the scale-free variables (p_s/p_a, p_a t_1)."""
+        return self._settled(self._gradient, t,
+                             lambda new, old: (new - old) * self._scale)
+
+    def _settled(self, read, t: float, change) -> np.ndarray:
         tol, cap = defaults.QUADRATURE_TOL, defaults.NODE_CAP
         n = max(self._kicked)
-        prev = self._jet(n // 2, t)[0]
+        prev = read(n // 2, t)
         while True:
-            out = self._jet(n, t)
-            if abs(out[0] - prev) < tol:
+            out = read(n, t)
+            if (np.abs(change(out, prev)) < tol).all():
                 return out
             if 2 * n > cap:
                 raise ConvergenceFailure(
                     f"quadrature not converged below {tol} at node cap {cap}")
-            n, prev = 2 * n, out[0]
+            n, prev = 2 * n, out
 
     def _jet(self, n_nodes: int, t: float) -> np.ndarray:
-        theta1, omega, weights = self._state(make_ensemble(n_nodes))
+        theta1, omega, weights = self._state(make_ensemble(n_nodes))[:3]
         k = self._k  # as in _free_flight_average
         s = phase_jet(weights, k * theta1, k * omega, t)
         return s if k == 1 else 0.5 * (s + [weights.sum(), 0.0, 0.0])
+
+    def _gradient(self, n_nodes: int, t: float) -> np.ndarray:
+        theta1, omega, weights, d_theta, d_omega = self._state(
+            make_ensemble(n_nodes))
+        k = self._k  # d cos^2 x = -sin(2x) dx
+        slopes = weights * np.sin(k * (theta1 + t * omega))
+        return -(d_theta + t * d_omega) @ slopes
 
 
 def two_kick_observable(

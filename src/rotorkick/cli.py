@@ -135,8 +135,11 @@ def _cmd_optimize(args) -> int:
     lines = [CSV_HEADER, result_csv_row(res),
              f"# scaled_delay={CSV_NUM(res.scaled_delay)}"]
     if res.stagnated:
-        lines.append("# stagnated: no simplex start improved on the "
-                     "coarse grid")
+        lines.append("# stagnated: no quasi-Newton ascent rose above its "
+                     "start")
+    if res.on_boundary:
+        lines.append("# on_boundary: the optimum holds a bound of the "
+                     "search box that the gradient points out of")
     _emit(lines, args.out)
     return 0
 
@@ -271,7 +274,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
                         default="abs",
                         help="maximize signed value or magnitude")
     search.add_argument("--starts", type=int, default=0,
-                        help="extra random simplex starts")
+                        help="extra random ascent starts")
     search.add_argument("--seed", type=int, default=0,
                         help="seed for the extra starts (default 0)")
 

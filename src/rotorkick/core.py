@@ -303,9 +303,11 @@ class OptimizationResult:
     ``objective`` is the signed <cos theta> at the optimum; ``t_1`` is the
     delay between pulses and ``t_2`` the observation time after the last
     pulse (both may be negative on the classical revival continuation).
-    ``evaluations`` counts the distinct (p_s, t_1) points evaluated.
-    ``stagnated``: no simplex ended above the best start it was given (a
-    sweep row's warm start counts as a start).
+    ``evaluations`` counts the distinct (p_s, t_1) points evaluated, each
+    one value and gradient. ``stagnated``: no quasi-Newton ascent ended
+    above the best start it was given (a sweep row's warm start counts as
+    a start). ``on_boundary``: the optimum holds a bound of the search box
+    that the gradient points out of, so a larger box would score higher.
     """
 
     p_a: float
@@ -318,6 +320,7 @@ class OptimizationResult:
     engine: Engine
     evaluations: int
     stagnated: bool = False
+    on_boundary: bool = False
 
     def __post_init__(self):
         if abs(self.objective) > 1.0 + 1e-9:

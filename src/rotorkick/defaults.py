@@ -6,7 +6,7 @@ optimizer box (``BoundsBox``, the CLI's bound options) can be
 overridden. Everything else is fixed here, and the engines read it at
 call time: the caps ``QUADRATURE_TOL``, ``NODE_CAP`` and ``L_MAX_CAP``,
 the power-of-two node ladder of :func:`ensemble_nodes`, ``TAIL_TOL``,
-``TAIL_MARGIN``, ``TIME_REFINE_TOL``, ``REVIVAL_WINDOW``, ``SIMPLEX_*``,
+``TAIL_MARGIN``, ``TIME_REFINE_TOL``, ``REVIVAL_WINDOW``, ``ASCENT_*``,
 ``QUANTUM_SWEEP_PA_MAX``, the ``PS_RATIO_*`` defaults and ``scan_step``.
 The rules are functions of the kick strengths so that classical results
 respect the exact scaling invariance
@@ -37,9 +37,12 @@ TIME_REFINE_TOL = 1.0e-6
 #: half-width of the quantum revival search window (dimensionless time)
 REVIVAL_WINDOW = 0.5
 
-#: Nelder-Mead stopping diameter in scaled coordinates, and iteration cap
-SIMPLEX_XATOL = 1.0e-4
-SIMPLEX_MAXITER = 500
+#: the optimizer's projected quasi-Newton ascent stops once its free
+#: gradient in scaled coordinates is within this; a bound whose gradient
+#: points out by more is binding (``OptimizationResult.on_boundary``)
+ASCENT_GTOL = 1.0e-9
+#: and after at most this many steps
+ASCENT_MAXITER = 200
 
 #: quantum sweeps are capped at this p_a by default (basis size / cost)
 QUANTUM_SWEEP_PA_MAX = 30.0
@@ -70,12 +73,14 @@ def quantum_l_max(total_strength: float) -> int:
 
 
 def scan_step(total_strength: float) -> float:
-    """Largest first-scan step of the optimizer's t_2 finder.
+    """Largest first-scan step of the optimizer's t_2 finder: 0.05 / P,
+    P the total kick strength (at least 1), as the fastest beats of both
+    engines scale with P.
 
     The classical grid uses this step; the quantum FFT uses the smallest
     power-of-two length whose sample spacing 2 pi / n is within it.
     """
-    return min(0.002, 0.05 / max(total_strength, 1.0))
+    return 0.05 / max(total_strength, 1.0)
 
 
 def prompt_window_classical(p_a: float) -> float:

@@ -6,9 +6,12 @@ the search is nested: an exhaustive t_2 scan (a first scan of the whole
 window - a dense grid classically, one FFT of the periodic quantum
 signal - then safeguarded Newton steps from its best sample on the
 analytic t-derivatives of the engine's free flight) inside a multi-start
-Nelder-Mead simplex over (p_s, t_1), run in scaled coordinates
-(p_s/p_a, t_1*p_a). The simplex is the package's own port of scipy's
-Nelder-Mead (:func:`_nelder_mead`); the package imports numpy alone.
+projected quasi-Newton ascent over (p_s, t_1) in a box, run in scaled
+coordinates (p_s/p_a, t_1*p_a). The best value over t_2 is an envelope,
+so its gradient in (p_s, t_1) is the partial derivative at the best t_2,
+which each engine reads off tangents carried through the kicks. The
+ascent is the package's own (:func:`_ascend`); the package imports
+numpy alone.
 
 Branches
 --------
@@ -139,9 +142,10 @@ def _t2_window(prob: OptimizationProblem, t_1: float) -> tuple[float, float]:
 
 
 def evaluate_objective(
-    prob: OptimizationProblem, p_s: float, t_1: float
-) -> tuple[float, float]:
-    """Best signed <cos theta> over the branch's t_2 window, and its t_2.
+    prob: OptimizationProblem, p_s: float, t_1: float, gradient: bool = False
+):
+    """Best signed <cos theta> over the branch's t_2 window, and its t_2;
+    with ``gradient``, also its derivatives in (p_s, t_1), an array.
 
     One finder for both engines: a first scan samples the window at the
     strength-scaled step, then :func:`_polish` ascends from its best
@@ -149,10 +153,19 @@ def evaluate_objective(
     on the engine's analytic t-derivatives. The classical scan is an
     even grid from edge to edge of :class:`classical.TwoKickScan`, whose
     converged rule pair the polish reads on; the quantum one is the
-    window's samples of one FFT (:func:`_fft_samples`), and the polish
-    reads :func:`quantum.observable_scan` at one time per iterate. A
-    window holding no sample is polished from its midpoint. The returned
-    t_2 lies in the window; an empty window (lo > hi) is scored at hi.
+    window's samples of one FFT (:func:`_fft_samples`) of
+    :func:`quantum.two_kick_tangents`' state, and the polish reads
+    :func:`quantum.observable_scan` at one time per iterate. A window
+    holding no sample is polished from its midpoint. The returned t_2
+    lies in the window; an empty window (lo > hi) is scored at hi.
+
+    The gradient is the envelope's: the best value is a maximum over t_2,
+    so its derivative is the partial one at the returned t_2, read off
+    the tangents the engine carried through the kicks
+    (:meth:`classical.TwoKickScan.gradient`,
+    :func:`quantum.orientation_tangents`). Where t_2 sits on an edge of
+    the quantum revival window, which moves with t_1, the slope there
+    times dt_2/dt_1 = -1 is added.
     """
     lo, hi = _t2_window(prob, t_1)
     lo = min(lo, hi)
@@ -162,15 +175,26 @@ def evaluate_objective(
         ts = np.linspace(lo, hi, n)
         scan = classical.TwoKickScan(p_s, prob.p_a, t_1, ts, prob.order)
         values, h, jet = scan.values, (hi - lo) / (n - 1), scan.jet
+        tangent = scan.gradient
     else:
-        psi = quantum.two_kick_state(p_s, prob.p_a, t_1, prob.order)
+        psi, dpsi = quantum.two_kick_tangents(p_s, prob.p_a, t_1, prob.order)
         ts, values, h = _fft_samples(psi, step, lo, hi)
         jet = partial(quantum.observable_scan, psi, 1, jet=True)
+        tangent = partial(quantum.orientation_tangents, psi, dpsi)
     if not ts.size:
-        return _polish(prob, jet, lo, 0.5 * (lo + hi), hi, None)
-    j = int(np.argmax(prob.transform(values)))
-    t = min(max(ts[j], lo), hi)
-    return _polish(prob, jet, max(lo, t - h), t, min(hi, t + h), values[j])
+        value, t_2 = _polish(prob, jet, lo, 0.5 * (lo + hi), hi, None)
+    else:
+        j = int(np.argmax(prob.transform(values)))
+        t = min(max(ts[j], lo), hi)
+        value, t_2 = _polish(prob, jet, max(lo, t - h), t, min(hi, t + h),
+                             values[j])
+    if not gradient:
+        return value, t_2
+    grad = tangent(t_2)
+    if (prob.engine is Engine.QUANTUM and prob.branch is Branch.REVIVAL
+            and t_2 in (lo, hi) and t_2 not in prob.bounds.t_2):
+        grad[1] -= jet(t_2)[1]  # on the edge 2 pi - t_1 (- Delta)
+    return value, t_2, grad
 
 
 def _fft_samples(psi: quantum.RotorWavefunction, step: float, lo: float,
@@ -234,7 +258,7 @@ def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
 
 
 def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
-    """Deterministic coarse-grid simplex starts (at least 8)."""
+    """Deterministic coarse-grid ascent starts (at least 8)."""
     (ps_lo, ps_hi) = prob.bounds.p_s
     (t1_lo, t1_hi) = prob.bounds.t_1
     sign = 1.0 if ps_lo >= 0 else -1.0
@@ -280,15 +304,19 @@ def optimize(
     extra_starts: int = 0,
     seed: int | None = None,
 ) -> OptimizationResult:
-    """Multi-start Nelder-Mead over (p_s, t_1) around the inner t_2 scan.
+    """Multi-start projected quasi-Newton ascent over (p_s, t_1) around
+    the inner t_2 scan, on the envelope gradient of
+    :func:`evaluate_objective`.
 
     ``extra_starts`` adds seeded uniform-random starts on top of the
     deterministic grid (the only use of randomness). Results from all
     starts are merged deterministically: best transformed objective,
-    ties broken by smaller |p_s|. ``stagnated`` is set when no simplex
-    ended above the best start it was given.
+    ties broken by smaller |p_s|. ``evaluations`` counts value and
+    gradient calls. ``stagnated`` is set when no ascent ended above the
+    best start it was given, ``on_boundary`` when the optimum holds a
+    bound of the box that the gradient points out of.
 
-    The starts are scored in this process, then their simplexes run side
+    The starts are scored in this process, then their ascents run side
     by side in forked worker processes, one per CPU this process may use
     (its CPU affinity: ``taskset`` or a container's CPU set limits them),
     and serially where there is one such CPU, no ``fork`` start method,
@@ -316,11 +344,12 @@ def optimize(
 
 def _solve(prob: OptimizationProblem, extra_starts: int, seed: int | None,
            warm: tuple[float, float] | None = None) -> OptimizationResult:
-    """The one simplex driver of :func:`optimize` and :func:`sweep`: the
-    starts are the grid of :func:`_start_points`, ``extra_starts`` seeded
-    random points of the box and ``warm`` (a sweep row's scaled previous
-    optimum) if it lies in the box. They are scored here, so the workers
-    fork with the rule and operator caches warm."""
+    """The one driver of :func:`optimize` and :func:`sweep`: the starts
+    are the grid of :func:`_start_points`, ``extra_starts`` seeded random
+    points of the box and ``warm`` (a sweep row's previous optimum,
+    strength-scaled) if it lies in the box; each runs one
+    :func:`_ascent_from`. They are scored here, so the workers fork with
+    the rule and operator caches warm."""
     evaluate = _Objective(prob)
     (ps_lo, ps_hi) = prob.bounds.p_s
     (t1_lo, t1_hi) = prob.bounds.t_1
@@ -335,18 +364,22 @@ def _solve(prob: OptimizationProblem, extra_starts: int, seed: int | None,
         starts.append(warm)
 
     scored = [(prob.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
-    runs = _map_starts(partial(_simplex_from, evaluate), starts)
+    runs = _map_starts(partial(_ascent_from, evaluate), starts)
     for _, added in runs:
         evaluate.update(added)
-    ends = [end for end, _ in runs if end is not None]
 
-    score, ps, t1 = max(ends + scored, key=lambda c: (c[0], -abs(c[1])))
-    value, t2 = evaluate(ps, t1)
+    score, ps, t1 = max([end for end, _ in runs] + scored,
+                        key=lambda c: (c[0], -abs(c[1])))
+    value, t2, grad = evaluate(ps, t1)
+    box = _ScaledBox(prob)
     return OptimizationResult(
         p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
         branch=prob.branch, order=prob.order, engine=prob.engine,
         evaluations=len(evaluate),
         stagnated=bool(score <= max(c[0] for c in scored) + 1e-12),
+        on_boundary=bool(_outward(box.scaled((ps, t1)),
+                                  box.ascent(value, grad), box.u_lo,
+                                  box.u_hi).any()),
     )
 
 
@@ -356,25 +389,27 @@ def _check_extra_starts(extra_starts: int) -> None:
 
 
 class _Objective(dict):
-    """:func:`evaluate_objective` of one problem, memoized on (p_s, t_1):
-    a dict of (p_s, t_1) -> (value, t_2), so a worker's entries merge
-    into the parent's with ``update``. Its length is the evaluation count.
+    """:func:`evaluate_objective` of one problem with its gradient,
+    memoized on (p_s, t_1): a dict of (p_s, t_1) -> (value, t_2,
+    gradient), so a worker's entries merge into the parent's with
+    ``update``. Its length is the evaluation count, each evaluation one
+    value and gradient.
     """
 
     def __init__(self, prob: OptimizationProblem):
         super().__init__()
         self.prob = prob
 
-    def __missing__(self, key: tuple[float, float]) -> tuple[float, float]:
-        self[key] = evaluate_objective(self.prob, *key)
+    def __missing__(self, key: tuple[float, float]):
+        self[key] = evaluate_objective(self.prob, *key, gradient=True)
         return self[key]
 
-    def __call__(self, ps: float, t1: float) -> tuple[float, float]:
+    def __call__(self, ps: float, t1: float):
         return self[ps, t1]
 
 
 def _worker_count(tasks: int) -> int:
-    """Processes for ``tasks`` simplexes: one per CPU this process may
+    """Processes for ``tasks`` ascents: one per CPU this process may
     use, at most one per task; 1 without the ``fork`` start method, in a
     daemonic process (such as a worker of the caller's own pool), which
     may not have children, or while another thread runs, which a forked
@@ -406,97 +441,128 @@ def _map_starts(task, starts: list) -> list:
         return list(pool.map(task, starts))
 
 
-def _simplex_from(evaluate: _Objective, start: tuple[float, float]):
-    """One Nelder-Mead run from ``start`` = (p_s, t_1), bounded by the
-    box of ``evaluate``'s problem, on :func:`_nelder_mead`, the
-    package's own port of scipy's simplex.
+class _ScaledBox:
+    """The search box of a problem in the scaled coordinates
+    u = (p_s/|p_a|, t_1 |p_a|), only the first for simultaneous pulses:
+    the box [lo, hi] of (p_s, t_1) is [u_lo, u_hi] in u."""
 
-    The simplex moves in scaled coordinates (p_s/p_a, t_1*p_a), 1-d for
-    simultaneous pulses; points outside the box score 1e3. Returns
-    (transformed objective, p_s, t_1) at the end point, or None if the
-    run ends outside the box, and the entries the run added to
-    ``evaluate`` (in a worker, to its own copy of the memo).
+    def __init__(self, prob: OptimizationProblem):
+        pa = abs(prob.p_a)
+        dims = 1 if prob.order is PulseOrder.SIMULTANEOUS else 2
+        self.scale = np.array([pa, 1.0 / pa])[:dims]
+        box = np.array([prob.bounds.p_s, prob.bounds.t_1])[:dims]
+        self.lo, self.hi = box[:, 0], box[:, 1]
+        self.u_lo, self.u_hi = self.lo / self.scale, self.hi / self.scale
+        self.transform = prob.transform
+
+    def scaled(self, point: tuple[float, float]) -> np.ndarray:
+        return np.array(point[:self.scale.size]) / self.scale
+
+    def point(self, u: np.ndarray) -> tuple[float, float]:
+        """(p_s, t_1) of u in the box, a bound's u on the bound itself."""
+        x = np.select([u <= self.u_lo, u >= self.u_hi], [self.lo, self.hi],
+                      np.clip(u * self.scale, self.lo, self.hi)).tolist()
+        return x[0], x[1] if len(x) > 1 else 0.0
+
+    def ascent(self, value: float, grad: np.ndarray) -> np.ndarray:
+        """The gradient in u of the score, |value| or value."""
+        sign = 1.0 if self.transform(value) == value else -1.0
+        return sign * grad[:self.scale.size] * self.scale
+
+
+def _outward(u: np.ndarray, g: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray) -> np.ndarray:
+    """The coordinates of u held on a bound of [lo, hi] that the ascent
+    gradient g points out of, by more than ``defaults.ASCENT_GTOL``."""
+    tol = defaults.ASCENT_GTOL
+    return ((u <= lo) & (g < -tol)) | ((u >= hi) & (g > tol))
+
+
+def _ascent_from(evaluate: _Objective, start: tuple[float, float]):
+    """One :func:`_ascend` of the score from ``start`` = (p_s, t_1), in
+    the scaled box of ``evaluate``'s problem (:class:`_ScaledBox`).
+
+    Returns (transformed objective, p_s, t_1) at the end point, and the
+    entries the run added to ``evaluate`` (in a worker, to its own copy
+    of the memo).
     """
     prob, known = evaluate.prob, len(evaluate)
-    ps0, t10 = start
-    pa_mag = abs(prob.p_a)
-    simultaneous = prob.order is PulseOrder.SIMULTANEOUS
+    box = _ScaledBox(prob)
 
-    def unscale(u: np.ndarray) -> tuple[float, float]:
-        return u[0] * pa_mag, 0.0 if simultaneous else u[1] / pa_mag
+    def score(point):
+        value, _, grad = evaluate(*point)
+        return prob.transform(value), box.ascent(value, grad)
 
-    def neg_objective(u: np.ndarray) -> float:
-        ps, t1 = unscale(u)
-        if not prob.bounds.contains(ps, t1):
-            return 1e3
-        return -prob.transform(evaluate(ps, t1)[0])
-
-    u0 = np.array([ps0 / pa_mag] if simultaneous
-                  else [ps0 / pa_mag, t10 * pa_mag])
-    u, fun = _nelder_mead(neg_objective, u0, xatol=defaults.SIMPLEX_XATOL,
-                          fatol=1e-9, maxiter=defaults.SIMPLEX_MAXITER)
-    ps, t1 = unscale(u)
-    end = (-fun, ps, t1) if prob.bounds.contains(ps, t1) else None
-    return end, list(evaluate.items())[known:]
+    u0 = box.scaled(start)
+    u, f = _ascend(lambda u: score(box.point(u)), u0, *score(start),
+                   box.u_lo, box.u_hi)
+    end = start if u is u0 else box.point(u)  # the start, if never left
+    return (f, *end), list(evaluate.items())[known:]
 
 
-def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float,
-                 maxiter: int):
-    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex: returns the
-    best vertex and its value.
+def _ascend(score, u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Maximize ``score(u)`` -> (value, gradient) over the box [lo, hi]
+    from u, where it is f with gradient g, by a projected quasi-Newton
+    ascent for a few variables; returns the end point and its score.
 
-    A port of scipy.optimize's ``_minimize_neldermead`` (scipy 1.17)
-    with its standard coefficients (rho = 1, chi = 2, psi = sigma = 0.5,
-    folded into the constants below) and initial simplex, cut to what
-    :func:`_simplex_from` uses: no bounds, callback, adaptive
-    coefficients or call cap. The arithmetic, its order and the
-    re-sorts are scipy's, so the run is bit-identical to
-    ``minimize(f, x0, method="Nelder-Mead", options={"xatol": xatol,
-    "fatol": fatol, "maxiter": maxiter})``.
+    BFGS on the inverse Hessian, started as the identity and scaled at
+    the first update. Coordinates on a bound whose gradient points out
+    (:func:`_outward`) are frozen; the step along the rest is projected
+    into the box. The line search takes the quasi-Newton step, shrinks it
+    to the maximum of a quadratic fit until the score rises by the Armijo
+    share 1e-4 of the projected slope, and doubles it while the slope at
+    the new point stays above 0.9 of the first, so each accepted step
+    keeps the BFGS update positive. The run ends when the free gradient
+    is within ``defaults.ASCENT_GTOL``, after ``defaults.ASCENT_MAXITER``
+    steps, or when a step rises, or its projected slope promises, no more
+    than 1e-13 of the score (at least 1).
     """
-    n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(x) for x in sim], dtype=float)
-    # scipy sorts the first simplex twice; argsort need not be stable
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+    h_inv = None
+    for _ in range(defaults.ASCENT_MAXITER):
+        free = ~_outward(u, g, lo, hi)
+        pg = np.where(free, g, 0.0)
+        if np.abs(pg).max() <= defaults.ASCENT_GTOL:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]  # expansion
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
-                fxc = f(xc)
-                keep = fxc <= fxr
-            else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
-                fxc = f(xc)
-                keep = fxc < fsim[-1]
-            if keep:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])  # shrink
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    return sim[0], np.min(fsim)
+        d = pg / np.abs(pg).max() if h_inv is None else h_inv @ pg
+        d = np.where(free, d, 0.0)
+        if d @ pg <= 0.0:  # not an ascent direction: restart from pg
+            h_inv, d = None, pg / np.abs(pg).max()
+        floor = 1e-13 * max(abs(f), 1.0)
+        alpha, best = 1.0, None
+        while True:
+            u_new = np.clip(u + alpha * d, lo, hi)
+            slope = g @ (u_new - u)
+            if slope <= floor or (best and (u_new == best[0]).all()):
+                break
+            f_new, g_new = score(u_new)
+            if f_new < f + 1e-4 * slope:  # no Armijo rise
+                if best:
+                    break
+                # the maximum of the quadratic through f, slope and f_new
+                drop = slope - (f_new - f)
+                alpha *= min(max(0.5 * slope / drop, 0.1), 0.5)
+                continue
+            best = u_new, f_new, g_new
+            if g_new @ (u_new - u) <= 0.9 * slope:  # the slope has eased
+                break
+            alpha *= 2.0
+        if best is None:
+            break
+        u_new, f_new, g_new = best
+        s, y = u_new - u, g - g_new  # y: the gradient change of -score
+        sy = s @ y
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            if h_inv is None:
+                h_inv = np.eye(u.size) * (sy / (y @ y))
+            rho = 1.0 / sy
+            v = np.eye(u.size) - rho * np.outer(s, y)
+            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
+        done = f_new - f <= floor
+        u, f, g = u_new, f_new, g_new
+        if done:
+            break
+    return u, f
 
 
 @dataclass(frozen=True)
@@ -508,15 +574,18 @@ class SweepRow:
 
 def sweep(prob_template: OptimizationProblem, p_a_values,
           extra_starts: int = 0, seed: int | None = None) -> list[SweepRow]:
-    """One optimize per p_a, warm-started from the previous optimum.
+    """One optimize per p_a, classical rows warm-started from the previous
+    optimum.
 
-    A row after the first (sequential pulses) has one more start: the
-    previous optimum scaled by lam = p_a / p_a(previous) to (lam p_s,
-    t_1 / lam), if it lies in the box. It counts as a start for
-    ``stagnated``, and its simplex's points in ``evaluations``. p_a
-    values must be positive and sorted ascending, and ``extra_starts``
-    not negative. Failures are captured per point so a sweep always
-    returns one row per input.
+    A classical row after the first (sequential pulses) has one more
+    start: the previous optimum scaled by the classical scaling law,
+    lam = p_a / p_a(previous), to (lam p_s, t_1 / lam), if it lies in the
+    box. It counts as a start for ``stagnated``, and its ascent's points
+    in ``evaluations``. Quantum rows have none: their optimal delays stay
+    near 5 instead of scaling, so the scaled start never won and cost
+    evaluations. p_a values must be positive and sorted ascending, and
+    ``extra_starts`` not negative. Failures are captured per point so a
+    sweep always returns one row per input.
     """
     _check_extra_starts(extra_starts)
     p_a_values = list(p_a_values)
@@ -540,7 +609,8 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
                 objective_sign=prob_template.objective_sign,
             )
             warm = None
-            if prev is not None and prob.order is not PulseOrder.SIMULTANEOUS:
+            if (prev is not None and prob.engine is Engine.CLASSICAL
+                    and prob.order is not PulseOrder.SIMULTANEOUS):
                 lam = pa / prev.p_a  # the previous optimum, strength-scaled
                 warm = prev.p_s * lam, prev.t_1 / lam
             result = _solve(prob, extra_starts, seed, warm)

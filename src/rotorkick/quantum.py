@@ -94,8 +94,9 @@ class KickOperator:
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (idx, vals, vecs)
 
     def apply(self, coeffs: np.ndarray, strength: float) -> np.ndarray:
-        """exp(i * strength * M) @ coeffs via the eigenbasis."""
-        out = np.zeros(coeffs.size, dtype=complex)
+        """exp(i * strength * M) @ coeffs via the eigenbasis; ``coeffs``
+        is one state or a matrix of state columns."""
+        out = np.zeros(coeffs.shape, dtype=complex)
         for idx, vals, vecs in self.blocks:
             out[idx] = (vecs * np.exp(1j * strength * vals)) @ (vecs.T @ coeffs[idx])
         return out
@@ -195,23 +196,30 @@ def apply_kick(psi: RotorWavefunction, kick: Kick) -> RotorWavefunction:
     infinite strength raises ``NonFiniteValue`` before any operator is
     built.
     """
+    return RotorWavefunction(_kick_coeffs(psi.coeffs, kick))
+
+
+def _kick_coeffs(coeffs: np.ndarray, kick: Kick) -> np.ndarray:
+    """:func:`apply_kick` on a coefficient vector, or on columns whose
+    first is the state: its tail alone decides the basis, and the other
+    columns (tangents) are kicked and padded with it."""
     if not math.isfinite(kick.strength):
         # a NaN state never passes the tail test: refuse it before the
         # basis grows to the cap through cached eigendecompositions
         raise NonFiniteValue(f"non-finite kick strength: {kick}")
     cap = defaults.L_MAX_CAP
-    coeffs = psi.coeffs
     while True:
-        l_max = coeffs.size - 1
+        l_max = coeffs.shape[0] - 1
         op = kick_operator(kick.kind, l_max)
         new = op.apply(coeffs, kick.strength)
-        if _tail_population(new) < defaults.TAIL_TOL:
-            return RotorWavefunction(new)
+        state = new if new.ndim == 1 else new[:, 0]
+        if _tail_population(state) < defaults.TAIL_TOL:
+            return new
         if l_max >= cap:
             raise BasisOverflow(f"kick {kick} needs l_max beyond the cap {cap}")
         grown = min(cap, 2 * l_max + 1)
-        padded = np.zeros(grown + 1, dtype=complex)
-        padded[: coeffs.size] = coeffs
+        padded = np.zeros((grown + 1,) + coeffs.shape[1:], dtype=complex)
+        padded[: l_max + 1] = coeffs
         coeffs = padded
 
 
@@ -228,6 +236,23 @@ def _kick_group(psi: RotorWavefunction, kicks) -> RotorWavefunction:
     for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
         psi = apply_kick(psi, kk)
     return psi
+
+
+def _tangent_group(cols: np.ndarray, kicks) -> np.ndarray:
+    """:func:`_kick_group` of the columns (state, d/dp_s, d/dt_1) of
+    :func:`two_kick_tangents`. A symmetric kick, whose strength is p_s,
+    adds d/dp_s exp(i p_s M) a = i M a' of the kicked state a' to the
+    second column, M the banded cos^2 matrix."""
+    for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
+        cols = _kick_coeffs(cols, kk)
+        if kk.kind is KickKind.SYMMETRIC:
+            a = cols[:, 0]
+            diag, off2 = cos2_bands(a.size - 1)
+            m_a = diag * a
+            m_a[:-2] += off2 * a[2:]
+            m_a[2:] += off2 * a[:-2]
+            cols[:, 1] += 1j * m_a
+    return cols
 
 
 def expectation(psi: RotorWavefunction, k: int) -> float:
@@ -311,15 +336,56 @@ def two_kick_state(
 ) -> RotorWavefunction:
     """State just after the second kick of the canonical pulse pair.
 
-    The optimizer's workhorse: :func:`orientation_samples` and
-    :func:`observable_scan` then search the observation time t_2. A NaN
-    or infinite strength or delay raises ``NonFiniteValue`` before the
-    basis is sized.
+    :func:`orientation_samples` and :func:`observable_scan` then sample
+    the observation time t_2. A NaN or infinite strength or delay raises
+    ``NonFiniteValue`` before the basis is sized.
     """
+    psi = ground_state(_pair_l_max(p_s, p_a, t_1, l_max))
+    first, second = pulse_pair(p_s, p_a, order)
+    return _kick_group(free_propagate(_kick_group(psi, first), t_1), second)
+
+
+def two_kick_tangents(
+    p_s: float,
+    p_a: float,
+    t_1: float,
+    order: PulseOrder = PulseOrder.LASER_FIRST,
+) -> tuple[RotorWavefunction, np.ndarray]:
+    """:func:`two_kick_state` and the derivatives of its coefficients in
+    p_s and t_1, two rows: the optimizer's workhorse.
+
+    The tangents ride through both kicks as two more columns of the same
+    eigenbasis products (:func:`_tangent_group`), and the flight adds
+    d/dt_1 = -i l(l+1)/2 times the flown state. Equal to
+    :func:`two_kick_state` up to round-off; :func:`orientation_tangents`
+    reads the tangents at a time t_2.
+    """
+    cols = np.zeros((_pair_l_max(p_s, p_a, t_1, None) + 1, 3), dtype=complex)
+    cols[0, 0] = 1.0
+    first, second = pulse_pair(p_s, p_a, order)
+    cols = _tangent_group(cols, first)
+    energy = 0.5 * np.arange(cols.shape[0]) * np.arange(1.0, cols.shape[0] + 1)
+    cols *= np.exp(-1j * energy * t_1)[:, None]
+    cols[:, 2] -= 1j * energy * cols[:, 0]
+    cols = _tangent_group(cols, second)
+    return RotorWavefunction(cols[:, 0]), cols[:, 1:].T
+
+
+def _pair_l_max(p_s: float, p_a: float, t_1: float, l_max: int | None) -> int:
     if not np.isfinite([p_s, p_a, t_1]).all():
         raise NonFiniteValue("non-finite value in (p_s, p_a, t_1)")
     if l_max is None:
         l_max = defaults.quantum_l_max(abs(p_s) + abs(p_a))
-    psi = ground_state(max(_check_basis_size(l_max), 4))
-    first, second = pulse_pair(p_s, p_a, order)
-    return _kick_group(free_propagate(_kick_group(psi, first), t_1), second)
+    return max(_check_basis_size(l_max), 4)
+
+
+def orientation_tangents(psi: RotorWavefunction, dpsi: np.ndarray,
+                         t: float) -> np.ndarray:
+    """d<cos theta>/dx after freely evolving ``psi`` by ``t``, for each
+    row dpsi = d coeffs / dx: 2 Re sum_l (conj(da_l) a_{l+1} + conj(a_l)
+    da_{l+1}) <l|cos theta|l+1> exp(-i (l+1) t), the derivative of the
+    orientation band of :func:`observable_scan` at fixed t."""
+    a = psi.coeffs
+    beats = (np.conj(dpsi[:, :-1]) * a[1:] + np.conj(a[:-1]) * dpsi[:, 1:]) \
+        * cos_offdiag(psi.l_max)
+    return 2.0 * (beats @ np.exp(-1j * t * np.arange(1.0, psi.l_max + 1))).real

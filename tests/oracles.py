@@ -14,7 +14,7 @@ than the package:
 - brute_force_laser_first_prompt searches the quantum laser-first
   prompt optimum exhaustively: dense eigh-diagonalized quadrature
   operators, a full (p_s, t_1) grid and an FFT over t_2, instead of the
-  banded kicks, the t_2 scan and the multi-start simplex of the package.
+  banded kicks, the t_2 scan and the multi-start ascent of the package.
 """
 
 from __future__ import annotations

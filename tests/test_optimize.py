@@ -329,6 +329,87 @@ def test_polished_value_never_falls_below_the_first_scan(monkeypatch):
     assert sum(found > first for first, found in starts) >= 20
 
 
+C, Q = Engine.CLASSICAL, Engine.QUANTUM
+LF, HF = PulseOrder.LASER_FIRST, PulseOrder.HCP_FIRST
+SIM = PulseOrder.SIMULTANEOUS
+P, R = Branch.PROMPT, Branch.REVIVAL
+# (engine, order, branch, p_a, p_s, t_1, t_2 box or None, where the best
+# t_2 sits: "inside" the window or on its "lower"/"upper" edge)
+GRADIENT_POINTS = [
+    (C, LF, P, 10.0, -2.0, 0.3, None, "inside"),
+    (C, LF, R, 10.0, 2.0, -0.3, None, "inside"),
+    (C, HF, P, 10.0, -6.0, 0.05, None, "inside"),
+    (C, HF, R, 10.0, 6.0, -0.05, None, "inside"),
+    (C, SIM, P, 10.0, -4.0, 0.0, None, "inside"),
+    (C, SIM, R, 10.0, 4.0, 0.0, None, "inside"),
+    # a peak cut by the classical window's fixed upper edge
+    (C, HF, P, 10.0, -6.0, 0.05, (0.0, 0.18), "upper"),
+    (Q, LF, P, 5.0, -1.2, 3.3, None, "inside"),
+    (Q, LF, R, 5.0, 2.0, 5.9, None, "inside"),
+    (Q, HF, P, 5.0, -3.0, 3.0, None, "inside"),
+    (Q, HF, R, 5.0, 3.0, 6.0, None, "lower"),  # the fixed edge t_2 = 0
+    (Q, SIM, P, 5.0, -2.0, 0.0, None, "inside"),
+    (Q, SIM, R, 5.0, 2.0, 0.0, None, "inside"),
+    # the revival window's edges 2 pi - Delta - t_1 and 2 pi - t_1, which
+    # move with t_1
+    (Q, LF, R, 5.0, 2.0, 5.3, None, "lower"),
+    (Q, LF, R, 5.0, 2.0, 6.1, None, "upper"),
+]
+
+
+@pytest.mark.parametrize(
+    "point", GRADIENT_POINTS,
+    ids=[f"{e.value}-{o.value}-{b.value}-{edge}"
+         for e, o, b, *_, edge in GRADIENT_POINTS])
+def test_envelope_gradient_matches_central_differences(point):
+    engine, order, branch, p_a, p_s, t_1, t2_box, edge = point
+    prob = OptimizationProblem(engine=engine, order=order, p_a=p_a,
+                               branch=branch)
+    if t2_box is not None:
+        prob = replace(prob, bounds=replace(prob.bounds, t_2=t2_box))
+    value, t_2, grad = evaluate_objective(prob, p_s, t_1, gradient=True)
+    assert (value, t_2) == evaluate_objective(prob, p_s, t_1)
+    lo, hi = optimize_module._t2_window(prob, t_1)
+    assert {"inside": lo < t_2 < hi, "lower": t_2 == lo,
+            "upper": t_2 == hi}[edge]
+
+    def value_at(ps, t1):
+        return evaluate_objective(prob, ps, t1)[0]
+
+    h = 1e-6
+    central = [(value_at(p_s + h, t_1) - value_at(p_s - h, t_1)) / (2 * h),
+               (value_at(p_s, t_1 + h) - value_at(p_s, t_1 - h)) / (2 * h)]
+    assert grad == pytest.approx(central, rel=1e-6, abs=1e-7)
+    if order is PulseOrder.SIMULTANEOUS:
+        assert grad[1] == 0.0
+
+
+@pytest.fixture(scope="module")
+def laser100():
+    return optimize(classical_problem(p_a=100.0))
+
+
+@pytest.fixture(scope="module")
+def hcp100():
+    return optimize(classical_problem(order=PulseOrder.HCP_FIRST, p_a=100.0))
+
+
+def test_ascent_stops_on_the_laser_first_optimum(laser100):
+    """The objective climbs slowly along a ridge to the p_s bound: a
+    stopping rule as loose as L-BFGS-B's defaults ends near 0.946434."""
+    assert laser100.objective >= 0.9464773
+
+
+def test_on_boundary_flags_an_optimum_held_by_the_box(laser100, hcp100):
+    """The laser-first optimum sits on |p_s| = PS_RATIO_MIN p_a with the
+    gradient pointing out of the box; the HCP-first one is interior."""
+    assert laser100.p_s == -defaults.PS_RATIO_MIN * 100.0
+    assert laser100.on_boundary
+    assert not hcp100.on_boundary
+    ratio, delay = hcp100.p_s / 100.0, hcp100.t_1 * 100.0
+    assert -1.0 < ratio < -defaults.PS_RATIO_MIN and 0.0 < delay < 60.0
+
+
 def test_optimizer_scaling_law(hcp_pair):
     lo, hi = hcp_pair
     assert hi.p_s / lo.p_s == pytest.approx(2.0, rel=1e-3)
@@ -337,11 +418,11 @@ def test_optimizer_scaling_law(hcp_pair):
     assert hi.objective == pytest.approx(lo.objective, abs=1e-5)
 
 
-def test_laser_first_optimum_is_scale_free_to_1e9(prompt10):
+def test_laser_first_optimum_is_scale_free_to_1e9(prompt10, laser100):
     """Classical kicks from rest are invariant under (p_s, p_a, t_1, t_2)
     -> (lam p_s, lam p_a, t_1 / lam, t_2 / lam): the laser-first optimum
     at p_a = 100 is the one at p_a = 10, scaled."""
-    res100 = optimize(classical_problem(p_a=100.0))
+    res100 = laser100
     scaled = [(r.p_s / r.p_a, r.p_a * r.t_1, r.p_a * r.t_2, r.objective)
               for r in (prompt10, res100)]
     assert scaled[1] == pytest.approx(scaled[0], rel=0.0, abs=1e-9)
@@ -433,7 +514,7 @@ def test_sweep_rows_and_warm_start():
 @pytest.mark.parametrize("p_a", [10.0, 0.0])
 def test_negative_extra_starts_are_refused_before_any_evaluation(
         monkeypatch, p_a):
-    def never(prob, p_s, t_1):
+    def never(prob, p_s, t_1, gradient=False):
         raise AssertionError("evaluated")
 
     monkeypatch.setattr(optimize_module, "evaluate_objective", never)
@@ -454,7 +535,7 @@ def test_sweep_annotates_failed_points():
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    def broken(prob, p_s, t_1):
+    def broken(prob, p_s, t_1, gradient=False):
         return 1.0 / 0.0
 
     monkeypatch.setattr(optimize_module, "evaluate_objective", broken)
@@ -465,16 +546,16 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 # the classical laser-first revival optimum at p_a = 20, to full precision
 REVIVAL20 = OptimizationResult(
-    p_a=20.0, p_s=0.4000000000426854, t_1=-2.048636964176131,
-    t_2=-0.08047794996599472, objective=-0.9464773094307509,
+    p_a=20.0, p_s=0.4, t_1=-2.0486406827723895,
+    t_2=-0.08047795323881608, objective=-0.9464773094314267,
     branch=Branch.REVIVAL, order=PulseOrder.LASER_FIRST,
-    engine=Engine.CLASSICAL, evaluations=1189)
+    engine=Engine.CLASSICAL, evaluations=405, on_boundary=True)
 
 
 def test_sweep_warm_start_wins_over_a_poor_start_set(monkeypatch):
     """At p_a = 40 the grid is one poor start, so the warm start from the
     scaled p_a = 20 optimum must win; the row counts the evaluations of
-    both starts and their simplexes, every distinct point once."""
+    both starts and their ascents, every distinct point once."""
     start_points = optimize_module._start_points
 
     def poor(prob):
@@ -483,9 +564,9 @@ def test_sweep_warm_start_wins_over_a_poor_start_set(monkeypatch):
     seen = []
     evaluate = optimize_module.evaluate_objective
 
-    def spy(prob, p_s, t_1):
+    def spy(prob, p_s, t_1, gradient=False):
         seen.append((prob.p_a, p_s, t_1))
-        return evaluate(prob, p_s, t_1)
+        return evaluate(prob, p_s, t_1, gradient)
 
     monkeypatch.setattr(optimize_module, "_start_points", poor)
     monkeypatch.setattr(optimize_module, "evaluate_objective", spy)
@@ -496,13 +577,14 @@ def test_sweep_warm_start_wins_over_a_poor_start_set(monkeypatch):
     assert rows[0].result == REVIVAL20
     fields = result_csv_row(rows[1].result).split(",")
     assert fields[:3] + fields[5:8] == [
-        "4.00000000000e+01", "8.00000000085e-01", "-1.02431848209e+00",
+        "4.00000000000e+01", "8.00000000000e-01", "-1.02432034139e+00",
         "revival", "laser-first", "classical"]
     # t_2 is resolved to TIME_REFINE_TOL; the objective is flat there
-    assert abs(float(fields[3]) + 4.02390905843e-02) <= defaults.TIME_REFINE_TOL
-    assert abs(float(fields[4]) + 9.46477309421e-01) <= 1e-10
+    assert abs(float(fields[3]) + 4.02389766194e-02) <= defaults.TIME_REFINE_TOL
+    assert abs(float(fields[4]) + 9.46477309431e-01) <= 1e-10
     points = {point for point in seen if point[0] == 40.0}
-    assert rows[1].result.evaluations == len(points) > 65
+    # the poor start's ascent alone evaluates 45 points
+    assert rows[1].result.evaluations == len(points) > 45
     # the poor start alone ends below the warm start's optimum
     alone = optimize(classical_problem(p_a=40.0, branch=Branch.REVIVAL))
     assert abs(alone.objective) < abs(rows[1].result.objective) - 1e-3

@@ -1,4 +1,4 @@
-"""optimize runs its simplexes in forked worker processes: the results
+"""optimize runs its ascents in forked worker processes: the results
 must be those of a serial run, bit for bit, errors included, and no
 worker may outlive the call."""
 
@@ -83,14 +83,14 @@ def test_no_fork_while_another_thread_runs():
 
 def failing_away_from_the_starts(monkeypatch, prob):
     """evaluate_objective raises ConvergenceFailure at every point but
-    the start points, so it raises only inside the simplexes."""
+    the start points, so it raises only inside the ascents."""
     starts = set(_start_points(prob))
     evaluate = optimize_module.evaluate_objective
 
-    def failing(prob, p_s, t_1):
+    def failing(prob, p_s, t_1, gradient=False):
         if (p_s, t_1) not in starts:
             raise ConvergenceFailure(f"injected at p_s = {p_s!r}")
-        return evaluate(prob, p_s, t_1)
+        return evaluate(prob, p_s, t_1, gradient)
 
     monkeypatch.setattr(optimize_module, "evaluate_objective", failing)
 
@@ -125,7 +125,7 @@ def test_sweep_annotates_a_worker_failure(monkeypatch):
 
 def test_optimize_in_a_daemonic_pool_worker():
     """A daemonic process may not have children: its optimize runs the
-    simplexes serially and returns the parent's result."""
+    ascents serially and returns the parent's result."""
     prob = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=10.0)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.apply(optimize, (prob,))
