@@ -28,8 +28,9 @@ the angles, is the tests' reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -57,36 +58,118 @@ class ClassicalEnsemble:
         return self.theta0.size
 
 
-def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n >= 2.
+#: the nodes next to each end that :func:`roots_legendre` solves on the
+#: three-term recurrence, started from these zeros of J_0
+_EDGE_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013,
+                  11.79153443901428, 14.93091770848779, 18.07106396791092)
+#: terms of the interior expansion of P_n; at the first interior node the
+#: next term is below 1e-16 of the first
+_STIELTJES_TERMS = 20
+#: a Newton step within this phase, (n + 1/2) times the step, is the last
+_NEWTON_TOL = math.sqrt(np.finfo(float).eps)
 
-    Newton steps on P_n from Tricomi's initial guesses, for the
-    non-negative half of the nodes at once. P_n and P_n' come from the
-    three-term recurrence, so a step costs O(n^2); the steps stop once
-    they are at round-off (three or four from these guesses). The
-    weights are 2 / ((1 - u^2) P_n'(u)^2). The rule is mirrored, so
+
+def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n >= 2, in
+    O(n) time and memory (Hale & Townsend, SIAM J. Sci. Comput. 35, A652,
+    2013).
+
+    Each node u = cos(theta) of the non-negative half is a Newton solve
+    in theta (:func:`_newton`). The six next to u = 1 solve P_n = 0 on
+    the three-term recurrence (:func:`_edge_legendre`); the rest on the
+    Stieltjes expansion of P_n(cos theta) (:func:`_interior_legendre`).
+    The weights are 2 / (dP_n/dtheta)^2. The rule is mirrored, so
     u_j = -u_{n-1-j} and w_j = w_{n-1-j} exactly, and the middle node of
     an odd n is exactly 0.
     """
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1)
-                                                 / (4 * n + 2))
+    half = (n + 1) // 2  # nodes in [0, 1): theta in (0, pi/2]
+    rho = n + 0.5
+    edge = []
+    for j in _EDGE_J0_ZEROS[:half]:
+        psi = j / rho  # with Olver's first correction
+        theta = psi + (psi / math.tan(psi) - 1.0) / (8.0 * psi * rho * rho)
+        delta, dp = _newton(n, partial(_edge_legendre, n, theta), 0.0)
+        # cos(theta + delta) with theta + delta unrounded
+        edge.append((math.cos(theta) * math.cos(delta)
+                     - math.sin(theta) * math.sin(delta), 2.0 / dp**2))
+    k = np.arange(len(edge) + 1, half + 1)
+    theta = np.pi * (4 * k - 1) / (4 * n + 2)  # (n + 1/2) theta = pi (k - 1/4)
+    delta, dp = _newton(n, partial(_interior_legendre, n, theta),
+                        (n - 1) / (8.0 * n**3) / np.tan(theta))  # Tricomi
+    # P_n(cos theta) = C_n (expansion), C_n = (4/pi) prod_j j / (j + 1/2)
+    c_n = 4.0 / np.pi * math.exp(
+        np.log1p(-1.0 / (2.0 * np.arange(1, n + 1) + 1.0)).sum())
+    u = np.concatenate(([x for x, _ in edge],
+                        np.sin(np.pi * (n + 1 - 2 * k) / (2 * n + 1) - delta)))
+    w = np.concatenate(([v for _, v in edge], 2.0 / (c_n * dp)**2))
     if n % 2:
-        x[-1] = 0.0  # P_n(0) = 0 exactly for odd n
+        u[-1] = 0.0  # P_n(0) = 0 exactly for odd n
+    mirrored = half - n % 2  # nodes with a negative mirror
+    return (np.concatenate((-u[:mirrored], u[::-1])),
+            np.concatenate((w[:mirrored], w[::-1])))
+
+
+def _newton(n: int, legendre, delta):
+    """Newton steps on P_n(cos(theta + delta)) = 0 in delta, where
+    ``legendre(delta)`` is (P, dP/dtheta) at theta + delta, up to P's
+    constant factor, and theta is the node's start.
+
+    Ends after a step within sqrt(eps) / (n + 1/2), a phase step of
+    sqrt(eps): the error left in theta, and in dP/dtheta, is then of the
+    step's square, below round-off. Returns delta and dP/dtheta there:
+    the last evaluation's, carried over the last step to first order by
+    Legendre's equation P'' = -cot(theta) P' - n (n + 1) P.
+    """
     for _ in range(10):
-        p_prev, p = np.ones_like(x), x
-        for l in range(1, n):
-            p_prev, p = p, ((2 * l + 1) * x * p - l * p_prev) / (l + 1)
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        p, dp, cot = legendre(delta)
         step = p / dp
-        x = x - step
-        if np.abs(step).max() <= 2.0 * np.finfo(float).eps:
+        delta = delta - step
+        if np.all(np.abs(step) <= _NEWTON_TOL / (n + 0.5)):
             break
-    # dp was taken a round-off step before the final x
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    half = x.size - n % 2  # nodes with a negative mirror
-    return (np.concatenate((-x[:half], x[::-1])),
-            np.concatenate((w[:half], w[::-1])))
+    return delta, dp + step * (cot * dp + n * (n + 1) * p)
+
+
+def _edge_legendre(n: int, theta: float,
+                   delta: float) -> tuple[float, float, float]:
+    """(P_n, dP_n/dtheta, cot) at cos(t), t = theta + delta unrounded, for
+    a node next to u = 1: the three-term recurrence rewritten for
+    D_l = P_l - P_{l-1} in y = 1 - u = 2 sin^2(t/2), which holds the
+    digits P_l ~ 1 would lose, and dP_n/dtheta = n (D_n - y P_n) / sin t."""
+    half_sin = (math.sin(0.5 * theta) * math.cos(0.5 * delta)
+                + math.cos(0.5 * theta) * math.sin(0.5 * delta))
+    y = 2.0 * half_sin**2
+    p, d = 1.0 - y, -y
+    for l in range(1, n):
+        d -= (d + (2 * l + 1) * y * p) / (l + 1)
+        p += d
+    t = theta + delta
+    return p, n * (d - y * p) / math.sin(t), 1.0 / math.tan(t)
+
+
+def _interior_legendre(n: int, theta: np.ndarray, delta: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_n / C_n, dP_n/dtheta / C_n, cot t) at cos(t), t = theta + delta,
+    for the interior nodes k: the Stieltjes expansion
+    P_n(cos t) / C_n = sum_m h_m cos(a_m) / (2 sin t)^(m + 1/2), with
+    a_m = (n + m + 1/2) t - (m + 1/2) pi/2 and h_m = prod_{j<=m}
+    (j - 1/2)^2 / (j (n + j + 1/2)), up to the sign (-1)^k.
+
+    ``theta`` holds pi (k - 1/4) / (n + 1/2), so a_0 is the whole quarter
+    turns (2k - 1) pi/2 and the small rest (n + 1/2) delta, which large n
+    does not round away; each a_{m+1} = a_m + t - pi/2 is a rotation.
+    """
+    t = theta + delta
+    s, c = np.sin(t), np.cos(t)
+    cot, r = c / s, (n + 0.5) * delta
+    cos_a, sin_a = np.sin(r), -np.cos(r)
+    amp = 1.0 / np.sqrt(2.0 * s)  # h_m / (2 sin t)^(m + 1/2)
+    p, dp = np.zeros_like(t), np.zeros_like(t)
+    for m in range(_STIELTJES_TERMS):
+        p += amp * cos_a
+        dp -= amp * ((n + m + 0.5) * sin_a + (m + 0.5) * cot * cos_a)
+        cos_a, sin_a = cos_a * s + sin_a * c, sin_a * s - cos_a * c
+        amp = amp * ((m + 0.5)**2 / ((m + 1) * (n + m + 1.5))) / (2.0 * s)
+    return p, dp, cot
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +178,7 @@ def make_ensemble(n_nodes: int) -> ClassicalEnsemble:
 
     Uniform-in-u quadrature realizes the (1/2) sin(theta0) dtheta0
     measure exactly; weights are halved to normalize. The rule is the
-    package's own :func:`roots_legendre`, an O(n^2) Newton solve and the
+    package's own :func:`roots_legendre`, an O(n) Newton solve and the
     costly step that the cache saves. The package asks only for the
     power-of-two rules of ``defaults.ensemble_nodes``, so the cache holds
     at most 15. Its arrays are shared and read-only.
@@ -200,7 +283,10 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
     The node count starts from the strength-time rule and is doubled
     until successive quadratures agree within ``QUADRATURE_TOL`` at every
     time. Each pass walks the sequence once, the times between two kicks
-    one :func:`_free_flight_average` call.
+    one :func:`_free_flight_average` call. Symmetric kicks keep the
+    ensemble symmetric under theta -> pi - theta, so <cos theta> is
+    exactly 0 at the times before the first asymmetric kick of nonzero
+    strength (a kick at exactly t has acted by t).
     """
     kind = observable_kind(k)
     seq = validate_sequence(seq)
@@ -216,6 +302,10 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
 
     vals = _refine(average,
                    defaults.ensemble_nodes(seq.total_strength(), span))
+    if k == 1:
+        vals[t_eval < min([kk.time for kk in seq.kicks if kk.strength
+                           and kk.kind is KickKind.ASYMMETRIC],
+                          default=math.inf)] = 0.0
     return ObservableSeries(t_eval, vals, kind)
 
 

@@ -84,14 +84,18 @@ def scan_step(total_strength: float) -> float:
 
 
 def prompt_window_classical(p_a: float) -> float:
-    """t_2 search window after the last kick, classical engines.
+    """t_2 search window after the last kick, classical engines, in the
+    scale-free time |p_a| t_2: min(pi |p_a|, 10).
 
     Classical ensembles disperse, so the extremum sits within a few
-    1/p_a of the kick; the window scales accordingly.
+    1/p_a of the kick: the window is a constant of the scale-free
+    problem, capped at half the revival period pi in t_2.
     """
-    return min(math.pi, 10.0 / max(p_a, 1e-12))
+    return min(math.pi * abs(p_a), 10.0)
 
 
 def delay_window_classical(p_a: float) -> float:
-    """t_1 search window (delay between pulses), classical engines."""
-    return min(2.0 * math.pi, 60.0 / max(p_a, 1e-12))
+    """t_1 search window (delay between pulses), classical engines, in the
+    scale-free time |p_a| t_1: min(2 pi |p_a|, 60), a constant capped at
+    the revival period 2 pi in t_1."""
+    return min(2.0 * math.pi * abs(p_a), 60.0)

@@ -18,10 +18,11 @@ Branches
 Prompt: orientation shortly after the pulse pair. Revival: orientation
 near one full revival period; classically this is the analytic
 continuation of the trajectory to negative times, quantum mechanically a
-window of total time within [2*pi - Delta, 2*pi]. Classical windows
-scale as 1/p_a so that optima respect the exact classical scaling law;
-quantum windows span the full 2*pi period, which is the natural domain
-of a periodic system.
+window of total time within [2*pi - Delta, 2*pi]. Classical problems
+are solved once in the scale-free variables p_s/|p_a|, |p_a| t_1 and
+|p_a| t_2, whose default windows are constants, so optima respect the
+exact classical scaling law; quantum windows span the full 2*pi period,
+which is the natural domain of a periodic system.
 """
 
 from __future__ import annotations
@@ -66,30 +67,43 @@ def default_bounds(engine: Engine, order: PulseOrder, branch: Branch,
 
     Prompt uses an anti-aligning pre/post pulse (p_s < 0); the revival
     branch mirrors it with an aligning pulse (p_s > 0). |p_s| ranges over
-    [0.02, 1.0] * p_a.
+    [0.02, 1.0] * p_a. A classical box is its scale-free box
+    (:func:`_unit_bounds`) at the strength |p_a|.
     """
     pa = abs(p_a) if p_a != 0 else 1.0
+    if engine is Engine.CLASSICAL:
+        return _rescaled_box(_unit_bounds(order, branch, pa), pa)
+    ps = _ps_bounds(branch, pa)
+    t1 = (0.0, 0.0) if order is PulseOrder.SIMULTANEOUS \
+        else (0.0, REVIVAL_PERIOD)
+    return BoundsBox(ps, t1, (0.0, REVIVAL_PERIOD))
+
+
+def _ps_bounds(branch: Branch, pa: float) -> tuple[float, float]:
     lo_mag = defaults.PS_RATIO_MIN * pa
     hi_mag = defaults.PS_RATIO_MAX * pa
-    if branch is Branch.PROMPT:
-        ps = (-hi_mag, -lo_mag)
-    else:
-        ps = (lo_mag, hi_mag)
+    return (-hi_mag, -lo_mag) if branch is Branch.PROMPT else (lo_mag, hi_mag)
 
+
+def _unit_bounds(order: PulseOrder, branch: Branch, pa: float) -> BoundsBox:
+    """The default classical box in the scale-free variables
+    (p_s/|p_a|, |p_a| t_1, |p_a| t_2) at the strength ``pa``: constants,
+    but for the caps of the windows' (``defaults.*_window_classical``)."""
+    w1 = defaults.delay_window_classical(pa)
+    w2 = defaults.prompt_window_classical(pa)
+    t1, t2 = ((-w1, 0.0), (-w2, 0.0)) if branch is Branch.REVIVAL \
+        else ((0.0, w1), (0.0, w2))
     if order is PulseOrder.SIMULTANEOUS:
         t1 = (0.0, 0.0)
-    elif engine is Engine.CLASSICAL:
-        w1 = defaults.delay_window_classical(pa)
-        t1 = (-w1, 0.0) if branch is Branch.REVIVAL else (0.0, w1)
-    else:
-        t1 = (0.0, REVIVAL_PERIOD)
+    return BoundsBox(_ps_bounds(branch, 1.0), t1, t2)
 
-    if engine is Engine.CLASSICAL:
-        w2 = defaults.prompt_window_classical(pa)
-        t2 = (-w2, 0.0) if branch is Branch.REVIVAL else (0.0, w2)
-    else:
-        t2 = (0.0, REVIVAL_PERIOD)
-    return BoundsBox(ps, t1, t2)
+
+def _rescaled_box(box: BoundsBox, pa: float) -> BoundsBox:
+    """The box of (p_s, t_1, t_2) = (pa r, T_1 / pa, T_2 / pa) for ``box``
+    of (r, T_1, T_2); 1 / pa inverts it."""
+    return BoundsBox(tuple(v * pa for v in box.p_s),
+                     tuple(v / pa for v in box.t_1),
+                     tuple(v / pa for v in box.t_2))
 
 
 @dataclass(frozen=True)
@@ -339,31 +353,38 @@ def optimize(
             branch=prob.branch, order=prob.order, engine=prob.engine,
             evaluations=1, stagnated=True,
         )
-    return _solve(prob, extra_starts, seed)
+    return _solve(prob, extra_starts, seed)[0]
 
 
 def _solve(prob: OptimizationProblem, extra_starts: int, seed: int | None,
-           warm: tuple[float, float] | None = None) -> OptimizationResult:
-    """The one driver of :func:`optimize` and :func:`sweep`: the starts
-    are the grid of :func:`_start_points`, ``extra_starts`` seeded random
-    points of the box and ``warm`` (a sweep row's previous optimum,
-    strength-scaled) if it lies in the box; each runs one
+           warm: tuple[float, float] | None = None
+           ) -> tuple[OptimizationResult, tuple[float, float]]:
+    """The one driver of :func:`optimize` and :func:`sweep`.
+
+    It solves :func:`_unit_problem` of ``prob``, the scale-free problem
+    for a classical one, and returns the result rescaled to ``prob`` with
+    the optimum (p_s, t_1) of the problem it solved. The starts are the
+    grid of :func:`_start_points`, ``extra_starts`` seeded random points
+    of the box and ``warm`` (a sweep row's previous optimum, a point of
+    the solved problem) if it lies in the box; each runs one
     :func:`_ascent_from`. They are scored here, so the workers fork with
-    the rule and operator caches warm."""
-    evaluate = _Objective(prob)
-    (ps_lo, ps_hi) = prob.bounds.p_s
-    (t1_lo, t1_hi) = prob.bounds.t_1
-    starts = _start_points(prob)
+    the rule and operator caches warm.
+    """
+    unit = _unit_problem(prob)
+    evaluate = _Objective(unit)
+    (ps_lo, ps_hi) = unit.bounds.p_s
+    (t1_lo, t1_hi) = unit.bounds.t_1
+    starts = _start_points(unit)
     if extra_starts > 0:
         rng = np.random.default_rng(seed)
         for _ in range(extra_starts):
             ps = rng.uniform(ps_lo, ps_hi)
             t1 = rng.uniform(t1_lo, t1_hi) if t1_hi > t1_lo else t1_lo
             starts.append((ps, t1))
-    if warm is not None and prob.bounds.contains(*warm):
+    if warm is not None and unit.bounds.contains(*warm):
         starts.append(warm)
 
-    scored = [(prob.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
+    scored = [(unit.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
     runs = _map_starts(partial(_ascent_from, evaluate), starts)
     for _, added in runs:
         evaluate.update(added)
@@ -371,16 +392,36 @@ def _solve(prob: OptimizationProblem, extra_starts: int, seed: int | None,
     score, ps, t1 = max([end for end, _ in runs] + scored,
                         key=lambda c: (c[0], -abs(c[1])))
     value, t2, grad = evaluate(ps, t1)
-    box = _ScaledBox(prob)
+    box = _ScaledBox(unit)
+    lam = abs(prob.p_a / unit.p_a)
     return OptimizationResult(
-        p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
-        branch=prob.branch, order=prob.order, engine=prob.engine,
-        evaluations=len(evaluate),
+        p_a=prob.p_a, p_s=ps * lam, t_1=t1 / lam, t_2=t2 / lam,
+        objective=value, branch=prob.branch, order=prob.order,
+        engine=prob.engine, evaluations=len(evaluate),
         stagnated=bool(score <= max(c[0] for c in scored) + 1e-12),
         on_boundary=bool(_outward(box.scaled((ps, t1)),
                                   box.ascent(value, grad), box.u_lo,
                                   box.u_hi).any()),
-    )
+    ), (ps, t1)
+
+
+def _unit_problem(prob: OptimizationProblem) -> OptimizationProblem:
+    """The problem :func:`_solve` solves for ``prob``: for a classical one,
+    the same problem in r = p_s/|p_a| and T = |p_a| t at p_a = +-1, whose
+    optimum (r, T_1, T_2) is (p_s/|p_a|, |p_a| t_1, |p_a| t_2) of
+    ``prob``'s, as classical kicks from rest are invariant under
+    (p_s, p_a, t_1, t_2) -> (lam p_s, lam p_a, t_1/lam, t_2/lam). The
+    default box is the scale-free one (:func:`_unit_bounds`) itself, so
+    every p_a whose windows' caps do not bind solves the same problem, bit
+    for bit; another box is rescaled. A quantum problem is its own.
+    """
+    if prob.engine is not Engine.CLASSICAL:
+        return prob
+    pa = abs(prob.p_a)
+    bounds = _unit_bounds(prob.order, prob.branch, pa)
+    if prob.bounds != _rescaled_box(bounds, pa):
+        bounds = _rescaled_box(prob.bounds, 1.0 / pa)
+    return replace(prob, p_a=math.copysign(1.0, prob.p_a), bounds=bounds)
 
 
 def _check_extra_starts(extra_starts: int) -> None:
@@ -578,10 +619,10 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
     optimum.
 
     A classical row after the first (sequential pulses) has one more
-    start: the previous optimum scaled by the classical scaling law,
-    lam = p_a / p_a(previous), to (lam p_s, t_1 / lam), if it lies in the
-    box. It counts as a start for ``stagnated``, and its ascent's points
-    in ``evaluations``. Quantum rows have none: their optimal delays stay
+    start: the previous optimum scaled by the classical scaling law, the
+    previous row's scale-free optimum (:func:`_unit_problem`), if it lies
+    in the box. It counts as a start for ``stagnated``, and its ascent's
+    points in ``evaluations``. Quantum rows have none: their optimal delays stay
     near 5 instead of scaling, so the scaled start never won and cost
     evaluations. p_a values must be positive and sorted ascending, and
     ``extra_starts`` not negative. Failures are captured per point so a
@@ -600,7 +641,7 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
             " by default (override by sweeping manually)")
 
     rows: list[SweepRow] = []
-    prev: OptimizationResult | None = None
+    prev: tuple[float, float] | None = None
     for pa in p_a_values:
         try:
             prob = OptimizationProblem(
@@ -608,14 +649,10 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
                 p_a=pa, branch=prob_template.branch,
                 objective_sign=prob_template.objective_sign,
             )
-            warm = None
-            if (prev is not None and prob.engine is Engine.CLASSICAL
-                    and prob.order is not PulseOrder.SIMULTANEOUS):
-                lam = pa / prev.p_a  # the previous optimum, strength-scaled
-                warm = prev.p_s * lam, prev.t_1 / lam
-            result = _solve(prob, extra_starts, seed, warm)
+            warm = prev if (prob.engine is Engine.CLASSICAL and prob.order
+                            is not PulseOrder.SIMULTANEOUS) else None
+            result, prev = _solve(prob, extra_starts, seed, warm)
             rows.append(SweepRow(pa, result))
-            prev = result
         except (RotorkickError, ValueError) as exc:
             # bad input and numerical failure annotate the point and the
             # sweep goes on; anything else is a bug and propagates

@@ -41,14 +41,19 @@ def _legendre(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _grid(n_grid: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], accurate to round-off.
+    """Gauss-Legendre nodes and weights on [-1, 1]: the nodes to round-off,
+    the weights next to u = +-1 not.
 
     roots_legendre eigensolves the banded Jacobi matrix (Golub-Welsch;
     leggauss eigensolves a dense companion matrix and needs minutes at
     the node counts used here), but its nodes and weights are off by
     enough to put the Gram matrix of the basis up to 4e-11 from the
     identity at 2048 nodes. Two Newton steps on P_n(u) = 0 and the
-    weights 2 / ((1 - u^2) P_n'(u)^2) bring that to about 2e-14.
+    weights 2 / ((1 - u^2) P_n'(u)^2) bring that to about 2e-14. Those
+    weights carry the 1 - u^2 of a rounded u: against 40-digit mpmath
+    they are off by up to 3.4e-13 relative at n = 128, 2.2e-12 at 1024
+    and 7.0e-11 at 2048 next to u = +-1, where the weights, and so their
+    share of any average here, are smallest.
     """
     u, _ = roots_legendre(n_grid)
     for _ in range(2):

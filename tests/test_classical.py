@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import _grid, mc_classical_observable
+from oracles import mc_classical_observable
 from rotorkick import classical, defaults
 from rotorkick.classical import (TwoKickScan, _after_kicks,
                                  _free_flight_average, classical_observable,
@@ -233,19 +234,49 @@ def test_cached_rule_is_read_only():
     assert np.array_equal(again.weights, w / 2.0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 1024, 2048])
+def mpmath_legendre_pair(n, x, mp):
+    """P_n(x) and P_{n-1}(x) in mpmath: its hypergeometric P_n where x is
+    next to 1 and that series is short, else the three-term recurrence,
+    in the working precision of ``mp``."""
+    if x > 0.99:
+        return tuple(mp.legendre(m, x) for m in (n, n - 1))
+    p_prev, p = mp.mpf(1), x
+    for l in range(1, n):
+        p_prev, p = p, ((2 * l + 1) * x * p - l * p_prev) / (l + 1)
+    return p, p_prev
+
+
+def mpmath_rule_point(n, u):
+    """The Gauss-Legendre node of P_n next to u and its weight, to 40
+    digits: one Newton step from u, the weight 2 / ((1 - x^2) P_n'(x)^2)
+    with P_n' carried over the step to first order by Legendre's
+    equation."""
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    x = mp.mpf(u)
+    p, q = mpmath_legendre_pair(n, x, mp)
+    dp = n * (q - x * p) / (1 - x * x)
+    root = x - p / dp
+    dp += (root - x) * (2 * x * dp - n * (n + 1) * p) / (1 - x * x)
+    return root, 2 / ((1 - root * root) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 1024, 2048, 4096, 8192,
+                               2**15])
 def test_roots_legendre_matches_the_oracle_rule(n):
-    """Against ``oracles._grid`` (scipy's Golub-Welsch rule after a
-    Newton polish). Measured: nodes within 1.1e-16 for every n; weights
-    within 3.4e-14 relative (n = 64), 1.1e-14 (1024), 1.6e-14 (2048) and
-    below 1e-15 for the rest. The weights' spread is the 1-ulp node
-    difference times the weights' slope near the ends."""
+    """Against 40-digit mpmath at the nodes k = 1..8 from u = 1 (the
+    seam between the recurrence and the interior expansion lies between
+    k = 6 and 7), the node n/4 and the middle one; the mirror test below
+    covers the other half. Measured: nodes within 1.9e-16 and weights
+    within 2.1e-14 relative for every n here."""
     u, w = roots_legendre(n)
-    ref_u, ref_w = _grid(n)
     assert u.shape == w.shape == (n,)
     assert np.all(np.diff(u) > 0.0)
-    assert np.max(np.abs(u - ref_u)) <= 2.3e-16
-    assert np.max(np.abs(w / ref_w - 1.0)) <= 1e-13
+    half = (n + 1) // 2
+    for k in sorted({*range(1, min(8, half) + 1), max(1, n // 4), half}):
+        root, weight = mpmath_rule_point(n, u[n - k])
+        assert abs(float(root - u[n - k])) <= 2.3e-16, k
+        assert abs(float(w[n - k] / weight - 1)) <= 1e-13, k
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 65, 255, 256, 1025])
@@ -256,6 +287,31 @@ def test_roots_legendre_is_mirror_symmetric_and_sums_to_two(n):
     if n % 2:
         assert u[n // 2] == 0.0 and not np.signbit(u[n // 2])
     assert abs(w.sum() - 2.0) <= 1e-14
+
+
+def test_orientation_is_exactly_zero_before_the_first_asymmetric_kick():
+    """Symmetric kicks keep the ensemble symmetric under theta -> pi -
+    theta: orientation is exactly +0 until the first asymmetric kick, as
+    in the quantum engine, and alignment is untouched."""
+    t = np.linspace(-1.0, 4.0, 101)
+    sym = validate_sequence([Kick(KickKind.SYMMETRIC, -3.0, 0.0),
+                             Kick(KickKind.SYMMETRIC, 2.0, 1.0),
+                             Kick(KickKind.ASYMMETRIC, 0.0, 1.5)])
+    values = classical_observable(sym, 1, t).values
+    assert np.array_equal(values, np.zeros_like(t))
+    assert not np.signbit(values).any()
+    assert classical_observable(sym, 2, t).values.min() > 0.0
+
+    # the README pair: laser first, p_s = -2 at 0 and p_a = 10 at 0.3
+    t = np.linspace(0.0, 6.28, 600)
+    pair = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
+    classical_values = classical_observable(pair, 1, t).values
+    quantum_values = run_sequence(pair, t, k=1).values
+    before = t < 0.3
+    assert before.sum() == 29
+    assert np.array_equal(classical_values[before], np.zeros(29))
+    assert np.array_equal(quantum_values[before], np.zeros(29))
+    assert np.all(np.abs(classical_values[~before][1:]) > 1e-6)
 
 
 def test_two_kick_observable_vectorized_consistency():

@@ -428,6 +428,40 @@ def test_laser_first_optimum_is_scale_free_to_1e9(prompt10, laser100):
     assert scaled[1] == pytest.approx(scaled[0], rel=0.0, abs=1e-9)
 
 
+def scale_free(res):
+    """(p_s/p_a, p_a t_1, p_a t_2) of a classical result."""
+    return res.p_s / res.p_a, res.p_a * res.t_1, res.p_a * res.t_2
+
+
+def test_classical_optimum_is_scale_exact(prompt10, laser100):
+    """A classical problem is solved once in the scale-free variables:
+    where the windows' caps do not bind, the laser-first prompt optima at
+    p_a = 10, 12.5, 16 and 100 (three mantissa families) are one optimum,
+    objective and evaluations included; only the rescale rounds."""
+    results = [prompt10, optimize(classical_problem(p_a=12.5)),
+               optimize(classical_problem(p_a=16.0)), laser100]
+    for res in results[1:]:
+        assert (res.objective, res.evaluations, res.on_boundary) == (
+            prompt10.objective, prompt10.evaluations, prompt10.on_boundary)
+        assert scale_free(res) == pytest.approx(scale_free(prompt10),
+                                                rel=1e-15, abs=0.0)
+
+
+def test_classical_sweep_rows_agree_in_scaled_units():
+    """The README sweep solves one scale-free problem four times; each row
+    after the first also starts from the previous row's optimum, which
+    is already its own."""
+    rows = sweep(classical_problem(order=PulseOrder.HCP_FIRST),
+                 [10.0, 20.0, 50.0, 100.0])
+    first = rows[0].result
+    for row in rows[1:]:
+        assert row.result.objective == first.objective
+        assert scale_free(row.result) == pytest.approx(scale_free(first),
+                                                       rel=1e-15, abs=0.0)
+        assert row.result.stagnated
+        assert row.result.evaluations == rows[1].result.evaluations
+
+
 def test_hcp_first_optimum_shape(hcp_pair):
     lo, _ = hcp_pair
     assert abs(lo.objective) == pytest.approx(0.957, abs=0.005)
@@ -546,26 +580,30 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 # the classical laser-first revival optimum at p_a = 20, to full precision
 REVIVAL20 = OptimizationResult(
-    p_a=20.0, p_s=0.4, t_1=-2.0486406827723895,
-    t_2=-0.08047795323881608, objective=-0.9464773094314267,
+    p_a=20.0, p_s=0.4, t_1=-2.0486406827669548,
+    t_2=-0.08047795323881131, objective=-0.946477309431427,
     branch=Branch.REVIVAL, order=PulseOrder.LASER_FIRST,
-    engine=Engine.CLASSICAL, evaluations=405, on_boundary=True)
+    engine=Engine.CLASSICAL, evaluations=411, on_boundary=True)
 
 
 def test_sweep_warm_start_wins_over_a_poor_start_set(monkeypatch):
     """At p_a = 40 the grid is one poor start, so the warm start from the
-    scaled p_a = 20 optimum must win; the row counts the evaluations of
-    both starts and their ascents, every distinct point once."""
+    p_a = 20 optimum must win; the row counts the evaluations of both
+    starts and their ascents, every distinct point once. Both rows solve
+    the same scale-free problem, so the rows are told apart by the one
+    ``_start_points`` call each makes before it evaluates."""
     start_points = optimize_module._start_points
+    seen = []  # per row, the points evaluate_objective was called at
 
     def poor(prob):
-        return start_points(prob) if prob.p_a == 20.0 else [(30.0, -0.5)]
+        seen.append(set())
+        # (p_s, t_1) = (30, -0.5) at p_a = 40, in p_s/p_a and p_a t_1
+        return start_points(prob) if len(seen) == 1 else [(0.75, -20.0)]
 
-    seen = []
     evaluate = optimize_module.evaluate_objective
 
     def spy(prob, p_s, t_1, gradient=False):
-        seen.append((prob.p_a, p_s, t_1))
+        seen[-1].add((p_s, t_1))
         return evaluate(prob, p_s, t_1, gradient)
 
     monkeypatch.setattr(optimize_module, "_start_points", poor)
@@ -577,14 +615,13 @@ def test_sweep_warm_start_wins_over_a_poor_start_set(monkeypatch):
     assert rows[0].result == REVIVAL20
     fields = result_csv_row(rows[1].result).split(",")
     assert fields[:3] + fields[5:8] == [
-        "4.00000000000e+01", "8.00000000000e-01", "-1.02432034139e+00",
+        "4.00000000000e+01", "8.00000000000e-01", "-1.02432034138e+00",
         "revival", "laser-first", "classical"]
     # t_2 is resolved to TIME_REFINE_TOL; the objective is flat there
     assert abs(float(fields[3]) + 4.02389766194e-02) <= defaults.TIME_REFINE_TOL
     assert abs(float(fields[4]) + 9.46477309431e-01) <= 1e-10
-    points = {point for point in seen if point[0] == 40.0}
     # the poor start's ascent alone evaluates 45 points
-    assert rows[1].result.evaluations == len(points) > 45
+    assert rows[1].result.evaluations == len(seen[1]) > 45
     # the poor start alone ends below the warm start's optimum
     alone = optimize(classical_problem(p_a=40.0, branch=Branch.REVIVAL))
     assert abs(alone.objective) < abs(rows[1].result.objective) - 1e-3

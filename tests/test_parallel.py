@@ -83,8 +83,9 @@ def test_no_fork_while_another_thread_runs():
 
 def failing_away_from_the_starts(monkeypatch, prob):
     """evaluate_objective raises ConvergenceFailure at every point but
-    the start points, so it raises only inside the ascents."""
-    starts = set(_start_points(prob))
+    the start points the solver uses, those of the scale-free problem, so
+    it raises only inside the ascents."""
+    starts = set(_start_points(optimize_module._unit_problem(prob)))
     evaluate = optimize_module.evaluate_objective
 
     def failing(prob, p_s, t_1, gradient=False):
