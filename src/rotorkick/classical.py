@@ -36,8 +36,8 @@ import numpy as np
 
 from . import defaults
 from .core import (KickKind, ObservableSeries, PulseOrder, PulseSequence,
-                   observable_kind, phase_jet, phase_sum, pulse_pair,
-                   time_grid, validate_sequence, walk_sequence)
+                   is_even_grid, observable_kind, phase_jet, phase_sum,
+                   pulse_pair, time_grid, validate_sequence, walk_sequence)
 from .errors import ConvergenceFailure, InvalidNodeCount, NonFiniteValue
 
 
@@ -92,15 +92,15 @@ def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         # cos(theta + delta) with theta + delta unrounded
         edge.append((math.cos(theta) * math.cos(delta)
                      - math.sin(theta) * math.sin(delta), 2.0 / dp**2))
-    k = np.arange(len(edge) + 1, half + 1)
-    theta = np.pi * (4 * k - 1) / (4 * n + 2)  # (n + 1/2) theta = pi (k - 1/4)
+    k = partial(np.arange, len(edge) + 1, half + 1)  # not held by Newton
+    theta = np.pi * (4 * k() - 1) / (4 * n + 2)  # (n + 1/2) theta = pi (k - 1/4)
     delta, dp = _newton(n, partial(_interior_legendre, n, theta),
                         (n - 1) / (8.0 * n**3) / np.tan(theta))  # Tricomi
     # P_n(cos theta) = C_n (expansion), C_n = (4/pi) prod_j j / (j + 1/2)
     c_n = 4.0 / np.pi * math.exp(
         np.log1p(-1.0 / (2.0 * np.arange(1, n + 1) + 1.0)).sum())
     u = np.concatenate(([x for x, _ in edge],
-                        np.sin(np.pi * (n + 1 - 2 * k) / (2 * n + 1) - delta)))
+                        np.sin(np.pi * (n + 1 - 2 * k()) / (2 * n + 1) - delta)))
     w = np.concatenate(([v for _, v in edge], 2.0 / (c_n * dp)**2))
     if n % 2:
         u[-1] = 0.0  # P_n(0) = 0 exactly for odd n
@@ -121,9 +121,10 @@ def _newton(n: int, legendre, delta):
     Legendre's equation P'' = -cot(theta) P' - n (n + 1) P.
     """
     for _ in range(10):
+        p = dp = cot = step = None  # the last pass's arrays go first
         p, dp, cot = legendre(delta)
         step = p / dp
-        delta = delta - step
+        delta -= step
         if np.all(np.abs(step) <= _NEWTON_TOL / (n + 0.5)):
             break
     return delta, dp + step * (cot * dp + n * (n + 1) * p)
@@ -135,6 +136,13 @@ def _edge_legendre(n: int, theta: float,
     a node next to u = 1: the three-term recurrence rewritten for
     D_l = P_l - P_{l-1} in y = 1 - u = 2 sin^2(t/2), which holds the
     digits P_l ~ 1 would lose, and dP_n/dtheta = n (D_n - y P_n) / sin t."""
+    t = theta + delta
+    if theta > 0.5:  # only for n < 64: there the recurrence in u rounds less
+        u = math.cos(theta) * math.cos(delta) - math.sin(theta) * math.sin(delta)
+        p_prev, p = 1.0, u
+        for l in range(1, n):
+            p_prev, p = p, ((2 * l + 1) * u * p - l * p_prev) / (l + 1)
+        return p, n * (u * p - p_prev) / math.sin(t), 1.0 / math.tan(t)
     half_sin = (math.sin(0.5 * theta) * math.cos(0.5 * delta)
                 + math.cos(0.5 * theta) * math.sin(0.5 * delta))
     y = 2.0 * half_sin**2
@@ -142,7 +150,6 @@ def _edge_legendre(n: int, theta: float,
     for l in range(1, n):
         d -= (d + (2 * l + 1) * y * p) / (l + 1)
         p += d
-    t = theta + delta
     return p, n * (d - y * p) / math.sin(t), 1.0 / math.tan(t)
 
 
@@ -160,15 +167,24 @@ def _interior_legendre(n: int, theta: np.ndarray, delta: np.ndarray
     """
     t = theta + delta
     s, c = np.sin(t), np.cos(t)
-    cot, r = c / s, (n + 0.5) * delta
-    cos_a, sin_a = np.sin(r), -np.cos(r)
+    cot = np.divide(c, s, out=t)  # in place, as every update below: the
+    sin_a = -np.cos(cos_a := (n + 0.5) * delta)  # loop holds ten arrays
+    np.sin(cos_a, out=cos_a)
     amp = 1.0 / np.sqrt(2.0 * s)  # h_m / (2 sin t)^(m + 1/2)
-    p, dp = np.zeros_like(t), np.zeros_like(t)
+    p, dp, x, y = (np.zeros_like(t) for _ in range(4))
     for m in range(_STIELTJES_TERMS):
-        p += amp * cos_a
-        dp -= amp * ((n + m + 0.5) * sin_a + (m + 0.5) * cot * cos_a)
-        cos_a, sin_a = cos_a * s + sin_a * c, sin_a * s - cos_a * c
-        amp = amp * ((m + 0.5)**2 / ((m + 1) * (n + m + 1.5))) / (2.0 * s)
+        p += np.multiply(amp, cos_a, out=x)
+        # dp -= amp ((n + m + 1/2) sin a + (m + 1/2) cot cos a)
+        np.multiply(np.multiply(m + 0.5, cot, out=x), cos_a, out=x)
+        dp -= np.multiply(amp, np.add(np.multiply(n + m + 0.5, sin_a, out=y),
+                                      x, out=y), out=y)
+        # (cos a, sin a) <- (cos a s + sin a c, sin a s - cos a c)
+        np.add(np.multiply(cos_a, s, out=x), np.multiply(sin_a, c, out=y), out=x)
+        np.subtract(np.multiply(sin_a, s, out=y),
+                    np.multiply(cos_a, c, out=cos_a), out=y)
+        cos_a, sin_a, x, y = x, y, cos_a, sin_a
+        amp *= 0.5 * ((m + 0.5)**2 / ((m + 1) * (n + m + 1.5)))  # exact 1/2
+        amp /= s
     return p, dp, cot
 
 
@@ -293,12 +309,16 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
     t_eval = time_grid(t_eval)
     times = list(t_eval) + [kk.time for kk in seq.kicks]
     span = (max(times) - min(times)) if times else 0.0
+    # each segment's is_even_grid, in walk order, settled once for every pass
+    evens = walk_sequence(seq, t_eval, None, lambda s, dt: s,
+                          lambda s, kicks: s, lambda s, dts: [is_even_grid(dts)])
 
     def average(ens: ClassicalEnsemble) -> np.ndarray:
         rest = (ens.theta0, np.zeros(ens.theta0.shape))
+        even = iter(evens)
         return walk_sequence(seq, t_eval, rest, _fly, _kick,
                              lambda state, dts: _free_flight_average(
-                                 *state, ens.weights, dts, k))
+                                 *state, ens.weights, dts, k, next(even)))
 
     vals = _refine(average,
                    defaults.ensemble_nodes(seq.total_strength(), span))
@@ -331,12 +351,12 @@ def _refine(average, n_nodes: int) -> np.ndarray:
 
 
 def _free_flight_average(theta1: np.ndarray, omega: np.ndarray,
-                         weights: np.ndarray, t_2: np.ndarray,
-                         k: int) -> np.ndarray:
+                         weights: np.ndarray, t_2: np.ndarray, k: int,
+                         even: bool | None = None) -> np.ndarray:
     """sum_i w_i cos^k(theta1_i + t omega_i) at every t of ``t_2``, k = 1
     and (cos^2 x = (1 + cos 2x) / 2) k = 2 read off :func:`core.phase_sum`
-    at phases k theta1_i and rates k omega_i."""
-    s = phase_sum(weights, k * theta1, k * omega, t_2)
+    at phases k theta1_i and rates k omega_i; ``even`` as there."""
+    s = phase_sum(weights, k * theta1, k * omega, t_2, even)
     return s if k == 1 else 0.5 * (weights.sum() + s)
 
 
@@ -365,8 +385,10 @@ class TwoKickScan:
         self._scale = np.array([pa, 1.0 / pa])
         self._kicked: dict[int, tuple[np.ndarray, ...]] = {}
         span = abs(t_1) + float(np.max(np.abs(t_2))) if t_2.size else abs(t_1)
+        even = is_even_grid(t_2)
         self.values = _refine(
-            lambda ens: _free_flight_average(*self._state(ens)[:3], t_2, k),
+            lambda ens: _free_flight_average(*self._state(ens)[:3], t_2, k,
+                                             even),
             defaults.ensemble_nodes(abs(p_s) + abs(p_a), span))
 
     def _state(self, ens: ClassicalEnsemble) -> tuple[np.ndarray, ...]:

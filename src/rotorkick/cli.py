@@ -4,7 +4,7 @@ Four subcommands:
 
 simulate  observable time traces for a pulse sequence (CSV)
 optimize  best pulse pair for a fixed orienting kick strength (CSV)
-sweep     optimize across a list of p_a values, warm-started (CSV)
+sweep     optimize across a list of p_a values, one optimize row each (CSV)
 convert   lab pulse parameters to dimensionless kick strengths (text)
 
 All CSV floats are printed with 12 significant digits and LF line
@@ -187,30 +187,25 @@ def _cmd_convert(args) -> int:
 
     lines = [f"molecule = {mol.name}",
              f"revival_time_ps = {CSV_NUM(mol.revival_time_ps)}"]
-    did_any = False
     if (args.hcp_field is None) != (args.hcp_duration is None):
         raise ConfigError("--hcp-field and --hcp-duration go together")
     if args.hcp_field is not None:
         pa = kick_strength(HalfCyclePulse(args.hcp_field, args.hcp_duration),
                            mol)
         lines.append(f"p_a = {CSV_NUM(pa)}")
-        did_any = True
     if (args.laser_intensity is None) != (args.laser_duration is None):
         raise ConfigError("--laser-intensity and --laser-duration go together")
     if args.laser_intensity is not None:
         ps = kick_strength(
             LaserPulse(args.laser_intensity, args.laser_duration), mol)
         lines.append(f"p_s = {CSV_NUM(ps)}")
-        did_any = True
     if args.time_ps is not None:
         lines.append(
             f"t_dimensionless = {CSV_NUM(time_to_dimensionless(args.time_ps, mol))}")
-        did_any = True
     if args.time_dimensionless is not None:
         lines.append(
             f"t_ps = {CSV_NUM(time_from_dimensionless(args.time_dimensionless, mol))}")
-        did_any = True
-    if not did_any:
+    if len(lines) == 2:  # the molecule's own lines alone
         raise ConfigError("nothing to convert: give a pulse or a time")
     _emit(lines, args.out)
     return 0

@@ -160,7 +160,7 @@ def _powers(z: np.ndarray, m: int, first=1.0) -> np.ndarray:
 
 
 def phase_sum(weights: np.ndarray, phases, rates: np.ndarray,
-              t: np.ndarray) -> np.ndarray:
+              t: np.ndarray, even: bool | None = None) -> np.ndarray:
     """Re sum_i w_i exp(i(phases_i + rates_i t)) at every t of ``t``, the
     free-flight sampler of both engines (classical nodes, quantum beats).
 
@@ -168,13 +168,13 @@ def phase_sum(weights: np.ndarray, phases, rates: np.ndarray,
     matrix product A @ C, A[q, i] = w_i exp(i(phases_i + (t_0 + qBh)
     rates_i)) and C[i, r] = exp(irh rates_i), both powers built by
     repeated multiplication: three exponentials per term, not n. Any other
-    array (off by over 1e-12 of its largest |t|) takes B = 1.
+    array takes B = 1. ``even`` is :func:`is_even_grid` of ``t``, tested
+    here if None; a caller sampling one ``t`` on many rules settles it once.
     """
     n = t.size
     t_0 = t[0] if n else 0.0
     h = (t[-1] - t_0) / (n - 1) if n > 1 else 0.0
-    grid = t_0 + h * np.arange(n)
-    if (np.abs(t - grid) <= 1e-12 * np.abs(t).max(initial=0.0)).all():
+    if is_even_grid(t) if even is None else even:
         b = math.isqrt(n - 1) + 1 if n else 1
         anchor = weights * np.exp(1j * (phases + t_0 * rates))
         a = _powers(np.exp(1j * b * h * rates), -(-n // b), anchor)
@@ -184,6 +184,14 @@ def phase_sum(weights: np.ndarray, phases, rates: np.ndarray,
         c = np.ones((1, rates.size))
     # + 0.0 turns -0.0 into 0.0: a band that vanishes by parity prints as 0
     return (a @ c.T).real.ravel()[:n] + 0.0
+
+
+def is_even_grid(t: np.ndarray) -> bool:
+    """Whether ``t`` is off the even grid from its first entry to its last
+    by at most 1e-12 of its largest |t| (:func:`phase_sum`)."""
+    h = (t[-1] - t[0]) / (t.size - 1) if t.size > 1 else 0.0
+    grid = (t[0] if t.size else 0.0) + h * np.arange(t.size)
+    return bool((np.abs(t - grid) <= 1e-12 * np.abs(t).max(initial=0.0)).all())
 
 
 def phase_jet(weights: np.ndarray, phases, rates: np.ndarray,
@@ -304,10 +312,12 @@ class OptimizationResult:
     delay between pulses and ``t_2`` the observation time after the last
     pulse (both may be negative on the classical revival continuation).
     ``evaluations`` counts the distinct (p_s, t_1) points evaluated, each
-    one value and gradient. ``stagnated``: no quasi-Newton ascent ended
-    above the best start it was given (a sweep row's warm start counts as
-    a start). ``on_boundary``: the optimum holds a bound of the search box
-    that the gradient points out of, so a larger box would score higher.
+    one value and gradient, by the one solve that every problem sharing
+    this one's unit problem reads (``optimize._unit_problem``).
+    ``stagnated``: no quasi-Newton ascent ended above the best start it
+    was given. ``on_boundary``: the optimum holds a bound of the search
+    box that the gradient points out of, so a larger box would score
+    higher.
     """
 
     p_a: float

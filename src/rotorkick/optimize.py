@@ -16,13 +16,12 @@ numpy alone.
 Branches
 --------
 Prompt: orientation shortly after the pulse pair. Revival: orientation
-near one full revival period; classically this is the analytic
-continuation of the trajectory to negative times, quantum mechanically a
-window of total time within [2*pi - Delta, 2*pi]. Classical problems
-are solved once in the scale-free variables p_s/|p_a|, |p_a| t_1 and
-|p_a| t_2, whose default windows are constants, so optima respect the
-exact classical scaling law; quantum windows span the full 2*pi period,
-which is the natural domain of a periodic system.
+near one full revival period; classically the analytic continuation of
+the trajectory to negative times, which is the prompt problem mirrored,
+quantum mechanically a window of total time within [2*pi - Delta, 2*pi].
+Classical problems are solved once in the scale-free variables
+p_s/|p_a|, |p_a| t_1 and |p_a| t_2, so optima respect the exact
+classical scaling law; quantum windows span the full 2*pi period.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -55,11 +54,6 @@ class BoundsBox:
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise NonFiniteValue(f"bad bounds for {name}: ({lo}, {hi})")
 
-    def contains(self, p_s: float, t_1: float) -> bool:
-        """Whether (p_s, t_1) lies in the box (t_2 is searched separately)."""
-        return (self.p_s[0] <= p_s <= self.p_s[1]
-                and self.t_1[0] <= t_1 <= self.t_1[1])
-
 
 def default_bounds(engine: Engine, order: PulseOrder, branch: Branch,
                    p_a: float) -> BoundsBox:
@@ -67,43 +61,41 @@ def default_bounds(engine: Engine, order: PulseOrder, branch: Branch,
 
     Prompt uses an anti-aligning pre/post pulse (p_s < 0); the revival
     branch mirrors it with an aligning pulse (p_s > 0). |p_s| ranges over
-    [0.02, 1.0] * p_a. A classical box is its scale-free box
-    (:func:`_unit_bounds`) at the strength |p_a|.
+    [0.02, 1.0] * p_a. A classical box is its scale-free prompt box
+    (:func:`_unit_bounds`) at the strength |p_a|, mirrored on the revival
+    branch.
     """
     pa = abs(p_a) if p_a != 0 else 1.0
     if engine is Engine.CLASSICAL:
-        return _rescaled_box(_unit_bounds(order, branch, pa), pa)
-    ps = _ps_bounds(branch, pa)
-    t1 = (0.0, 0.0) if order is PulseOrder.SIMULTANEOUS \
-        else (0.0, REVIVAL_PERIOD)
-    return BoundsBox(ps, t1, (0.0, REVIVAL_PERIOD))
+        return _rescaled_box(_unit_bounds(order, pa), _mirror(branch) * pa)
+    lo, hi = defaults.PS_RATIO_MIN * pa, defaults.PS_RATIO_MAX * pa
+    t1 = (0.0, 0.0 if order is PulseOrder.SIMULTANEOUS else REVIVAL_PERIOD)
+    return BoundsBox((-hi, -lo) if branch is Branch.PROMPT else (lo, hi), t1,
+                     (0.0, REVIVAL_PERIOD))
 
 
-def _ps_bounds(branch: Branch, pa: float) -> tuple[float, float]:
-    lo_mag = defaults.PS_RATIO_MIN * pa
-    hi_mag = defaults.PS_RATIO_MAX * pa
-    return (-hi_mag, -lo_mag) if branch is Branch.PROMPT else (lo_mag, hi_mag)
-
-
-def _unit_bounds(order: PulseOrder, branch: Branch, pa: float) -> BoundsBox:
-    """The default classical box in the scale-free variables
+def _unit_bounds(order: PulseOrder, pa: float) -> BoundsBox:
+    """The default classical prompt box in the scale-free variables
     (p_s/|p_a|, |p_a| t_1, |p_a| t_2) at the strength ``pa``: constants,
     but for the caps of the windows' (``defaults.*_window_classical``)."""
-    w1 = defaults.delay_window_classical(pa)
-    w2 = defaults.prompt_window_classical(pa)
-    t1, t2 = ((-w1, 0.0), (-w2, 0.0)) if branch is Branch.REVIVAL \
-        else ((0.0, w1), (0.0, w2))
-    if order is PulseOrder.SIMULTANEOUS:
-        t1 = (0.0, 0.0)
-    return BoundsBox(_ps_bounds(branch, 1.0), t1, t2)
+    t1 = (0.0, 0.0 if order is PulseOrder.SIMULTANEOUS
+          else defaults.delay_window_classical(pa))
+    return BoundsBox((-defaults.PS_RATIO_MAX, -defaults.PS_RATIO_MIN), t1,
+                     (0.0, defaults.prompt_window_classical(pa)))
+
+
+def _mirror(branch: Branch) -> float:
+    """-1 on the revival branch, classically the prompt one run back, else 1."""
+    return -1.0 if branch is Branch.REVIVAL else 1.0
 
 
 def _rescaled_box(box: BoundsBox, pa: float) -> BoundsBox:
     """The box of (p_s, t_1, t_2) = (pa r, T_1 / pa, T_2 / pa) for ``box``
-    of (r, T_1, T_2); 1 / pa inverts it."""
-    return BoundsBox(tuple(v * pa for v in box.p_s),
-                     tuple(v / pa for v in box.t_1),
-                     tuple(v / pa for v in box.t_2))
+    of (r, T_1, T_2); 1 / pa inverts it, and a negative pa mirrors it
+    (+ 0.0 keeps a bound of 0 at +0)."""
+    return BoundsBox(*(tuple(sorted(v + 0.0 for v in pair)) for pair in (
+        [v * pa for v in box.p_s], [v / pa for v in box.t_1],
+        [v / pa for v in box.t_2])))
 
 
 @dataclass(frozen=True)
@@ -296,9 +288,7 @@ def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
     scale = 0.8 if prob.order is PulseOrder.LASER_FIRST else 0.36
     for m in mags:
         base = scale / m
-        if prob.branch is Branch.REVIVAL and prob.engine is Engine.CLASSICAL:
-            delays += [(sign * m, clamp_t1(-base)), (sign * m, clamp_t1(-2.5 * base))]
-        elif prob.branch is Branch.REVIVAL:
+        if prob.branch is Branch.REVIVAL:
             delays += [(sign * m, clamp_t1(REVIVAL_PERIOD - base)),
                        (sign * m, clamp_t1(REVIVAL_PERIOD - 2.5 * base))]
         else:
@@ -330,14 +320,13 @@ def optimize(
     best start it was given, ``on_boundary`` when the optimum holds a
     bound of the box that the gradient points out of.
 
-    The starts are scored in this process, then their ascents run side
-    by side in forked worker processes, one per CPU this process may use
-    (its CPU affinity: ``taskset`` or a container's CPU set limits them),
-    and serially where there is one such CPU, no ``fork`` start method,
-    another thread running, or the caller is a daemonic process. The
-    result is identical to a serial run, ``evaluations`` included, and
-    no worker outlives the call. A negative ``extra_starts`` raises
-    ValueError.
+    It solves :func:`_unit_problem` of ``prob``, memoized
+    (:func:`_solve`), and maps the result back: problems that share a
+    unit problem share one solve, and so all the fields above. The
+    ascents run side by side in forked worker processes, one per CPU
+    this process may use (:func:`_worker_count`), with the result of a
+    serial run, ``evaluations`` included; no worker outlives the call.
+    A negative ``extra_starts`` raises ValueError.
     """
     _check_extra_starts(extra_starts)
     if prob.p_a == 0.0:
@@ -353,38 +342,42 @@ def optimize(
             branch=prob.branch, order=prob.order, engine=prob.engine,
             evaluations=1, stagnated=True,
         )
-    return _solve(prob, extra_starts, seed)[0]
+    unit = _unit_problem(prob)
+    res = _solve(unit, extra_starts, seed if extra_starts else None)
+    if unit is prob:
+        return res
+    # (p_s, t) = (lam r, T / lam), lam < 0 on the mirror; + 0.0: never -0.0
+    lam = _mirror(prob.branch) * abs(prob.p_a)
+    parity = math.copysign(1.0, lam * prob.p_a * unit.p_a)
+    return replace(res, p_a=prob.p_a, p_s=res.p_s * lam + 0.0,
+                   t_1=res.t_1 / lam + 0.0, t_2=res.t_2 / lam + 0.0,
+                   objective=parity * res.objective + 0.0,
+                   branch=prob.branch)
 
 
-def _solve(prob: OptimizationProblem, extra_starts: int, seed: int | None,
-           warm: tuple[float, float] | None = None
-           ) -> tuple[OptimizationResult, tuple[float, float]]:
-    """The one driver of :func:`optimize` and :func:`sweep`.
+@lru_cache(maxsize=64)
+def _solve(prob: OptimizationProblem, extra_starts: int,
+           seed: int | None) -> OptimizationResult:
+    """The one driver of :func:`optimize`, memoized in a bounded LRU
+    cache keyed on all its arguments (``defaults`` are constants, and the
+    seed of no extra starts is None), so a hit is the cold solve's result.
 
-    It solves :func:`_unit_problem` of ``prob``, the scale-free problem
-    for a classical one, and returns the result rescaled to ``prob`` with
-    the optimum (p_s, t_1) of the problem it solved. The starts are the
-    grid of :func:`_start_points`, ``extra_starts`` seeded random points
-    of the box and ``warm`` (a sweep row's previous optimum, a point of
-    the solved problem) if it lies in the box; each runs one
+    The starts are the grid of :func:`_start_points` and
+    ``extra_starts`` seeded random points of the box; each runs one
     :func:`_ascent_from`. They are scored here, so the workers fork with
     the rule and operator caches warm.
     """
-    unit = _unit_problem(prob)
-    evaluate = _Objective(unit)
-    (ps_lo, ps_hi) = unit.bounds.p_s
-    (t1_lo, t1_hi) = unit.bounds.t_1
-    starts = _start_points(unit)
+    evaluate = _Objective(prob)
+    (ps_lo, ps_hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
+    starts = _start_points(prob)
     if extra_starts > 0:
         rng = np.random.default_rng(seed)
         for _ in range(extra_starts):
             ps = rng.uniform(ps_lo, ps_hi)
             t1 = rng.uniform(t1_lo, t1_hi) if t1_hi > t1_lo else t1_lo
             starts.append((ps, t1))
-    if warm is not None and unit.bounds.contains(*warm):
-        starts.append(warm)
 
-    scored = [(unit.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
+    scored = [(prob.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
     runs = _map_starts(partial(_ascent_from, evaluate), starts)
     for _, added in runs:
         evaluate.update(added)
@@ -392,36 +385,38 @@ def _solve(prob: OptimizationProblem, extra_starts: int, seed: int | None,
     score, ps, t1 = max([end for end, _ in runs] + scored,
                         key=lambda c: (c[0], -abs(c[1])))
     value, t2, grad = evaluate(ps, t1)
-    box = _ScaledBox(unit)
-    lam = abs(prob.p_a / unit.p_a)
+    box = _ScaledBox(prob)
     return OptimizationResult(
-        p_a=prob.p_a, p_s=ps * lam, t_1=t1 / lam, t_2=t2 / lam,
-        objective=value, branch=prob.branch, order=prob.order,
-        engine=prob.engine, evaluations=len(evaluate),
+        p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
+        branch=prob.branch, order=prob.order, engine=prob.engine,
+        evaluations=len(evaluate),
         stagnated=bool(score <= max(c[0] for c in scored) + 1e-12),
         on_boundary=bool(_outward(box.scaled((ps, t1)),
                                   box.ascent(value, grad), box.u_lo,
                                   box.u_hi).any()),
-    ), (ps, t1)
+    )
 
 
 def _unit_problem(prob: OptimizationProblem) -> OptimizationProblem:
-    """The problem :func:`_solve` solves for ``prob``: for a classical one,
-    the same problem in r = p_s/|p_a| and T = |p_a| t at p_a = +-1, whose
-    optimum (r, T_1, T_2) is (p_s/|p_a|, |p_a| t_1, |p_a| t_2) of
-    ``prob``'s, as classical kicks from rest are invariant under
-    (p_s, p_a, t_1, t_2) -> (lam p_s, lam p_a, t_1/lam, t_2/lam). The
-    default box is the scale-free one (:func:`_unit_bounds`) itself, so
-    every p_a whose windows' caps do not bind solves the same problem, bit
-    for bit; another box is rescaled. A quantum problem is its own.
+    """The problem :func:`optimize` solves for ``prob``. A quantum problem
+    is its own. A classical one is the same prompt problem in r =
+    p_s/|p_a| and T = |p_a| t at p_a = +-1, as classical kicks from rest
+    are invariant under (p_s, p_a, t_1, t_2) -> (lam p_s, lam p_a, t_1/lam,
+    t_2/lam), lam = -1 included: a revival problem is the prompt problem
+    of the mirrored box at -p_a. Under |objective| p_a is +1, orientation
+    being odd in p_a. The default box is :func:`_unit_bounds` itself, so
+    every p_a whose windows' caps do not bind, and both branches, solve
+    the same problem, bit for bit; another box is rescaled.
     """
     if prob.engine is not Engine.CLASSICAL:
         return prob
-    pa = abs(prob.p_a)
-    bounds = _unit_bounds(prob.order, prob.branch, pa)
-    if prob.bounds != _rescaled_box(bounds, pa):
-        bounds = _rescaled_box(prob.bounds, 1.0 / pa)
-    return replace(prob, p_a=math.copysign(1.0, prob.p_a), bounds=bounds)
+    pa, mirror = abs(prob.p_a), _mirror(prob.branch)
+    bounds = _unit_bounds(prob.order, pa)
+    if prob.bounds != _rescaled_box(bounds, mirror * pa):
+        bounds = _rescaled_box(prob.bounds, mirror / pa)
+    p_a = 1.0 if prob.objective_sign is ObjectiveSign.MAXIMIZE_ABS \
+        else mirror * math.copysign(1.0, prob.p_a)
+    return replace(prob, p_a=p_a, branch=Branch.PROMPT, bounds=bounds)
 
 
 def _check_extra_starts(extra_starts: int) -> None:
@@ -615,18 +610,11 @@ class SweepRow:
 
 def sweep(prob_template: OptimizationProblem, p_a_values,
           extra_starts: int = 0, seed: int | None = None) -> list[SweepRow]:
-    """One optimize per p_a, classical rows warm-started from the previous
-    optimum.
-
-    A classical row after the first (sequential pulses) has one more
-    start: the previous optimum scaled by the classical scaling law, the
-    previous row's scale-free optimum (:func:`_unit_problem`), if it lies
-    in the box. It counts as a start for ``stagnated``, and its ascent's
-    points in ``evaluations``. Quantum rows have none: their optimal delays stay
-    near 5 instead of scaling, so the scaled start never won and cost
-    evaluations. p_a values must be positive and sorted ascending, and
-    ``extra_starts`` not negative. Failures are captured per point so a
-    sweep always returns one row per input.
+    """One :func:`optimize` per p_a: each row is that call's result, so
+    classical rows that share a unit problem (every p_a whose windows'
+    caps do not bind) are one memoized solve. p_a values must be positive
+    and sorted ascending, and ``extra_starts`` not negative. Failures are
+    captured per point so a sweep always returns one row per input.
     """
     _check_extra_starts(extra_starts)
     p_a_values = list(p_a_values)
@@ -641,18 +629,10 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
             " by default (override by sweeping manually)")
 
     rows: list[SweepRow] = []
-    prev: tuple[float, float] | None = None
     for pa in p_a_values:
         try:
-            prob = OptimizationProblem(
-                engine=prob_template.engine, order=prob_template.order,
-                p_a=pa, branch=prob_template.branch,
-                objective_sign=prob_template.objective_sign,
-            )
-            warm = prev if (prob.engine is Engine.CLASSICAL and prob.order
-                            is not PulseOrder.SIMULTANEOUS) else None
-            result, prev = _solve(prob, extra_starts, seed, warm)
-            rows.append(SweepRow(pa, result))
+            prob = replace(prob_template, p_a=pa, bounds=None)
+            rows.append(SweepRow(pa, optimize(prob, extra_starts, seed)))
         except (RotorkickError, ValueError) as exc:
             # bad input and numerical failure annotate the point and the
             # sweep goes on; anything else is a bug and propagates

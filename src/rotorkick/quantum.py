@@ -104,18 +104,11 @@ class KickOperator:
     @property
     def matrix(self) -> np.ndarray:
         """Dense analytic operator matrix (tests and diagnostics)."""
-        n = self.l_max + 1
-        m = np.zeros((n, n))
         if self.kind is KickKind.ASYMMETRIC:
             c = cos_offdiag(self.l_max)
-            m[np.arange(n - 1), np.arange(1, n)] = c
-            m[np.arange(1, n), np.arange(n - 1)] = c
-        else:
-            diag, off2 = cos2_bands(self.l_max)
-            m[np.arange(n), np.arange(n)] = diag
-            m[np.arange(n - 2), np.arange(2, n)] = off2
-            m[np.arange(2, n), np.arange(n - 2)] = off2
-        return m
+            return np.diag(c, 1) + np.diag(c, -1)
+        diag, off2 = cos2_bands(self.l_max)
+        return np.diag(diag) + np.diag(off2, 2) + np.diag(off2, -2)
 
     def reconstructed(self) -> np.ndarray:
         """V diag(lambda) V^T assembled over blocks; equals ``matrix``."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -261,14 +262,15 @@ def mpmath_rule_point(n, u):
     return root, 2 / ((1 - root * root) * dp * dp)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 1024, 2048, 4096, 8192,
+@pytest.mark.parametrize("n", [*range(2, 151), 1024, 2048, 4096, 8192,
                                2**15])
 def test_roots_legendre_matches_the_oracle_rule(n):
     """Against 40-digit mpmath at the nodes k = 1..8 from u = 1 (the
     seam between the recurrence and the interior expansion lies between
     k = 6 and 7), the node n/4 and the middle one; the mirror test below
-    covers the other half. Measured: nodes within 1.9e-16 and weights
-    within 2.1e-14 relative for every n here."""
+    covers the other half. Every n up to 150 is checked, where the edge
+    nodes reach far from u = 1. Measured: nodes within 2.1e-16 and
+    weights within 2.1e-14 relative for every n here."""
     u, w = roots_legendre(n)
     assert u.shape == w.shape == (n,)
     assert np.all(np.diff(u) > 0.0)
@@ -277,6 +279,21 @@ def test_roots_legendre_matches_the_oracle_rule(n):
         root, weight = mpmath_rule_point(n, u[n - k])
         assert abs(float(root - u[n - k])) <= 2.3e-16, k
         assert abs(float(w[n - k] / weight - 1)) <= 1e-13, k
+
+
+def test_roots_legendre_peak_memory_is_a_few_arrays():
+    """A rule build holds few temporaries: an 8192-node build peaks at
+    0.38 MiB (the rule itself is 0.125 MiB), where a Newton pass of
+    out-of-place updates peaked at 0.66 MiB."""
+    roots_legendre(64)  # warm any lazily allocated state
+    tracemalloc.start()
+    try:
+        u, w = roots_legendre(8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes + w.nbytes == 2**17
+    assert peak <= 0.45 * 2**20
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 65, 255, 256, 1025])
@@ -343,6 +360,35 @@ def test_free_flight_average_matches_direct_quadrature(order):
                 ens.weights, sign * t2, k)
             assert got.shape == t2.shape
             assert np.max(np.abs(got - direct)) < 1e-12
+
+
+def test_even_grid_test_is_settled_once_per_scan_and_segment(monkeypatch):
+    """Every rule pass samples the same times, so a TwoKickScan tests its
+    t_2 grid for evenness once, and classical_observable each segment
+    between kicks once, however many rules the quadrature doubles
+    through; every pass's phase_sum reads the settled answer."""
+    tested, settled = [], []
+    is_even, phase_sum = classical.is_even_grid, classical.phase_sum
+
+    def test_once(t):
+        tested.append(t.size)
+        return is_even(t)
+
+    def summed(weights, phases, rates, t, even):
+        settled.append(even)
+        return phase_sum(weights, phases, rates, t, even)
+
+    monkeypatch.setattr(classical, "is_even_grid", test_once)
+    monkeypatch.setattr(classical, "phase_sum", summed)
+    TwoKickScan(-2.0, 10.0, 0.3, np.linspace(0.0, 1.0, 300))
+    assert tested == [300]
+    assert len(settled) >= 2 and set(settled) == {True}
+    tested.clear(), settled.clear()
+    seq = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
+    ts = np.concatenate((np.linspace(-1.0, 0.29, 40), [0.4, 0.6, 0.65]))
+    classical_observable(seq, 1, ts)
+    assert tested == [31, 9, 3]  # before, between and after the kicks
+    assert len(settled) >= 6 and settled[:3] == [True, True, False]
 
 
 def test_non_finite_input_raises_before_quadrature():

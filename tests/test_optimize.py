@@ -1,6 +1,7 @@
 import importlib
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ def classical_problem(order=PulseOrder.LASER_FIRST, p_a=10.0,
                       branch=Branch.PROMPT, **kw):
     return OptimizationProblem(engine=Engine.CLASSICAL, order=order,
                                p_a=p_a, branch=branch, **kw)
+
+
+def in_box(box, res):
+    """Whether the (p_s, t_1) of ``res`` lies in ``box``."""
+    return (box.p_s[0] <= res.p_s <= box.p_s[1]
+            and box.t_1[0] <= res.t_1 <= box.t_1[1])
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +105,7 @@ def test_zero_pa_short_circuits():
         with pytest.warns(UserWarning, match="identically zero"):
             res = optimize(prob)
         assert res.objective == 0.0 and res.stagnated
-        assert prob.bounds.contains(res.p_s, res.t_1)
+        assert in_box(prob.bounds, res)
         assert prob.bounds.t_2[0] <= res.t_2 <= prob.bounds.t_2[1]
     assert (res.p_s, res.t_1) == (0.02, 0.0)  # the default revival box
     assert res.t_1 + res.t_2 == pytest.approx(TWO_PI - 0.5, abs=1e-12)
@@ -120,8 +127,12 @@ def simul10():
 
 
 def test_orientation_flips_with_pa_sign(simul10):
+    optimize_module._solve.cache_clear()
     res = optimize(classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=-10.0))
     assert res.objective == pytest.approx(-simul10.objective, abs=1e-3)
+    # by parity |objective| at -p_a is the problem at p_a, solved afresh
+    assert (res.objective, res.p_s, res.evaluations) == (
+        -simul10.objective, simul10.p_s, simul10.evaluations)
 
 
 def test_optimizer_not_worse_than_any_start(simul10):
@@ -138,7 +149,7 @@ def test_stagnation_on_degenerate_box(simul10):
         bounds=BoundsBox((ps, ps), (0.0, 0.0), (0.0, 1.0)))
     res = optimize(prob)
     assert res.stagnated
-    assert prob.bounds.contains(res.p_s, res.t_1)
+    assert in_box(prob.bounds, res)
     assert res.objective == pytest.approx(simul10.objective, abs=1e-4)
 
 
@@ -433,13 +444,16 @@ def scale_free(res):
     return res.p_s / res.p_a, res.p_a * res.t_1, res.p_a * res.t_2
 
 
-def test_classical_optimum_is_scale_exact(prompt10, laser100):
+def test_classical_optimum_is_scale_exact(prompt10):
     """A classical problem is solved once in the scale-free variables:
     where the windows' caps do not bind, the laser-first prompt optima at
     p_a = 10, 12.5, 16 and 100 (three mantissa families) are one optimum,
     objective and evaluations included; only the rescale rounds."""
-    results = [prompt10, optimize(classical_problem(p_a=12.5)),
-               optimize(classical_problem(p_a=16.0)), laser100]
+    def cold(p_a):
+        optimize_module._solve.cache_clear()
+        return optimize(classical_problem(p_a=p_a))
+
+    results = [prompt10, cold(12.5), cold(16.0), cold(100.0)]
     for res in results[1:]:
         assert (res.objective, res.evaluations, res.on_boundary) == (
             prompt10.objective, prompt10.evaluations, prompt10.on_boundary)
@@ -448,9 +462,9 @@ def test_classical_optimum_is_scale_exact(prompt10, laser100):
 
 
 def test_classical_sweep_rows_agree_in_scaled_units():
-    """The README sweep solves one scale-free problem four times; each row
-    after the first also starts from the previous row's optimum, which
-    is already its own."""
+    """The README sweep's four rows share one scale-free problem: each
+    row is that one solve rescaled, so they agree in the scale-free
+    variables to the rescale's rounding, evaluations included."""
     rows = sweep(classical_problem(order=PulseOrder.HCP_FIRST),
                  [10.0, 20.0, 50.0, 100.0])
     first = rows[0].result
@@ -458,8 +472,139 @@ def test_classical_sweep_rows_agree_in_scaled_units():
         assert row.result.objective == first.objective
         assert scale_free(row.result) == pytest.approx(scale_free(first),
                                                        rel=1e-15, abs=0.0)
-        assert row.result.stagnated
-        assert row.result.evaluations == rows[1].result.evaluations
+        assert not row.result.stagnated
+        assert row.result.evaluations == first.evaluations
+
+
+def mirrored(box):
+    """The box of (-p_s, -t_1, -t_2) of ``box``."""
+    return BoundsBox(*((-hi, -lo) for lo, hi in (box.p_s, box.t_1, box.t_2)))
+
+
+@pytest.mark.parametrize("order", list(PulseOrder))
+def test_classical_revival_objective_is_the_mirrored_prompt_objective(order):
+    """Negating (p_s, p_a, t_1, t_2) leaves every classical trajectory
+    unchanged, so the revival problem at (p_s, t_1) scores as its prompt
+    twin (p_a -> -p_a, the box mirrored) at (-p_s, -t_1), with t_2
+    negated: the engine alone, no optimizer and no memo."""
+    rng = np.random.default_rng(18)
+    for p_a in (3.0, 10.0, 100.0):
+        revival = classical_problem(order, p_a, Branch.REVIVAL)
+        twin = classical_problem(order, -p_a, bounds=mirrored(revival.bounds))
+        for _ in range(4):
+            p_s = rng.uniform(*revival.bounds.p_s)
+            t_1 = rng.uniform(*revival.bounds.t_1)
+            value, t_2 = evaluate_objective(revival, p_s, t_1)
+            twin_value, twin_t2 = evaluate_objective(twin, -p_s, -t_1)
+            assert twin_value == pytest.approx(value, rel=0.0, abs=1e-14)
+            assert twin_t2 == pytest.approx(-t_2, rel=0.0, abs=1e-14)
+
+
+def assert_mirrored(res, twin, parity):
+    """``res`` is ``twin`` with p_s, t_1 and t_2 negated, bit for bit, its
+    objective times ``parity``, and the same solve's counts and flags."""
+    assert (res.p_s, res.t_1, res.t_2, res.objective) == (
+        -twin.p_s, -twin.t_1, -twin.t_2, parity * twin.objective)
+    assert (res.evaluations, res.stagnated, res.on_boundary) == (
+        twin.evaluations, twin.stagnated, twin.on_boundary)
+    # no field is -0.0 (the simultaneous t_1, say)
+    assert all(math.copysign(1.0, v) > 0.0 for v in
+               (res.p_s, res.t_1, res.t_2, res.objective) if v == 0.0)
+
+
+@pytest.mark.parametrize("order", list(PulseOrder))
+def test_classical_revival_optimum_is_the_mirrored_prompt_optimum(order):
+    """Through the API, each result a cold solve: the default revival
+    optimum is the prompt one mirrored, its objective negated by parity;
+    with the signed objective or a box of one's own, the twin is the
+    prompt problem at -p_a of the mirrored box, with the same objective."""
+    def cold(prob):
+        optimize_module._solve.cache_clear()
+        return optimize(prob)
+
+    for p_a in (3.0, 10.0, 100.0):
+        revival = cold(classical_problem(order, p_a, Branch.REVIVAL))
+        assert revival.branch is Branch.REVIVAL
+        assert_mirrored(revival, cold(classical_problem(order, p_a)), -1.0)
+    box = BoundsBox((0.5, 4.0), (-0.5, 0.0), (-0.3, 0.0))
+    for sign in ObjectiveSign:
+        revival = cold(classical_problem(order, 10.0, Branch.REVIVAL,
+                                         bounds=box, objective_sign=sign))
+        twin = cold(classical_problem(order, -10.0, bounds=mirrored(box),
+                                      objective_sign=sign))
+        assert_mirrored(revival, twin, 1.0)
+        assert revival.p_a == 10.0 and twin.p_a == -10.0
+
+
+def test_both_branches_share_one_unit_problem():
+    for order in PulseOrder:
+        for p_a in (3.0, 100.0):
+            prompt = optimize_module._unit_problem(classical_problem(order, p_a))
+            revival = optimize_module._unit_problem(
+                classical_problem(order, p_a, Branch.REVIVAL))
+            assert revival == prompt
+            assert (prompt.p_a, prompt.branch) == (1.0, Branch.PROMPT)
+
+
+def test_a_second_identical_optimize_evaluates_nothing(monkeypatch):
+    prob = classical_problem(order=PulseOrder.SIMULTANEOUS)
+    first = optimize(prob)
+    calls = []
+
+    def spy(prob, p_s, t_1, gradient=False):
+        calls.append((p_s, t_1))
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(optimize_module, "evaluate_objective", spy)
+    assert optimize(prob) == first
+    assert calls == []
+
+
+def test_a_sweep_of_one_unit_problem_makes_one_solve(monkeypatch):
+    """The README HCP-first sweep: every p_a shares the unit problem, so
+    the starts are built once, and each row is its ``optimize`` row."""
+    start_points = optimize_module._start_points
+    calls = []
+
+    def spy(prob):
+        calls.append(prob)
+        return start_points(prob)
+
+    monkeypatch.setattr(optimize_module, "_start_points", spy)
+    pas = [10.0, 20.0, 50.0, 100.0]
+    rows = sweep(classical_problem(order=PulseOrder.HCP_FIRST), pas)
+    assert len(calls) == 1
+    optimize_module._solve.cache_clear()
+    for p_a, row in zip(pas, rows):
+        alone = optimize(classical_problem(order=PulseOrder.HCP_FIRST, p_a=p_a))
+        assert result_csv_row(row.result) == result_csv_row(alone)
+
+
+def test_the_solve_memo_is_bounded():
+    maxsize = optimize_module._solve.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1024
+
+
+def test_a_memo_hit_equals_a_cold_solve():
+    """Results do not depend on call history: a revival problem served by
+    the memo after its prompt twin at another strength equals its cold
+    solve field by field, and ``extra_starts`` and ``seed`` are part of
+    the key."""
+    hcp = partial(classical_problem, PulseOrder.HCP_FIRST)
+    optimize(hcp(10.0))
+    hit = optimize(hcp(20.0, Branch.REVIVAL))
+    info = optimize_module._solve.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    optimize_module._solve.cache_clear()
+    assert repr(optimize(hcp(20.0, Branch.REVIVAL))) == repr(hit)
+
+    seeded = [optimize(hcp(10.0), 2, seed) for seed in (1, 2, 1)]
+    info = optimize_module._solve.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
+    assert seeded[2] == seeded[0]
+    # without extra starts the seed is read by nothing: one solve
+    assert optimize(hcp(10.0), seed=7) == optimize(hcp(10.0))
+    assert optimize_module._solve.cache_info().misses == 3
 
 
 def test_hcp_first_optimum_shape(hcp_pair):
@@ -503,7 +648,7 @@ def test_quantum_revival_narrows_the_delay_box():
     results = [(t1, evaluate_objective(prob, 2.0, t1)[1])
                for t1 in np.linspace(*prob.bounds.t_1, 5)]
     res = optimize(prob)
-    assert prob.bounds.contains(res.p_s, res.t_1)
+    assert in_box(prob.bounds, res)
     for t1, t2 in results + [(res.t_1, res.t_2)]:
         assert TWO_PI - 0.5 - 1e-12 <= t1 + t2 <= TWO_PI + 1e-12
         assert 0.0 <= t2 <= 1.0
@@ -580,51 +725,10 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 # the classical laser-first revival optimum at p_a = 20, to full precision
 REVIVAL20 = OptimizationResult(
-    p_a=20.0, p_s=0.4, t_1=-2.0486406827669548,
-    t_2=-0.08047795323881131, objective=-0.946477309431427,
+    p_a=20.0, p_s=0.4, t_1=-2.048640682582119,
+    t_2=-0.08047795323864862, objective=-0.9464773094314272,
     branch=Branch.REVIVAL, order=PulseOrder.LASER_FIRST,
-    engine=Engine.CLASSICAL, evaluations=411, on_boundary=True)
-
-
-def test_sweep_warm_start_wins_over_a_poor_start_set(monkeypatch):
-    """At p_a = 40 the grid is one poor start, so the warm start from the
-    p_a = 20 optimum must win; the row counts the evaluations of both
-    starts and their ascents, every distinct point once. Both rows solve
-    the same scale-free problem, so the rows are told apart by the one
-    ``_start_points`` call each makes before it evaluates."""
-    start_points = optimize_module._start_points
-    seen = []  # per row, the points evaluate_objective was called at
-
-    def poor(prob):
-        seen.append(set())
-        # (p_s, t_1) = (30, -0.5) at p_a = 40, in p_s/p_a and p_a t_1
-        return start_points(prob) if len(seen) == 1 else [(0.75, -20.0)]
-
-    evaluate = optimize_module.evaluate_objective
-
-    def spy(prob, p_s, t_1, gradient=False):
-        seen[-1].add((p_s, t_1))
-        return evaluate(prob, p_s, t_1, gradient)
-
-    monkeypatch.setattr(optimize_module, "_start_points", poor)
-    monkeypatch.setattr(optimize_module, "evaluate_objective", spy)
-    # serial, so that the spy sees every evaluation
-    monkeypatch.setattr(optimize_module, "_worker_count", lambda tasks: 1)
-    template = classical_problem(p_a=20.0, branch=Branch.REVIVAL)
-    rows = sweep(template, [20.0, 40.0])
-    assert rows[0].result == REVIVAL20
-    fields = result_csv_row(rows[1].result).split(",")
-    assert fields[:3] + fields[5:8] == [
-        "4.00000000000e+01", "8.00000000000e-01", "-1.02432034138e+00",
-        "revival", "laser-first", "classical"]
-    # t_2 is resolved to TIME_REFINE_TOL; the objective is flat there
-    assert abs(float(fields[3]) + 4.02389766194e-02) <= defaults.TIME_REFINE_TOL
-    assert abs(float(fields[4]) + 9.46477309431e-01) <= 1e-10
-    # the poor start's ascent alone evaluates 45 points
-    assert rows[1].result.evaluations == len(seen[1]) > 45
-    # the poor start alone ends below the warm start's optimum
-    alone = optimize(classical_problem(p_a=40.0, branch=Branch.REVIVAL))
-    assert abs(alone.objective) < abs(rows[1].result.objective) - 1e-3
+    engine=Engine.CLASSICAL, evaluations=407, on_boundary=True)
 
 
 def test_quantum_sweep_strength_guard():

@@ -41,6 +41,7 @@ def test_parallel_equals_serial(name, monkeypatch):
     default = optimize(prob, **kwargs)
     runs = []
     for n in (1, 2):
+        optimize_module._solve.cache_clear()  # a cold solve on n workers
         with_workers(monkeypatch, n)
         runs.append(optimize(prob, **kwargs))
     assert [repr(r) for r in runs] == [repr(default)] * 2
@@ -49,14 +50,15 @@ def test_parallel_equals_serial(name, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_warm_started_sweep_parallel_equals_serial(monkeypatch):
-    """A sweep row's warm start runs with the other starts: its rows are
-    the same, evaluations included, on one worker and on two."""
+def test_sweep_parallel_equals_serial(monkeypatch):
+    """A sweep's rows are the same, evaluations included, on one worker
+    and on two."""
     template = classical_problem(p_a=20.0, branch=Branch.REVIVAL)
     runs = []
     for n in (1, 2):
+        optimize_module._solve.cache_clear()
         with_workers(monkeypatch, n)
-        runs.append([repr(row) for row in sweep(template, [20.0, 40.0])])
+        runs.append([repr(row) for row in sweep(template, [5.0, 20.0])])
     assert runs[0] == runs[1]
     assert "REVIVAL" in runs[0][1] and "error=None" in runs[0][1]
     assert multiprocessing.active_children() == []

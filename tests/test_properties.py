@@ -10,7 +10,7 @@ from rotorkick.classical import (classical_observable, make_ensemble,
                                  propagate_classical, two_kick_observable,
                                  two_kick_theta)
 from rotorkick.core import (Kick, KickKind, PulseOrder, PulseSequence,
-                            format_sequence, parse_sequence,
+                            format_sequence, is_even_grid, parse_sequence,
                             validate_sequence)
 from rotorkick.quantum import (RotorWavefunction, apply_kick, expectation,
                                free_propagate, ground_state,
@@ -227,9 +227,10 @@ def test_segment_walk_matches_point_by_point(case):
     segments = [n for n in np.diff([0, *cuts, ts.size]) if n]
     calls, sampler = [], classical._free_flight_average
 
-    def counted(theta, omega, weights, dts, k):
+    def counted(theta, omega, weights, dts, k, even):
         calls.append(dts.size)
-        return sampler(theta, omega, weights, dts, k)
+        assert even == is_even_grid(dts)  # settled once per segment
+        return sampler(theta, omega, weights, dts, k, even)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classical, "_free_flight_average", counted)
