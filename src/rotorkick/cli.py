@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from .errors import (BasisOverflow, ConfigError, ConvergenceFailure,
 from .labunits import (KCL, HalfCyclePulse, LaserPulse, MoleculeParams,
                        kick_strength, time_from_dimensionless,
                        time_to_dimensionless)
-from .optimize import (CSV_FLOAT, CSV_HEADER, CSV_NUM, BoundsBox,
+from .optimize import (CSV_HEADER, CSV_NUM, BoundsBox,
                        OptimizationProblem, default_bounds, optimize,
                        result_csv_row, sweep)
 
@@ -40,13 +42,93 @@ _NUMERICAL_ERRORS = (ConvergenceFailure, BasisOverflow,
                      SeriesTruncationFailure)
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _write(chunks: Iterable[bytes], out: str | None) -> None:
+    """Write the chunks, one at a time, to the file ``out`` or stdout."""
     if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text already written to stdout goes first
+        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.flush()
+
+
+def _emit(lines: list[str], out: str | None) -> None:
+    _write([("\n".join(lines) + "\n").encode()], out)
+
+
+# ---------------------------------------------------------------------------
+# CSV_FLOAT for a whole column at once
+
+# "0000" .. "9999" and "e-11" .. "e+33" as native uint32s: one gather
+# writes four bytes
+_PAIRS = np.frombuffer(
+    "".join(f"{i:02d}" for i in range(100)).encode(), np.uint8).reshape(100, 2)
+_DIGIT_QUADS = np.concatenate((np.repeat(_PAIRS, 100, axis=0),
+                               np.tile(_PAIRS, (100, 1))), axis=1
+                              ).view(np.uint32).ravel()
+_EXPONENTS = np.frombuffer(
+    "".join(f"e{e:+03d}" for e in range(-11, 34)).encode(), np.uint32)
+_POW10 = np.array([float(10**k) for k in range(23)])  # all exact
+_FIELD = len(CSV_NUM(-1e100))  # the widest CSV_FLOAT output
+
+
+def _csv_field(x: np.ndarray) -> np.ndarray:
+    """``CSV_FLOAT % v`` for each v of x: the rows of a NUL-padded
+    (len(x), _FIELD) uint8 matrix.
+
+    |v| times an exact power of ten, 10^(11 - e) with |11 - e| <= 22,
+    lands in [1e11, 1e12) off the exact product by at most half an ulp
+    there (6.1e-5), so rint gives the 12 printed digits unless the
+    fraction is within 2e-4 of a half. Zeros are printed here too; those
+    near-ties, the range's edges, non-finite values and exponents
+    outside [-11, 33] are printed by CSV_NUM itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    a = np.abs(x)
+    usable = np.isfinite(a) & (a > 0)
+    a = np.where(usable, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k = 11 - e
+    p = _POW10[np.minimum(np.abs(k), 22)]
+    with np.errstate(over="ignore"):  # a * p is kept for k >= 0 only
+        y = np.where(k >= 0, a * p, a / p)
+    m = np.rint(y)
+    fast = (usable & (np.abs(k) <= 22) & (y >= 1e11) & (m < 1e12)
+            & (np.abs(y - np.floor(y) - 0.5) > 2e-4))
+    m = np.where(fast, m, 0.0)  # 0 for zeros; CSV_NUM prints the rest
+    e = np.where(fast, e, 0)
+    # the 12 digits as three groups of four: float64 holds m exactly,
+    # and no quotient's rounding reaches the next integer
+    quads = np.empty((n, 3))
+    np.floor(m / 1e8, out=quads[:, 0])
+    m -= quads[:, 0] * 1e8
+    np.floor(m / 1e4, out=quads[:, 1])
+    np.subtract(m, quads[:, 1] * 1e4, out=quads[:, 2])
+
+    field = np.zeros((n, _FIELD), np.uint8)
+    field[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    digits = _DIGIT_QUADS[quads.astype(np.intp)].view(np.uint8)
+    field[:, 1] = digits[:, 0]
+    field[:, 2] = ord(".")
+    field[:, 3:14] = digits[:, 1:]
+    field[:, 14:18] = _EXPONENTS[e + 11, None].view(np.uint8)
+    for i in np.flatnonzero(~fast & (x != 0)):
+        s = CSV_NUM(float(x[i])).encode()
+        field[i] = np.frombuffer(s.ljust(_FIELD, b"\0"), np.uint8)
+    return field
+
+
+def _csv_block(t_field: np.ndarray, values: np.ndarray, suffix: str) -> bytes:
+    """The rows ``t,value`` + suffix of a simulate block; t_field is
+    :func:`_csv_field` of the time column."""
+    n = len(t_field)
+    comma = np.full((n, 1), ord(","), np.uint8)
+    tail = np.frombuffer(suffix.encode(), np.uint8)
+    rows = np.concatenate((t_field, comma, _csv_field(values),
+                           np.broadcast_to(tail, (n, tail.size))), axis=1)
+    return rows.tobytes().replace(b"\0", b"")
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +161,7 @@ def _cmd_simulate(args) -> int:
         seq = None
 
     order = PulseOrder(args.order)
-    lines = ["t,value,kind,engine"]
+    blocks = []
     for engine in engines:
         if engine is Engine.CLASSICAL:
             if args.classical_shift is not None:
@@ -95,10 +177,14 @@ def _cmd_simulate(args) -> int:
         else:
             s = seq or two_pulse_sequence(args.ps, args.pa, args.t1, order)
             vals = quantum.run_sequence(s, t, k=k, l_max_hint=args.lmax).values
-        # one template per block, filled from Python floats
-        row = f"{CSV_FLOAT},{CSV_FLOAT},{kind},{engine.value}"
-        lines += [row % tv for tv in zip(t.tolist(), vals.tolist())]
-    _emit(lines, args.out)
+        blocks.append((engine, vals))
+    # every value is computed before the first byte is written, so a
+    # failing engine leaves no output; the blocks share one time column
+    t_field = _csv_field(t)
+    _write(itertools.chain(
+        [b"t,value,kind,engine\n"],
+        (_csv_block(t_field, vals, f",{kind},{engine.value}\n")
+         for engine, vals in blocks)), args.out)
     return 0
 
 
@@ -285,7 +371,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
 
     p = sub.add_parser("sweep", parents=[search],
                        help="optimize across p_a values (CSV)")
-    p.add_argument("--pa-list", help="comma-separated p_a values, ascending")
+    p.add_argument("--pa-list", help="comma-separated p_a values")
     p.add_argument("--pa-min", type=float)
     p.add_argument("--pa-max", type=float)
     p.add_argument("--pa-count", type=int, default=5)

@@ -612,16 +612,15 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
           extra_starts: int = 0, seed: int | None = None) -> list[SweepRow]:
     """One :func:`optimize` per p_a: each row is that call's result, so
     classical rows that share a unit problem (every p_a whose windows'
-    caps do not bind) are one memoized solve. p_a values must be positive
-    and sorted ascending, and ``extra_starts`` not negative. Failures are
-    captured per point so a sweep always returns one row per input.
+    caps do not bind) are one memoized solve. p_a values must be positive,
+    in any order, and ``extra_starts`` not negative. Failures are
+    captured per point so a sweep always returns one row per input, in
+    input order.
     """
     _check_extra_starts(extra_starts)
     p_a_values = list(p_a_values)
     if any(p <= 0 for p in p_a_values):
         raise ValueError("sweep p_a values must be positive")
-    if sorted(p_a_values) != p_a_values:
-        raise ValueError("sweep p_a values must be sorted ascending")
     if (prob_template.engine is Engine.QUANTUM
             and any(p > defaults.QUANTUM_SWEEP_PA_MAX for p in p_a_values)):
         raise ValueError(
@@ -643,7 +642,9 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
 CSV_HEADER = "p_a,p_s,t1,t2,objective,branch,order,engine,evals"
 
 #: the one CSV float format: 12 significant digits, byte-stable across
-#: runs; ``%`` formatting prints the same bytes as ``"{:.11e}".format``
+#: runs; ``%`` formatting prints the same bytes as ``"{:.11e}".format``,
+#: and ``simulate`` renders whole columns to these bytes
+#: (``cli._csv_field``)
 CSV_FLOAT = "%.11e"
 CSV_NUM = CSV_FLOAT.__mod__
 

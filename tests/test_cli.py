@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import rotorkick
+from rotorkick import classical, cli, quantum
 from rotorkick.classical import two_kick_observable
 from rotorkick.cli import main
+from rotorkick.core import PulseOrder, parse_sequence, two_pulse_sequence
 from rotorkick.optimize import CSV_FLOAT, CSV_NUM
 
 SRC = str(Path(rotorkick.__file__).resolve().parents[1])
@@ -317,6 +319,129 @@ def test_csv_float_format_on_random_doubles():
                                              dtype=np.uint64)
     for x in bits.view(np.float64).tolist():
         assert CSV_FLOAT % x == "{:.11e}".format(x)
+
+
+def row_template_block(x):
+    """One ``x,x`` row per value through the per-row ``%`` template."""
+    row = f"{CSV_FLOAT},{CSV_FLOAT}\n"
+    return "".join(row % (v, v) for v in np.asarray(x, float).tolist())
+
+
+def rendered_block(x):
+    """The same rows from the block renderer of ``simulate``."""
+    x = np.asarray(x, float)
+    return cli._csv_block(cli._csv_field(x), x, "\n").decode()
+
+
+def _exact_ties():
+    """Doubles whose decimal expansion has 13 significant digits, the
+    last a 5: n / 2^r with n odd and n 5^r in [1e12, 1e13)."""
+    rng = np.random.default_rng(7)
+    ties = [1234567890.125, 1234567890125.0, 12345678901250.0]
+    for r in range(1, 16):
+        lo, hi = 10**12 // 5**r + 1, 10**13 // 5**r
+        n = rng.integers(lo, hi, 200) | 1
+        ties += (n[n * 5**r < 10**13] / 2.0**r).tolist()
+    return np.array(ties)
+
+
+def _rounded_ties():
+    """Doubles x whose product or quotient with the exact power of ten
+    that brings them into [1e11, 1e12) rounds onto a half integer that
+    x * 10^k itself misses: x = fl((m + 1/2) 10^-k)."""
+    rng = np.random.default_rng(3)
+    half = rng.integers(10**11, 10**12, 5000) + 0.5
+    k = rng.integers(-22, 23, 5000)
+    return np.where(k >= 0, half / 10.0 ** np.abs(k), half * 10.0 ** np.abs(k))
+
+
+def _ulp_steps(x, n):
+    """x and the n doubles on either side of each x."""
+    below, above, steps = x, x, [x]
+    for _ in range(n):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        steps += [below, above]
+    return np.concatenate(steps)
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-30, 31)])
+_TIES = _exact_ties()
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(5).integers(0, 2**64, 20000, dtype=np.uint64)
+    .view(np.float64),
+    SPECIAL_FLOATS,
+    [0.0, -0.0],
+    _ulp_steps(_POWERS, 16),
+    [1e100, -1e-100, 2.5e-123, -7.25e211, 9.999999999995e99,
+     9.9999999999949e99, 1e-99, 1.7976931348623157e308,
+     2.2250738585072014e-308],
+    np.concatenate([_ulp_steps(_TIES, 1), -_TIES, _rounded_ties(),
+                    [99999999999.95, 0.5, 2.5]]),
+], ids=["random bits", "special", "signed zeros", "powers of ten +-16 ulps",
+        "three-digit exponents", "halfway cases"])
+def test_block_renderer_prints_the_row_template_bytes(x):
+    assert rendered_block(x) == row_template_block(x)
+
+
+FIVE_KICKS = "sym -3 0\nasym 5 0.4\nsym 2 1\nasym -4 1.7\nsym 1.5 2.5\n"
+GRID = ("--t-min", "0", "--t-max", "6.28", "--t-points", "600")
+
+
+def test_block_renderer_takes_its_fast_path(monkeypatch, tmp_path):
+    """CSV_NUM prints only the rows the kernel hands back: under 1 % of
+    the README pair."""
+    fallbacks = []
+    monkeypatch.setattr(cli, "CSV_NUM",
+                        lambda v: fallbacks.append(v) or CSV_NUM(v))
+    out = tmp_path / "pair.csv"
+    assert main(["simulate", "--engine", "both", "--pa", "10", "--ps", "-2",
+                 "--t1", "0.3", *GRID, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1201
+    assert len(fallbacks) < 0.01 * 1200
+
+
+@pytest.mark.parametrize("observable", ["orientation", "alignment"])
+@pytest.mark.parametrize("case", ["pair", "five kicks", "classical shift"])
+def test_simulate_prints_the_row_template_bytes(tmp_path, capsys, case,
+                                                observable):
+    """simulate's output, to stdout and to --out, is the per-row ``%``
+    template applied to the API's values."""
+    k = 1 if observable == "orientation" else 2
+    if case == "classical shift":
+        argv = ["--pa", "10", "--ps", "2", "--t1", "-0.05",
+                "--classical-shift", "6.2", "--t-min", "5.5",
+                "--t-max", "6.28", "--t-points", "400"]
+        t = np.linspace(5.5, 6.28, 400)
+        blocks = [("classical", two_kick_observable(
+            2.0, 10.0, -0.05, t + 0.05 - 6.2, PulseOrder.LASER_FIRST, k=k))]
+    else:
+        if case == "pair":
+            argv = ["--pa", "10", "--ps", "-2", "--t1", "0.3"]
+            seq = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
+        else:
+            kicks = tmp_path / "five.kicks"
+            kicks.write_text(FIVE_KICKS)
+            argv = ["--sequence", str(kicks)]
+            seq = parse_sequence(FIVE_KICKS)
+        argv += ["--engine", "both", *GRID]
+        t = np.linspace(0.0, 6.28, 600)
+        blocks = [
+            ("classical", classical.classical_observable(seq, k, t).values),
+            ("quantum", quantum.run_sequence(seq, t, k=k).values)]
+    lines = ["t,value,kind,engine"]
+    for engine, vals in blocks:
+        row = f"{CSV_FLOAT},{CSV_FLOAT},{observable},{engine}"
+        lines += [row % tv for tv in zip(t.tolist(), vals.tolist())]
+    want = ("\n".join(lines) + "\n").encode()
+
+    argv = ["simulate", *argv, "--observable", observable]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.encode() == want
+    path = tmp_path / "trace.csv"
+    assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+    assert path.read_bytes() == want
 
 
 def test_config_unknown_key(tmp_path, capsys):
