@@ -296,7 +296,7 @@ def two_kick_theta(theta0, p_s: float, p_a: float, t_1, t_2,
 def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries:
     """Ensemble-averaged <cos^k theta> on a time grid, k = 1 or 2.
 
-    The node count starts from the strength-time rule and is doubled
+    The node count starts from the kick-phase rule and is doubled
     until successive quadratures agree within ``QUADRATURE_TOL`` at every
     time. Each pass walks the sequence once, the times between two kicks
     one :func:`_free_flight_average` call. Symmetric kicks keep the
@@ -307,8 +307,8 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
     kind = observable_kind(k)
     seq = validate_sequence(seq)
     t_eval = time_grid(t_eval)
-    times = list(t_eval) + [kk.time for kk in seq.kicks]
-    span = (max(times) - min(times)) if times else 0.0
+    t_last = float(t_eval[-1]) if t_eval.size else -math.inf
+    flights = [(kk.strength, t_last - kk.time) for kk in seq.kicks]
     # each segment's is_even_grid, in walk order, settled once for every pass
     evens = walk_sequence(seq, t_eval, None, lambda s, dt: s,
                           lambda s, kicks: s, lambda s, dts: [is_even_grid(dts)])
@@ -320,8 +320,7 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
                              lambda state, dts: _free_flight_average(
                                  *state, ens.weights, dts, k, next(even)))
 
-    vals = _refine(average,
-                   defaults.ensemble_nodes(seq.total_strength(), span))
+    vals = _refine(average, defaults.ensemble_nodes(flights))
     if k == 1:
         vals[t_eval < min([kk.time for kk in seq.kicks if kk.strength
                            and kk.kind is KickKind.ASYMMETRIC],
@@ -384,12 +383,16 @@ class TwoKickScan:
         pa = abs(p_a) or 1.0
         self._scale = np.array([pa, 1.0 / pa])
         self._kicked: dict[int, tuple[np.ndarray, ...]] = {}
-        span = abs(t_1) + float(np.max(np.abs(t_2))) if t_2.size else abs(t_1)
+        # the first pulse flies |t_1| + max|t_2|, the second max|t_2|
+        reach = float(np.max(np.abs(t_2))) if t_2.size else 0.0
+        first, second = (sum(abs(kk.strength) for kk in pulse)
+                         for pulse in self._pulses)
+        flights = [(first, abs(t_1) + reach), (second, reach)]
         even = is_even_grid(t_2)
         self.values = _refine(
             lambda ens: _free_flight_average(*self._state(ens)[:3], t_2, k,
                                              even),
-            defaults.ensemble_nodes(abs(p_s) + abs(p_a), span))
+            defaults.ensemble_nodes(flights))
 
     def _state(self, ens: ClassicalEnsemble) -> tuple[np.ndarray, ...]:
         """(theta1, omega, weights, dtheta1, domega) of the rule ``ens``

@@ -52,17 +52,24 @@ PS_RATIO_MIN = 0.02
 PS_RATIO_MAX = 1.0
 
 
-def ensemble_nodes(total_strength: float, time_span: float) -> int:
-    """Starting quadrature node count: a rung of the power-of-two ladder.
+def ensemble_nodes(kicks) -> int:
+    """Starting quadrature node count for ``kicks``, (strength, flight
+    time) pairs: a rung of the power-of-two ladder.
 
-    The integrand cos^k(theta(t; theta0)) oscillates in theta0 with
-    frequency proportional to P*t, so the count is the power of two
-    nearest (in ratio) to 8*P*t, at least 64 and at most ``NODE_CAP``.
-    Refinement doubles it from there up to ``NODE_CAP``, so every rule
-    the classical engine builds has 2^6 ... 2^20 nodes: at most 15
-    distinct rules.
+    A kick of strength p turns the angle of the rotor that starts at
+    theta0 by about p tau sin(m theta0) after a flight of tau, so the
+    integrand cos^k(theta(t; theta0)) oscillates in theta0 about as often
+    as the kick phase Phi = sum |p| tau, each kick's strength times its
+    flight to the last sampled time (kicks with no flight left add
+    nothing). The count is the power of two nearest (in ratio) to 8 Phi,
+    at least 64 and at most ``NODE_CAP``; as Phi <= P * span for the
+    total strength P over the whole time span, it is never above the
+    rung of 8 P span. Refinement doubles it from there up to
+    ``NODE_CAP``, so every rule the classical engine builds has
+    2^6 ... 2^20 nodes: at most 15 distinct rules.
     """
-    target = 8.0 * float(total_strength) * float(time_span)  # may be inf
+    phase = sum(abs(p) * tau for p, tau in kicks if p and tau > 0.0)
+    target = 8.0 * float(phase)  # may be inf
     return 2 ** round(math.log2(min(max(64.0, target), NODE_CAP)))
 
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -446,35 +448,122 @@ class _Objective(dict):
 
 def _worker_count(tasks: int) -> int:
     """Processes for ``tasks`` ascents: one per CPU this process may
-    use, at most one per task; 1 without the ``fork`` start method, in a
-    daemonic process (such as a worker of the caller's own pool), which
-    may not have children, or while another thread runs, which a forked
-    child could deadlock on."""
-    import multiprocessing
+    use, at most one per task; 1 without ``os.fork``, in a daemonic
+    process (such as a worker of the caller's ``multiprocessing`` pool,
+    which may not have children) or while another thread runs, which a
+    forked child could deadlock on."""
     import threading
-    if (multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
+    mp = sys.modules.get("multiprocessing")  # loaded by any such pool
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or (mp is not None and mp.current_process().daemon)):
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return min(tasks, cpus)
 
 
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a forked worker: the
+    ``__cause__`` of the exception :func:`_map_starts` raises again."""
+
+
 def _map_starts(task, starts: list) -> list:
-    """``task`` of every start, in start order: over a pool of
-    :func:`_worker_count` forked processes, closed before it returns, or
-    with the builtin ``map`` when that count is 1. A worker's exception
-    reaches the caller with its type and message."""
+    """``task`` of every start, in start order: with the builtin ``map``
+    when :func:`_worker_count` is 1, else in that many children forked
+    with ``os.fork``, child i running starts i, i + w, ... in order while
+    the parent waits.
+
+    Each child sends its results, or the exception that stopped it, to
+    the parent through a pipe (:func:`_work`). Signals wait while the
+    children are forked, so every child is recorded before a handler
+    can raise. The parent reads every pipe and reaps every child before
+    it returns or raises, killing them first if it was interrupted; a
+    child that ends without a result raises ``RuntimeError`` naming its
+    exit status. Of the exceptions the children raised, that of the
+    earliest start is raised again, with its type and message, as a
+    serial run raises it, from a :class:`_WorkerTraceback`.
+    """
     workers = _worker_count(len(starts))
     if workers < 2:
         return list(map(task, starts))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # fork, not spawn: a spawned worker would import the package again
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        return list(pool.map(task, starts))
+    import signal
+    pids, pipes, replies = [], [], None
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:
+        for i in range(workers):
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pids.append(os.fork())
+            except OSError:
+                os.close(write)
+                raise
+            if pids[-1] == 0:  # the child; it never returns
+                _work(task, starts[i::workers], write, pipes, mask)
+            os.close(write)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        replies = [_read_all(read) for read in pipes]
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for read in pipes:
+            os.close(read)
+        statuses = []
+        for pid in pids:
+            if replies is None:  # interrupted: stop the children
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+
+    results, failures = [None] * len(starts), []
+    for i, (pid, reply, status) in enumerate(zip(pids, replies, statuses)):
+        if status != 0 or not reply:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(
+                f"optimize worker {pid} ended without a result: "
+                + (f"killed by signal {-code}" if code < 0
+                   else f"exit status {code}"))
+        done, error = pickle.loads(reply)
+        results[i:i + len(done) * workers:workers] = done
+        if error is not None:
+            failures.append((i + len(done) * workers, *error))
+    if failures:  # the one a serial run raises: that of the earliest start
+        _, exc, text = min(failures, key=lambda f: f[0])
+        raise exc from _WorkerTraceback(text)
+    return results
+
+
+def _read_all(fd: int) -> bytes:
+    """Everything written to the pipe ``fd`` until its last writer ends."""
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
+def _work(task, starts: list, write: int, inherited: list, mask) -> None:
+    """A forked child of :func:`_map_starts`, started with signals
+    blocked: it restores the signal ``mask``, then runs ``task`` of each
+    start in order, until one raises; the results so far and the
+    exception with its traceback text (or None) go pickled to ``write``.
+    Leaves by ``os._exit``, whatever happens, so it never runs the
+    parent's code or handlers: exit status 0 once the reply is written,
+    1 otherwise (an exception that does not pickle included)."""
+    status = 1
+    try:
+        import signal
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in inherited:
+            os.close(fd)
+        done, error = [], None
+        try:
+            for start in starts:
+                done.append(task(start))
+        except Exception as exc:
+            import traceback
+            error = exc, traceback.format_exc()
+        reply = pickle.dumps((done, error))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 class _ScaledBox:

@@ -139,9 +139,10 @@ def kick_operator(kind: KickKind, l_max: int) -> KickOperator:
     from about l_max 1000 on does an operator pair (cos and cos^2) cost
     more than importing scipy's tridiagonal solver would.
 
-    The cache keeps the 64 operators used last: the quantum pair
-    optimizations of the benchmark build 92 over three problems, the same
-    92 as an unbounded cache, and an operator of l_max 4096 holds 134 MB.
+    The cache keeps the 64 operators used last: run serially, the
+    quantum pair optimizations of the benchmark (laser-first, p_a = 3, 5
+    and 10) build 86, the same 86 as an unbounded cache, and an operator
+    of l_max 4096 holds 134 MB.
     """
     if kind is KickKind.ASYMMETRIC:
         c = cos_offdiag(l_max)

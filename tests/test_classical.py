@@ -12,10 +12,11 @@ from rotorkick.classical import (TwoKickScan, _after_kicks,
                                  make_ensemble, propagate_classical,
                                  roots_legendre, two_kick_observable,
                                  two_kick_theta)
-from rotorkick.core import (Kick, KickKind, PulseOrder, pulse_pair,
-                            two_pulse_sequence, validate_sequence)
+from rotorkick.core import (Branch, Engine, Kick, KickKind, PulseOrder,
+                            pulse_pair, two_pulse_sequence, validate_sequence)
 from rotorkick.errors import (ConvergenceFailure, InvalidNodeCount,
                               NonFiniteValue)
+from rotorkick.optimize import OptimizationProblem, optimize
 from rotorkick.quantum import run_sequence
 
 
@@ -137,11 +138,11 @@ def test_quadrature_refinement_converges_and_caps(monkeypatch):
     seq = two_pulse_sequence(-10.0, 40.0, 0.1, PulseOrder.LASER_FIRST)
     ts = np.linspace(0.05, 1.0, 40)
     a = classical_observable(seq, 1, ts)
-    monkeypatch.setattr(defaults, "ensemble_nodes", lambda p, span: 8192)
+    monkeypatch.setattr(defaults, "ensemble_nodes", lambda kicks: 8192)
     b = classical_observable(seq, 1, ts)
     assert np.max(np.abs(a.values - b.values)) < 5e-6
 
-    monkeypatch.setattr(defaults, "ensemble_nodes", lambda p, span: 8)
+    monkeypatch.setattr(defaults, "ensemble_nodes", lambda kicks: 8)
     monkeypatch.setattr(defaults, "NODE_CAP", 64)
     with pytest.raises(ConvergenceFailure):
         classical_observable(seq, 1, ts)
@@ -182,11 +183,17 @@ def test_jet_doubles_a_disagreeing_rule_pair_up_to_the_cap(monkeypatch):
 
 def test_ensemble_nodes_ladder():
     for p, span in [(0.0, 5.0), (10.0, 0.0), (1.0, 7.9), (12.0, 0.5)]:
-        assert defaults.ensemble_nodes(p, span) == 64
-    assert defaults.ensemble_nodes(1e6, 1e3) == defaults.NODE_CAP
+        assert defaults.ensemble_nodes([(p, span)]) == 64
+    assert defaults.ensemble_nodes([(1e6, 1e3)]) == defaults.NODE_CAP
+    assert defaults.ensemble_nodes([(1.0, math.inf)]) == defaults.NODE_CAP
+    # kicks with no flight left, or no strength, add nothing
+    assert defaults.ensemble_nodes(
+        [(1e6, -1.0), (0.0, math.inf), (1.0, 7.9)]) == 64
+    assert defaults.ensemble_nodes([]) == 64
     rng = np.random.default_rng(5)
     for p, span in zip(rng.uniform(0, 200, 200), rng.uniform(0, 7, 200)):
-        n = defaults.ensemble_nodes(p, span)
+        n = defaults.ensemble_nodes([(p, span)])
+        assert defaults.ensemble_nodes([(-p / 4, span), (p / 2, 1.5 * span)]) == n
         assert n >= 64 and n & (n - 1) == 0
         target = 8.0 * p * span
         if target > 64.0:  # the nearest power of two in ratio
@@ -425,9 +432,149 @@ def test_pair_optima_converged_in_node_count(order, p_a, p_s, t_1, t_2,
     """Around each classical optimum, the objective from the default node
     count agrees with the one from twice that count."""
     t2 = t_2 * np.linspace(0.5, 1.5, 21)
-    n = defaults.ensemble_nodes(abs(p_s) + p_a, abs(t_1) + abs(1.5 * t_2))
     base = two_kick_observable(p_s, p_a, t_1, t2, order)
-    monkeypatch.setattr(defaults, "ensemble_nodes", lambda p, span: 2 * n)
+    default = defaults.ensemble_nodes
+    monkeypatch.setattr(defaults, "ensemble_nodes",
+                        lambda kicks: 2 * default(kicks))
     doubled = two_kick_observable(p_s, p_a, t_1, t2, order)
     assert np.max(np.abs(doubled - base)) < defaults.QUADRATURE_TOL
     assert np.max(np.abs(base)) > 0.88
+
+
+def direct_average(p_s, p_a, t_1, t_2, order, n_nodes):
+    """<cos theta> of the closed-form pair on one rule of ``n_nodes``
+    nodes, a block of 64 times at a time: no refinement, no phase sum."""
+    ens = make_ensemble(n_nodes)
+    out = np.empty(t_2.size)
+    for j in range(0, t_2.size, 64):
+        theta = two_kick_theta(ens.theta0[:, None], p_s, p_a, t_1,
+                               t_2[None, j:j + 64], order)
+        out[j:j + 64] = ens.weights @ np.cos(theta)
+    return out
+
+
+@pytest.mark.parametrize("p_a", [3.0, 10.0, 100.0])
+@pytest.mark.parametrize("order", [PulseOrder.SIMULTANEOUS,
+                                   PulseOrder.HCP_FIRST,
+                                   PulseOrder.LASER_FIRST],
+                         ids=lambda o: o.value)
+def test_kick_phase_rule_converges_on_the_whole_window(order, p_a):
+    """At the classical optimum of each branch and at the corners of its
+    box (both |p_s| bounds, |r| = 1 among them, times t_1 at both edges
+    of the delay window, negative on the revival branch), the scan's
+    values over the whole t_2 window of the optimizer's first scan agree
+    with a direct rule four times finer than the finest it reached."""
+    for branch in Branch:
+        prob = OptimizationProblem(Engine.CLASSICAL, order, p_a, branch)
+        best = optimize(prob)
+        box = prob.bounds
+        points = {(best.p_s, best.t_1)} | {(p_s, t_1) for p_s in box.p_s
+                                          for t_1 in box.t_1}
+        lo, hi = box.t_2
+        for p_s, t_1 in sorted(points):
+            step = defaults.scan_step(abs(p_s) + p_a)
+            ts = np.linspace(lo, hi, max(8, math.ceil((hi - lo) / step) + 1))
+            scan = TwoKickScan(p_s, p_a, t_1, ts, order)
+            finer = 4 * max(scan._kicked)
+            direct = direct_average(p_s, p_a, t_1, ts, order, finer)
+            assert np.max(np.abs(scan.values - direct)) \
+                < defaults.QUADRATURE_TOL, (branch, p_s, t_1, finer)
+
+
+class _Flights(Exception):
+    """The (strength, flight time) pairs a rule was asked for."""
+
+
+def test_kick_phase_never_starts_above_the_strength_span_rung(monkeypatch):
+    """The kick phase is at most P times the whole time span, so no rule
+    starts above the rung of the strength-span rule 8 P span, for the
+    pair (signed times) and for causal sequences."""
+    rung = defaults.ensemble_nodes
+
+    def flights_of(build, *args):
+        with pytest.raises(_Flights) as info:
+            build(*args)
+        return info.value.args[0]
+
+    def refuse(kicks):
+        raise _Flights(kicks)
+
+    monkeypatch.setattr(defaults, "ensemble_nodes", refuse)
+    rng = np.random.default_rng(20)
+    orders = list(PulseOrder)
+    for _ in range(300):
+        p_s, p_a = rng.uniform(-100.0, 100.0, 2)
+        t_1 = rng.uniform(-3.0, 3.0)
+        t_2 = rng.uniform(-3.0, 3.0, rng.integers(0, 6))
+        order = orders[rng.integers(len(orders))]
+        flights = flights_of(TwoKickScan, p_s, p_a, t_1, t_2, order)
+        span = abs(t_1) + (np.max(np.abs(t_2)) if t_2.size else 0.0)
+        assert rung(flights) <= rung([(abs(p_s) + abs(p_a), span)])
+
+        kinds = rng.choice(list(KickKind), rng.integers(1, 6))
+        seq = validate_sequence([
+            Kick(kind, rng.uniform(-40.0, 40.0), rng.uniform(0.0, 3.0))
+            for kind in kinds])
+        t_eval = np.sort(rng.uniform(-1.0, 5.0, rng.integers(0, 6)))
+        flights = flights_of(classical_observable, seq, 1, t_eval)
+        times = [*t_eval, *(kk.time for kk in seq.kicks)]
+        span = max(times) - min(times)
+        assert rung(flights) <= rung([(seq.total_strength(), span)])
+
+
+_S, _A = KickKind.SYMMETRIC, KickKind.ASYMMETRIC
+# causal sequences that the kick phase starts below the strength-span
+# rung: a strong kick late, a weak one early. (kicks, times, observables)
+LATE_STRONG_KICKS = {
+    # the benchmark's seeded sequence, up to 0.25 after its last kick;
+    # all kicks symmetric, so <cos theta> is exactly 0 and only k = 2 says
+    # anything
+    "seeded-three-symmetric": (
+        [Kick(_S, -1.86, 0.0), Kick(_S, -14.64, 3.38), Kick(_S, -11.86, 4.95)],
+        np.linspace(0.0, 5.2, 200), (2,)),
+    "weak-asymmetric-then-strong-symmetric": (
+        [Kick(_A, 0.5, 0.0), Kick(_S, 20.0, 2.0)],
+        np.linspace(0.0, 2.5, 200), (1, 2)),
+    "weak-then-strong-asymmetric": (
+        [Kick(_A, -1.0, 0.0), Kick(_A, 8.0, 3.0)],
+        np.linspace(0.0, 4.0, 200), (1, 2)),
+    "opposed-asymmetric": (
+        [Kick(_A, 2.0, 0.0), Kick(_A, -30.0, 1.5)],
+        np.linspace(0.0, 2.0, 200), (1, 2)),
+    "five-kicks": (
+        [Kick(_A, 1.0, 0.0), Kick(_S, -2.0, 0.7), Kick(_A, 0.5, 1.9),
+         Kick(_S, 12.0, 3.1), Kick(_A, -6.0, 3.3)],
+        np.linspace(0.0, 3.8, 300), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", LATE_STRONG_KICKS)
+def test_kick_phase_rule_converges_for_late_strong_kicks(monkeypatch, name):
+    """Where a sequence starts on a lower rung than the strength-span
+    rule gave it, classical_observable agrees at every time with a rule
+    four times finer than the finest it reached, within
+    ``QUADRATURE_TOL``: the doubling check, not the start, settles the
+    rule, and the kick phase leaving out the shear of one kick by the
+    next does not let two coarse rules agree by aliasing."""
+    kicks, ts, observables = LATE_STRONG_KICKS[name]
+    seq = validate_sequence(kicks)
+    strength_span = defaults.ensemble_nodes(
+        [(seq.total_strength(), ts[-1] - min(ts[0], kicks[0].time))])
+    make, rules = classical.make_ensemble, []
+
+    def recording(n_nodes):
+        rules.append(n_nodes)
+        return make(n_nodes)
+
+    monkeypatch.setattr(classical, "make_ensemble", recording)
+    for k in observables:
+        rules.clear()
+        got = classical_observable(seq, k, ts).values
+        assert rules[0] < strength_span
+        finest = max(rules)
+        with monkeypatch.context() as fixed:
+            fixed.setattr(defaults, "ensemble_nodes",
+                          lambda kicks: 4 * finest)
+            finer = classical_observable(seq, k, ts).values
+        assert np.max(np.abs(got - finer)) < defaults.QUADRATURE_TOL, k
+        assert np.max(np.abs(got)) > 0.4

@@ -725,8 +725,8 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 # the classical laser-first revival optimum at p_a = 20, to full precision
 REVIVAL20 = OptimizationResult(
-    p_a=20.0, p_s=0.4, t_1=-2.048640682582119,
-    t_2=-0.08047795323864862, objective=-0.9464773094314272,
+    p_a=20.0, p_s=0.4, t_1=-2.048640682755179,
+    t_2=-0.08047795323880094, objective=-0.9464773094314269,
     branch=Branch.REVIVAL, order=PulseOrder.LASER_FIRST,
     engine=Engine.CLASSICAL, evaluations=407, on_boundary=True)
 
