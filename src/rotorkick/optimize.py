@@ -27,9 +27,6 @@ classical scaling law; quantum windows span the full 2*pi period.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -155,76 +152,101 @@ def evaluate_objective(
     """Best signed <cos theta> over the branch's t_2 window, and its t_2;
     with ``gradient``, also its derivatives in (p_s, t_1), an array.
 
-    One finder for both engines: a first scan samples the window at the
-    strength-scaled step, then :func:`_polish` ascends from its best
-    sample within one sample spacing each side (clipped to the window)
-    on the engine's analytic t-derivatives. The classical scan is an
-    even grid from edge to edge of :class:`classical.TwoKickScan`, whose
-    converged rule pair the polish reads on; the quantum one is the
-    window's samples of one FFT (:func:`_fft_samples`) of
-    :func:`quantum.two_kick_tangents`' state, and the polish reads
-    :func:`quantum.observable_scan` at one time per iterate. A window
-    holding no sample is polished from its midpoint. The returned t_2
-    lies in the window; an empty window (lo > hi) is scored at hi.
+    One finder for both engines: a first scan samples the window, then
+    :func:`_polish` ascends from its best sample within one sample
+    spacing each side (clipped to the window) on the engine's analytic
+    t-derivatives (:func:`_peak`). The classical scan is an even grid
+    from edge to edge of :class:`classical.TwoKickScan`, at the
+    strength-scaled step, whose converged rule pair the polish reads on.
+    A quantum point is a batch of one of :func:`_quantum_points`. A
+    window holding no sample is polished from its midpoint. The returned
+    t_2 lies in the window; an empty window (lo > hi) is scored at hi.
 
     The gradient is the envelope's: the best value is a maximum over t_2,
     so its derivative is the partial one at the returned t_2, read off
     the tangents the engine carried through the kicks
     (:meth:`classical.TwoKickScan.gradient`,
-    :func:`quantum.orientation_tangents`). Where t_2 sits on an edge of
-    the quantum revival window, which moves with t_1, the slope there
-    times dt_2/dt_1 = -1 is added.
+    :func:`quantum.orientation_tangents`).
     """
+    if prob.engine is Engine.QUANTUM:
+        found = _quantum_points(prob, [(p_s, t_1)])[0]
+        return found if gradient else found[:2]
     lo, hi = _t2_window(prob, t_1)
     lo = min(lo, hi)
     step = defaults.scan_step(abs(p_s) + abs(prob.p_a))
-    if prob.engine is Engine.CLASSICAL:
-        n = max(8, int(math.ceil((hi - lo) / step)) + 1)
-        ts = np.linspace(lo, hi, n)
-        scan = classical.TwoKickScan(p_s, prob.p_a, t_1, ts, prob.order)
-        values, h, jet = scan.values, (hi - lo) / (n - 1), scan.jet
-        tangent = scan.gradient
-    else:
-        psi, dpsi = quantum.two_kick_tangents(p_s, prob.p_a, t_1, prob.order)
-        ts, values, h = _fft_samples(psi, step, lo, hi)
-        jet = partial(quantum.observable_scan, psi, 1, jet=True)
-        tangent = partial(quantum.orientation_tangents, psi, dpsi)
-    if not ts.size:
-        value, t_2 = _polish(prob, jet, lo, 0.5 * (lo + hi), hi, None)
-    else:
-        j = int(np.argmax(prob.transform(values)))
-        t = min(max(ts[j], lo), hi)
-        value, t_2 = _polish(prob, jet, max(lo, t - h), t, min(hi, t + h),
-                             values[j])
-    if not gradient:
-        return value, t_2
-    grad = tangent(t_2)
-    if (prob.engine is Engine.QUANTUM and prob.branch is Branch.REVIVAL
-            and t_2 in (lo, hi) and t_2 not in prob.bounds.t_2):
-        grad[1] -= jet(t_2)[1]  # on the edge 2 pi - t_1 (- Delta)
-    return value, t_2, grad
+    n = max(8, int(math.ceil((hi - lo) / step)) + 1)
+    ts = np.linspace(lo, hi, n)
+    scan = classical.TwoKickScan(p_s, prob.p_a, t_1, ts, prob.order)
+    value, t_2 = _peak(prob, scan.jet, lo, hi, ts, scan.values,
+                       (hi - lo) / (n - 1))
+    return (value, t_2, scan.gradient(t_2)) if gradient else (value, t_2)
 
 
-def _fft_samples(psi: quantum.RotorWavefunction, step: float, lo: float,
-                 hi: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The quantum first scan: the times in the window [lo, hi], lo <= hi,
-    of one FFT's samples, their orientation values and the spacing.
+def _quantum_points(prob: OptimizationProblem, points,
+                    l_max: int | None = None) -> list:
+    """(value, t_2, gradient) of :func:`evaluate_objective` at each
+    (p_s, t_1) of ``points``: the quantum problem's batch kernel.
 
-    Orientation after the last kick has period 2 pi, so one FFT of n
-    points samples every t = 2 pi j / n: n is the smallest power of two
-    with n >= 4(l_max + 1) and 2 pi / n <= ``step``. The window's
-    samples are read mod n, so boxes beyond one period wrap; a window
-    holding no sample makes no FFT.
+    Every point is read on one basis, that of the box's largest |p_s|
+    plus |p_a|, and from one FFT length n of that strength: the smallest
+    power of two with n >= 4(l_max + 1) and 2 pi / n <= ``scan_step``.
+    So a point's numbers do not depend on its batch. The points take
+    their kicks together (:func:`quantum.two_kick_tangents`) and their
+    first scans from one FFT of K rows; orientation has period 2 pi, so
+    a window's samples are read mod n. Each point is then polished
+    (:func:`_peak`) and its gradient read alone, adding the slope times
+    dt_2/dt_1 = -1 where t_2 sits on an edge of the revival window, which
+    moves with t_1. Points whose tail a kick fills are read again on a
+    grown basis.
     """
-    n = 1 << (max(4 * (psi.l_max + 1),
-                  math.ceil(REVIVAL_PERIOD / step)) - 1).bit_length()
+    strength = max(map(abs, prob.bounds.p_s)) + abs(prob.p_a)
+    if l_max is None:
+        l_max = defaults.quantum_l_max(strength)
+    ps, t1 = np.array(points, dtype=float).reshape(-1, 2).T
+    cols, filled = quantum.two_kick_tangents(ps, prob.p_a, t1, prob.order,
+                                             l_max)
+    l_max = cols.shape[-1] - 1
+    n = 1 << (max(4 * (l_max + 1), math.ceil(
+        REVIVAL_PERIOD / defaults.scan_step(strength))) - 1).bit_length()
     h = REVIVAL_PERIOD / n
-    first, last = math.ceil(lo / h), math.floor(hi / h)
-    # one period of indices holds the first best sample of any longer range
-    idx = np.arange(first, min(last, first + n - 1) + 1)
-    if not idx.size:
-        return idx, idx, h
-    return idx * h, quantum.orientation_samples(psi, n)[idx % n], h
+    samples = quantum.orientation_samples(cols[:, 0], n)
+    found = []
+    for t_1, rows, values, full in zip(t1, cols, samples, filled):
+        if full:
+            found.append(None)
+            continue
+        psi = quantum.RotorWavefunction(rows[0])
+        lo, hi = _t2_window(prob, float(t_1))
+        lo = min(lo, hi)
+        first = math.ceil(lo / h)
+        # one period of indices holds the first best sample of any range
+        idx = np.arange(first, min(math.floor(hi / h), first + n - 1) + 1)
+        jet = partial(quantum.observable_scan, psi, 1, jet=True)
+        value, t_2 = _peak(prob, jet, lo, hi, idx * h, values[idx % n], h)
+        grad = quantum.orientation_tangents(psi, rows[1:], t_2)
+        if (prob.branch is Branch.REVIVAL and t_2 in (lo, hi)
+                and t_2 not in prob.bounds.t_2):
+            grad[1] -= jet(t_2)[1]  # on the edge 2 pi - t_1 (- Delta)
+        found.append((value, t_2, grad))
+    if filled.any():
+        again = iter(_quantum_points(
+            prob, [p for p, full in zip(points, filled) if full],
+            quantum.grown_l_max(l_max, "a kick of the pulse pair")))
+        found = [next(again) if full else f for f, full in zip(found, filled)]
+    return found
+
+
+def _peak(prob: OptimizationProblem, jet, lo: float, hi: float,
+          ts: np.ndarray, values: np.ndarray, h: float) -> tuple[float, float]:
+    """The best (f, t_2) of the window [lo, hi], lo <= hi, from the first
+    scan's samples ``values`` at the times ``ts``, spaced h: the
+    :func:`_polish` of its best sample within one spacing each side, or
+    of the midpoint if the window holds no sample."""
+    if not ts.size:
+        return _polish(prob, jet, lo, 0.5 * (lo + hi), hi, None)
+    j = int(np.argmax(prob.transform(values)))
+    t = min(max(ts[j], lo), hi)
+    return _polish(prob, jet, max(lo, t - h), t, min(hi, t + h), values[j])
 
 
 def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
@@ -325,10 +347,9 @@ def optimize(
     It solves :func:`_unit_problem` of ``prob``, memoized
     (:func:`_solve`), and maps the result back: problems that share a
     unit problem share one solve, and so all the fields above. The
-    ascents run side by side in forked worker processes, one per CPU
-    this process may use (:func:`_worker_count`), with the result of a
-    serial run, ``evaluations`` included; no worker outlives the call.
-    A negative ``extra_starts`` raises ValueError.
+    ascents run in lockstep in this process, with the result of running
+    them one after another, ``evaluations`` included; no process is
+    started. A negative ``extra_starts`` raises ValueError.
     """
     _check_extra_starts(extra_starts)
     if prob.p_a == 0.0:
@@ -365,9 +386,10 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
     seed of no extra starts is None), so a hit is the cold solve's result.
 
     The starts are the grid of :func:`_start_points` and
-    ``extra_starts`` seeded random points of the box; each runs one
-    :func:`_ascent_from`. They are scored here, so the workers fork with
-    the rule and operator caches warm.
+    ``extra_starts`` seeded random points of the box, scored as one
+    batch; each runs one :func:`_ascent_from`, all in lockstep
+    (:func:`_lockstep`). A point's numbers do not depend on its batch,
+    so each ascent visits the points it visits alone.
     """
     evaluate = _Objective(prob)
     (ps_lo, ps_hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
@@ -379,15 +401,13 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
             t1 = rng.uniform(t1_lo, t1_hi) if t1_hi > t1_lo else t1_lo
             starts.append((ps, t1))
 
-    scored = [(prob.transform(evaluate(*s)[0]), s[0], s[1]) for s in starts]
-    runs = _map_starts(partial(_ascent_from, evaluate), starts)
-    for _, added in runs:
-        evaluate.update(added)
-
-    score, ps, t1 = max([end for end, _ in runs] + scored,
-                        key=lambda c: (c[0], -abs(c[1])))
-    value, t2, grad = evaluate(ps, t1)
+    evaluate.score(starts)
+    scored = [(prob.transform(evaluate[s][0]), *s) for s in starts]
     box = _ScaledBox(prob)
+    ends = _lockstep(evaluate, [_ascent_from(evaluate, box, start)
+                                for start in starts])
+    score, ps, t1 = max(ends + scored, key=lambda c: (c[0], -abs(c[1])))
+    value, t2, grad = evaluate[ps, t1]
     return OptimizationResult(
         p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
         branch=prob.branch, order=prob.order, engine=prob.engine,
@@ -429,141 +449,44 @@ def _check_extra_starts(extra_starts: int) -> None:
 class _Objective(dict):
     """:func:`evaluate_objective` of one problem with its gradient,
     memoized on (p_s, t_1): a dict of (p_s, t_1) -> (value, t_2,
-    gradient), so a worker's entries merge into the parent's with
-    ``update``. Its length is the evaluation count, each evaluation one
-    value and gradient.
+    gradient), filled by :meth:`score`. Its length is the evaluation
+    count, each evaluation one value and gradient.
     """
 
     def __init__(self, prob: OptimizationProblem):
         super().__init__()
         self.prob = prob
 
-    def __missing__(self, key: tuple[float, float]):
-        self[key] = evaluate_objective(self.prob, *key, gradient=True)
-        return self[key]
-
-    def __call__(self, ps: float, t1: float):
-        return self[ps, t1]
-
-
-def _worker_count(tasks: int) -> int:
-    """Processes for ``tasks`` ascents: one per CPU this process may
-    use, at most one per task; 1 without ``os.fork``, in a daemonic
-    process (such as a worker of the caller's ``multiprocessing`` pool,
-    which may not have children) or while another thread runs, which a
-    forked child could deadlock on."""
-    import threading
-    mp = sys.modules.get("multiprocessing")  # loaded by any such pool
-    if (not hasattr(os, "fork") or threading.active_count() > 1
-            or (mp is not None and mp.current_process().daemon)):
-        return 1
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return min(tasks, cpus)
+    def score(self, points) -> None:
+        """Evaluate the points not yet held as one batch, in order: one
+        call of the quantum kernel :func:`_quantum_points` for them all,
+        classically one :func:`evaluate_objective` each."""
+        new = [p for p in dict.fromkeys(points) if p not in self]
+        if not new:
+            return
+        if self.prob.engine is Engine.QUANTUM:
+            found = _quantum_points(self.prob, new)
+        else:
+            found = [evaluate_objective(self.prob, *p, gradient=True)
+                     for p in new]
+        self.update(zip(new, found))
 
 
-class _WorkerTraceback(Exception):
-    """The traceback text of an exception raised in a forked worker: the
-    ``__cause__`` of the exception :func:`_map_starts` raises again."""
-
-
-def _map_starts(task, starts: list) -> list:
-    """``task`` of every start, in start order: with the builtin ``map``
-    when :func:`_worker_count` is 1, else in that many children forked
-    with ``os.fork``, child i running starts i, i + w, ... in order while
-    the parent waits.
-
-    Each child sends its results, or the exception that stopped it, to
-    the parent through a pipe (:func:`_work`). Signals wait while the
-    children are forked, so every child is recorded before a handler
-    can raise. The parent reads every pipe and reaps every child before
-    it returns or raises, killing them first if it was interrupted; a
-    child that ends without a result raises ``RuntimeError`` naming its
-    exit status. Of the exceptions the children raised, that of the
-    earliest start is raised again, with its type and message, as a
-    serial run raises it, from a :class:`_WorkerTraceback`.
-    """
-    workers = _worker_count(len(starts))
-    if workers < 2:
-        return list(map(task, starts))
-    import signal
-    pids, pipes, replies = [], [], None
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-    try:
-        for i in range(workers):
-            read, write = os.pipe()
-            pipes.append(read)
+def _lockstep(evaluate: _Objective, ascents: list) -> list:
+    """The return values of the generators ``ascents``, run in lockstep:
+    each round scores the point every live one yields as one batch of
+    ``evaluate`` (:meth:`_Objective.score`), then resumes them in order."""
+    ends, pending = [None] * len(ascents), dict.fromkeys(range(len(ascents)))
+    while True:
+        for i in list(pending):
             try:
-                pids.append(os.fork())
-            except OSError:
-                os.close(write)
-                raise
-            if pids[-1] == 0:  # the child; it never returns
-                _work(task, starts[i::workers], write, pipes, mask)
-            os.close(write)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        replies = [_read_all(read) for read in pipes]
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for read in pipes:
-            os.close(read)
-        statuses = []
-        for pid in pids:
-            if replies is None:  # interrupted: stop the children
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-
-    results, failures = [None] * len(starts), []
-    for i, (pid, reply, status) in enumerate(zip(pids, replies, statuses)):
-        if status != 0 or not reply:
-            code = os.waitstatus_to_exitcode(status)
-            raise RuntimeError(
-                f"optimize worker {pid} ended without a result: "
-                + (f"killed by signal {-code}" if code < 0
-                   else f"exit status {code}"))
-        done, error = pickle.loads(reply)
-        results[i:i + len(done) * workers:workers] = done
-        if error is not None:
-            failures.append((i + len(done) * workers, *error))
-    if failures:  # the one a serial run raises: that of the earliest start
-        _, exc, text = min(failures, key=lambda f: f[0])
-        raise exc from _WorkerTraceback(text)
-    return results
-
-
-def _read_all(fd: int) -> bytes:
-    """Everything written to the pipe ``fd`` until its last writer ends."""
-    with open(fd, "rb", closefd=False) as pipe:
-        return pipe.read()
-
-
-def _work(task, starts: list, write: int, inherited: list, mask) -> None:
-    """A forked child of :func:`_map_starts`, started with signals
-    blocked: it restores the signal ``mask``, then runs ``task`` of each
-    start in order, until one raises; the results so far and the
-    exception with its traceback text (or None) go pickled to ``write``.
-    Leaves by ``os._exit``, whatever happens, so it never runs the
-    parent's code or handlers: exit status 0 once the reply is written,
-    1 otherwise (an exception that does not pickle included)."""
-    status = 1
-    try:
-        import signal
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for fd in inherited:
-            os.close(fd)
-        done, error = [], None
-        try:
-            for start in starts:
-                done.append(task(start))
-        except Exception as exc:
-            import traceback
-            error = exc, traceback.format_exc()
-        reply = pickle.dumps((done, error))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(reply)
-        status = 0
-    finally:
-        os._exit(status)
+                pending[i] = next(ascents[i])
+            except StopIteration as stop:
+                ends[i] = stop.value
+                del pending[i]
+        if not pending:
+            return ends
+        evaluate.score(list(pending.values()))
 
 
 class _ScaledBox:
@@ -585,8 +508,9 @@ class _ScaledBox:
 
     def point(self, u: np.ndarray) -> tuple[float, float]:
         """(p_s, t_1) of u in the box, a bound's u on the bound itself."""
-        x = np.select([u <= self.u_lo, u >= self.u_hi], [self.lo, self.hi],
-                      np.clip(u * self.scale, self.lo, self.hi)).tolist()
+        x = np.where(u <= self.u_lo, self.lo, np.where(
+            u >= self.u_hi, self.hi,
+            np.clip(u * self.scale, self.lo, self.hi))).tolist()
         return x[0], x[1] if len(x) > 1 else 0.0
 
     def ascent(self, value: float, grad: np.ndarray) -> np.ndarray:
@@ -603,33 +527,49 @@ def _outward(u: np.ndarray, g: np.ndarray, lo: np.ndarray,
     return ((u <= lo) & (g < -tol)) | ((u >= hi) & (g > tol))
 
 
-def _ascent_from(evaluate: _Objective, start: tuple[float, float]):
-    """One :func:`_ascend` of the score from ``start`` = (p_s, t_1), in
-    the scaled box of ``evaluate``'s problem (:class:`_ScaledBox`).
-
-    Returns (transformed objective, p_s, t_1) at the end point, and the
-    entries the run added to ``evaluate`` (in a worker, to its own copy
-    of the memo).
+def _ascent_from(evaluate: _Objective, box: _ScaledBox,
+                 start: tuple[float, float]):
+    """One :func:`_ascent` of the score from ``start`` = (p_s, t_1), in
+    ``box``, the scaled box of ``evaluate``'s problem: a generator that
+    yields each (p_s, t_1) it needs and reads it off ``evaluate`` when
+    resumed, so ``evaluate`` must hold it by then. Returns (transformed
+    objective, p_s, t_1) at the end point.
     """
-    prob, known = evaluate.prob, len(evaluate)
-    box = _ScaledBox(prob)
-
     def score(point):
-        value, _, grad = evaluate(*point)
-        return prob.transform(value), box.ascent(value, grad)
+        value, _, grad = evaluate[point]
+        return evaluate.prob.transform(value), box.ascent(value, grad)
 
     u0 = box.scaled(start)
-    u, f = _ascend(lambda u: score(box.point(u)), u0, *score(start),
-                   box.u_lo, box.u_hi)
+    steps, reply = _ascent(u0, *score(start), box.u_lo, box.u_hi), None
+    try:
+        while True:
+            point = box.point(steps.send(reply))
+            yield point
+            reply = score(point)
+    except StopIteration as stop:
+        u, f = stop.value
     end = start if u is u0 else box.point(u)  # the start, if never left
-    return (f, *end), list(evaluate.items())[known:]
+    return (f, *end)
 
 
 def _ascend(score, u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
             hi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Maximize ``score(u)`` -> (value, gradient) over the box [lo, hi]
-    from u, where it is f with gradient g, by a projected quasi-Newton
-    ascent for a few variables; returns the end point and its score.
+    """:func:`_ascent` driven by ``score(u)`` -> (value, gradient), one
+    point at a time; returns the end point and its score."""
+    steps, reply = _ascent(u, f, g, lo, hi), None
+    try:
+        while True:
+            reply = score(steps.send(reply))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _ascent(u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray):
+    """Maximize a score over the box [lo, hi] from u, where it is f with
+    gradient g, by a projected quasi-Newton ascent for a few variables: a
+    generator that yields each point it needs scored and is sent back
+    its (value, gradient); returns the end point and its score.
 
     BFGS on the inverse Hessian, started as the identity and scaled at
     the first update. Coordinates on a bound whose gradient points out
@@ -660,7 +600,7 @@ def _ascend(score, u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
             slope = g @ (u_new - u)
             if slope <= floor or (best and (u_new == best[0]).all()):
                 break
-            f_new, g_new = score(u_new)
+            f_new, g_new = yield u_new
             if f_new < f + 1e-4 * slope:  # no Armijo rise
                 if best:
                     break

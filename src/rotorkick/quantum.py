@@ -73,11 +73,16 @@ class RotorWavefunction:
 
     @cached_property
     def orientation_beats(self) -> np.ndarray:
-        """q_l = conj(a_l) a_{l+1} <l|cos theta|l+1>, beating at rate
-        l + 1; built once per state, as the t_2 finder reads it at each
-        Newton iterate."""
-        a = self.coeffs
-        return np.conj(a[:-1]) * a[1:] * cos_offdiag(self.l_max)
+        """:func:`orientation_beats` of the state, built once, as the t_2
+        finder reads it at each Newton iterate."""
+        return orientation_beats(self.coeffs)
+
+
+def orientation_beats(coeffs: np.ndarray) -> np.ndarray:
+    """q_l = conj(a_l) a_{l+1} <l|cos theta|l+1>, beating at rate l + 1,
+    of each row of coefficients a."""
+    return (np.conj(coeffs[..., :-1]) * coeffs[..., 1:]
+            * cos_offdiag(coeffs.shape[-1] - 1))
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,20 @@ class KickOperator:
         out = np.zeros(coeffs.shape, dtype=complex)
         for idx, vals, vecs in self.blocks:
             out[idx] = (vecs * np.exp(1j * strength * vals)) @ (vecs.T @ coeffs[idx])
+        return out
+
+    def apply_each(self, cols: np.ndarray, strengths) -> np.ndarray:
+        """exp(i s_k M) @ cols[:, k] for the columns of every point k of
+        ``cols`` (l_max + 1, K, c), s_k one strength each (or one for
+        all): one complex eigenbasis product for all K points, which
+        rounds each column as a batch of one does."""
+        out = np.empty_like(cols)
+        strengths = np.broadcast_to(strengths, cols.shape[1])
+        for idx, vals, vecs in self.blocks:
+            part = (vecs.T @ cols[idx].reshape(idx.size, -1)).reshape(
+                out[idx].shape)
+            part *= np.exp(1j * np.multiply.outer(vals, strengths))[:, :, None]
+            out[idx] = (vecs @ part.reshape(idx.size, -1)).reshape(part.shape)
         return out
 
     @property
@@ -139,10 +158,11 @@ def kick_operator(kind: KickKind, l_max: int) -> KickOperator:
     from about l_max 1000 on does an operator pair (cos and cos^2) cost
     more than importing scipy's tridiagonal solver would.
 
-    The cache keeps the 64 operators used last: run serially, the
-    quantum pair optimizations of the benchmark (laser-first, p_a = 3, 5
-    and 10) build 86, the same 86 as an unbounded cache, and an operator
-    of l_max 4096 holds 134 MB.
+    The cache keeps the 64 operators used last. The optimizer reads
+    every point of a problem on one basis, so a quantum pair problem
+    builds two (cos and cos^2): the laser-first ones of the benchmark at
+    p_a = 3, 5 and 10 build six, at l_max 38, 50 and 80. An operator of
+    l_max 4096 holds 134 MB.
     """
     if kind is KickKind.ASYMMETRIC:
         c = cos_offdiag(l_max)
@@ -176,9 +196,13 @@ def ground_state(l_max: int) -> RotorWavefunction:
     return RotorWavefunction(coeffs)
 
 
-def _tail_population(coeffs: np.ndarray) -> float:
-    margin = min(defaults.TAIL_MARGIN, coeffs.size - 1)
-    return float(np.sum(np.abs(coeffs[coeffs.size - margin:]) ** 2))
+def _tail_population(coeffs: np.ndarray):
+    """Population above l_max - ``defaults.TAIL_MARGIN`` of a state, or of
+    each column of an (l_max + 1, K) array, summed alike."""
+    size = coeffs.shape[0]
+    margin = min(defaults.TAIL_MARGIN, size - 1)
+    tail = np.abs(np.ascontiguousarray(coeffs[size - margin:].T)) ** 2
+    return tail.sum(axis=-1)
 
 
 def apply_kick(psi: RotorWavefunction, kick: Kick) -> RotorWavefunction:
@@ -190,31 +214,28 @@ def apply_kick(psi: RotorWavefunction, kick: Kick) -> RotorWavefunction:
     infinite strength raises ``NonFiniteValue`` before any operator is
     built.
     """
-    return RotorWavefunction(_kick_coeffs(psi.coeffs, kick))
-
-
-def _kick_coeffs(coeffs: np.ndarray, kick: Kick) -> np.ndarray:
-    """:func:`apply_kick` on a coefficient vector, or on columns whose
-    first is the state: its tail alone decides the basis, and the other
-    columns (tangents) are kicked and padded with it."""
     if not math.isfinite(kick.strength):
         # a NaN state never passes the tail test: refuse it before the
         # basis grows to the cap through cached eigendecompositions
         raise NonFiniteValue(f"non-finite kick strength: {kick}")
-    cap = defaults.L_MAX_CAP
+    coeffs = psi.coeffs
     while True:
-        l_max = coeffs.shape[0] - 1
-        op = kick_operator(kick.kind, l_max)
-        new = op.apply(coeffs, kick.strength)
-        state = new if new.ndim == 1 else new[:, 0]
-        if _tail_population(state) < defaults.TAIL_TOL:
-            return new
-        if l_max >= cap:
-            raise BasisOverflow(f"kick {kick} needs l_max beyond the cap {cap}")
-        grown = min(cap, 2 * l_max + 1)
-        padded = np.zeros((grown + 1,) + coeffs.shape[1:], dtype=complex)
-        padded[: l_max + 1] = coeffs
-        coeffs = padded
+        l_max = coeffs.size - 1
+        new = kick_operator(kick.kind, l_max).apply(coeffs, kick.strength)
+        if _tail_population(new) < defaults.TAIL_TOL:
+            return RotorWavefunction(new)
+        coeffs = np.zeros(grown_l_max(l_max, f"kick {kick}") + 1,
+                          dtype=complex)
+        coeffs[: psi.l_max + 1] = psi.coeffs
+
+
+def grown_l_max(l_max: int, what: str) -> int:
+    """The basis after l_max once a kick (``what``) fills its tail:
+    2 l_max + 1 up to ``defaults.L_MAX_CAP``, past it ``BasisOverflow``."""
+    cap = defaults.L_MAX_CAP
+    if l_max >= cap:
+        raise BasisOverflow(f"{what} needs l_max beyond the cap {cap}")
+    return min(cap, 2 * l_max + 1)
 
 
 def free_propagate(psi: RotorWavefunction, dt: float) -> RotorWavefunction:
@@ -232,20 +253,23 @@ def _kick_group(psi: RotorWavefunction, kicks) -> RotorWavefunction:
     return psi
 
 
-def _tangent_group(cols: np.ndarray, kicks) -> np.ndarray:
-    """:func:`_kick_group` of the columns (state, d/dp_s, d/dt_1) of
-    :func:`two_kick_tangents`. A symmetric kick, whose strength is p_s,
-    adds d/dp_s exp(i p_s M) a = i M a' of the kicked state a' to the
-    second column, M the banded cos^2 matrix."""
+def _tangent_group(cols: np.ndarray, kicks, filled: np.ndarray) -> np.ndarray:
+    """:func:`_kick_group` of the columns (state, d/dp_s, d/dt_1) of each
+    point of :func:`two_kick_tangents`, ``cols`` (l_max + 1, K, 3), marking
+    in ``filled`` the points whose tail a kick fills. A symmetric kick,
+    whose strength is p_s, adds d/dp_s exp(i p_s M) a = i M a' of the
+    kicked state a' to the second column, M the banded cos^2 matrix."""
+    l_max = cols.shape[0] - 1
     for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
-        cols = _kick_coeffs(cols, kk)
+        cols = kick_operator(kk.kind, l_max).apply_each(cols, kk.strength)
+        filled |= ~(_tail_population(cols[:, :, 0]) < defaults.TAIL_TOL)
         if kk.kind is KickKind.SYMMETRIC:
-            a = cols[:, 0]
-            diag, off2 = cos2_bands(a.size - 1)
-            m_a = diag * a
-            m_a[:-2] += off2 * a[2:]
-            m_a[2:] += off2 * a[:-2]
-            cols[:, 1] += 1j * m_a
+            a = cols[:, :, 0]
+            diag, off2 = cos2_bands(l_max)
+            m_a = diag[:, None] * a
+            m_a[:-2] += off2[:, None] * a[2:]
+            m_a[2:] += off2[:, None] * a[:-2]
+            cols[:, :, 1] += 1j * m_a
     return cols
 
 
@@ -283,20 +307,30 @@ def observable_scan(psi: RotorWavefunction, k: int, dts,
     return mean + phase_sum(weights, 0.0, rates, np.atleast_1d(dts))
 
 
-def orientation_samples(psi: RotorWavefunction, n: int) -> np.ndarray:
+def orientation_samples(psi, n: int) -> np.ndarray:
     """<cos theta> after freely evolving ``psi`` by dt = 2 pi j / n,
-    j = 0..n-1, from one FFT.
+    j = 0..n-1, from one FFT; ``psi`` is a state, or an array of K rows
+    of coefficients, which gives K rows of samples.
 
-    Orientation is 2 Re sum_{m=1..l_max} q_{m-1} exp(-i m dt), a
-    trigonometric polynomial of period 2 pi, so zero-padding q to n
-    entries samples it exactly on the uniform grid once n > l_max.
+    Orientation is 2 Re sum_{m=1..l_max} q_{m-1} exp(-i m dt), a real
+    trigonometric polynomial of period 2 pi, so one real-output transform
+    (``np.fft.hfft``) of the beats q samples it exactly on the uniform
+    grid once n > l_max: a rate m above n/2 is the rate n - m of the
+    conjugate beat, and the rate n/2 counts twice.
     """
-    if n <= psi.l_max:
-        raise ValueError(f"n = {n} must exceed l_max = {psi.l_max}: "
+    coeffs = getattr(psi, "coeffs", psi)
+    beats, l_max = orientation_beats(coeffs), coeffs.shape[-1] - 1
+    if n <= l_max:
+        raise ValueError(f"n = {n} must exceed l_max = {l_max}: "
                          "beat frequencies would alias")
-    spectrum = np.zeros(n, dtype=complex)
-    spectrum[1: psi.l_max + 1] = psi.orientation_beats
-    return 2.0 * np.real(np.fft.fft(spectrum))
+    half = n // 2
+    low = min(l_max, half)
+    spectrum = np.zeros(beats.shape[:-1] + (half + 1,), dtype=complex)
+    spectrum[..., 1:low + 1] = beats[..., :low]
+    spectrum[..., n - l_max:n - low] += np.conj(beats[..., low:][..., ::-1])
+    if n % 2 == 0:
+        spectrum[..., half] *= 2.0
+    return np.fft.hfft(spectrum, n)
 
 
 def run_sequence(
@@ -339,30 +373,34 @@ def two_kick_state(
     return _kick_group(free_propagate(_kick_group(psi, first), t_1), second)
 
 
-def two_kick_tangents(
-    p_s: float,
-    p_a: float,
-    t_1: float,
-    order: PulseOrder = PulseOrder.LASER_FIRST,
-) -> tuple[RotorWavefunction, np.ndarray]:
-    """:func:`two_kick_state` and the derivatives of its coefficients in
-    p_s and t_1, two rows: the optimizer's workhorse.
+def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
+                      l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`two_kick_state` at each point (p_s[k], t_1[k]) of the
+    arrays ``p_s`` and ``t_1`` on the basis ``l_max``, and the
+    derivatives of its coefficients in p_s and t_1: the optimizer's
+    workhorse. Returns the rows (state, d/dp_s, d/dt_1) of each point,
+    (K, 3, l_max + 1), and whether a kick filled each point's tail, so
+    that its rows are to be read on a larger basis.
 
-    The tangents ride through both kicks as two more columns of the same
-    eigenbasis products (:func:`_tangent_group`), and the flight adds
-    d/dt_1 = -i l(l+1)/2 times the flown state. Equal to
-    :func:`two_kick_state` up to round-off; :func:`orientation_tangents`
-    reads the tangents at a time t_2.
+    Each kick is one eigenbasis product for all K points, the tangents
+    two more columns of it (:func:`_tangent_group`); the flight adds
+    d/dt_1 = -i l(l+1)/2 times the flown state. A point's rows are those
+    of a batch of one, and :func:`two_kick_state`'s up to round-off.
     """
-    cols = np.zeros((_pair_l_max(p_s, p_a, t_1, None) + 1, 3), dtype=complex)
-    cols[0, 0] = 1.0
+    p_s, t_1 = np.atleast_1d(p_s), np.atleast_1d(t_1)
+    if not (np.isfinite(p_s).all() and np.isfinite(t_1).all()):
+        raise NonFiniteValue("non-finite value in (p_s, t_1)")
+    size = _pair_l_max(np.abs(p_s).max(initial=0.0), p_a, 0.0, l_max) + 1
+    cols = np.zeros((size, p_s.size, 3), dtype=complex)
+    cols[0, :, 0] = 1.0
+    filled = np.zeros(p_s.size, dtype=bool)
     first, second = pulse_pair(p_s, p_a, order)
-    cols = _tangent_group(cols, first)
-    energy = 0.5 * np.arange(cols.shape[0]) * np.arange(1.0, cols.shape[0] + 1)
-    cols *= np.exp(-1j * energy * t_1)[:, None]
-    cols[:, 2] -= 1j * energy * cols[:, 0]
-    cols = _tangent_group(cols, second)
-    return RotorWavefunction(cols[:, 0]), cols[:, 1:].T
+    cols = _tangent_group(cols, first, filled)
+    energy = 0.5 * np.arange(size) * np.arange(1.0, size + 1)
+    cols *= np.exp(-1j * np.multiply.outer(energy, t_1))[:, :, None]
+    cols[:, :, 2] -= 1j * energy[:, None] * cols[:, :, 0]
+    cols = _tangent_group(cols, second, filled)
+    return np.ascontiguousarray(cols.transpose(1, 2, 0)), filled
 
 
 def _pair_l_max(p_s: float, p_a: float, t_1: float, l_max: int | None) -> int:

@@ -2,6 +2,7 @@ import importlib
 import math
 from dataclasses import replace
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -205,10 +206,12 @@ def test_t2_finder_stays_in_a_degenerate_window(pair):
 CHECK6 = FINDER_PAIRS[1]
 
 
-def _fft_step(p_s, p_a, t_1):
-    """The quantum finder's FFT sample spacing for one pulse pair."""
-    l_max = quantum.two_kick_state(p_s, p_a, t_1).l_max
-    step = defaults.scan_step(abs(p_s) + p_a)
+def _fft_step(prob):
+    """The quantum finder's FFT sample spacing for a problem: its basis
+    and its scan step are those of the box's largest |p_s| plus p_a."""
+    strength = max(map(abs, prob.bounds.p_s)) + abs(prob.p_a)
+    l_max = defaults.quantum_l_max(strength)
+    step = defaults.scan_step(strength)
     n = 1
     while n < 4 * (l_max + 1) or TWO_PI / n > step:
         n *= 2
@@ -230,7 +233,7 @@ def test_quantum_t2_window_between_fft_samples():
     _, order, p_a, p_s, t_1 = CHECK6
     prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a)
     _, peak = evaluate_objective(prob, p_s, t_1)
-    h = _fft_step(p_s, p_a, t_1)
+    h = _fft_step(prob)
     j = math.floor(peak / h)
     lo, hi = (j + 1.0 / 3.0) * h, (j + 2.0 / 3.0) * h
     assert math.ceil(lo / h) > math.floor(hi / h)  # no sample inside
@@ -255,9 +258,9 @@ def test_quantum_t2_finder_scores_an_empty_window_at_its_end():
 
 
 def test_quantum_t2_finder_makes_one_fft(monkeypatch):
-    """The FFT is the only scan: after it the polish reads
-    ``observable_scan`` at one time per Newton iterate, so no rescan of
-    several times is left."""
+    """One FFT of the batch's K rows is its only scan: after it the
+    polish reads ``observable_scan`` at one time per Newton iterate of
+    each point, so no rescan of several times is left."""
     _, order, p_a, p_s, t_1 = CHECK6
     prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a)
     calls = []
@@ -266,18 +269,24 @@ def test_quantum_t2_finder_makes_one_fft(monkeypatch):
         real = getattr(quantum, name)
 
         def counted(*args, **kwargs):
-            calls.append((name, size(*args), kwargs))
+            calls.append((name, size(*args), kwargs, args[0]))
             return real(*args, **kwargs)
         monkeypatch.setattr(quantum, name, counted)
 
     spy("observable_scan", lambda psi, k, dts: np.size(dts))
-    spy("orientation_samples", lambda psi, n: n)
-    evaluate_objective(prob, p_s, t_1)
-    (first, n, _), *reads = calls
+    spy("orientation_samples", lambda rows, n: (len(rows), n))
+    points = [(p_s, t_1), (p_s - 0.3, t_1 + 0.2), (-2.5, 1.0)]
+    optimize_module._quantum_points(prob, points)
+    (first, size, _, _), *reads = calls
     assert first == "orientation_samples"
-    assert n == round(TWO_PI / _fft_step(p_s, p_a, t_1))
-    assert 1 <= len(reads) <= 10
-    assert all(read == ("observable_scan", 1, {"jet": True}) for read in reads)
+    assert size == (3, round(TWO_PI / _fft_step(prob)))
+    assert all(read[:3] == ("observable_scan", 1, {"jet": True})
+               for read in reads)
+    # the reads of each point, one point after another
+    states = [read[3] for read in reads]
+    runs = [len(list(group)) for _, group in groupby(states, key=id)]
+    assert len(runs) == len(set(map(id, states))) == 3
+    assert all(1 <= run <= 10 for run in runs)
 
 
 @pytest.mark.parametrize("pair", FINDER_PAIRS, ids=["classical", "quantum"])
@@ -328,13 +337,18 @@ def test_polished_value_never_falls_below_the_first_scan(monkeypatch):
 
     monkeypatch.setattr(optimize_module, "_polish", spy)
     rng = np.random.default_rng(17)
+
+    def draws(prob):
+        return [(rng.uniform(*prob.bounds.p_s), rng.uniform(*prob.bounds.t_1))
+                for _ in range(10)]
+
     for prob in (classical_problem(),
-                 classical_problem(order=PulseOrder.HCP_FIRST),
-                 OptimizationProblem(engine=Engine.QUANTUM,
-                                     order=PulseOrder.LASER_FIRST, p_a=3.0)):
-        for _ in range(10):
-            evaluate_objective(prob, rng.uniform(*prob.bounds.p_s),
-                               rng.uniform(*prob.bounds.t_1))
+                 classical_problem(order=PulseOrder.HCP_FIRST)):
+        for point in draws(prob):
+            evaluate_objective(prob, *point)
+    quantum3 = OptimizationProblem(engine=Engine.QUANTUM,
+                                   order=PulseOrder.LASER_FIRST, p_a=3.0)
+    optimize_module._quantum_points(quantum3, draws(quantum3))  # one batch
     assert len(starts) == 30
     assert all(found >= first for first, found in starts)
     assert sum(found > first for first, found in starts) >= 20
@@ -763,3 +777,96 @@ def test_rule_cache_stays_on_the_ladder():
             t_1 = rng.uniform(*prob.bounds.t_1)
             evaluate_objective(prob, p_s, t_1)
     assert classical.make_ensemble.cache_info().currsize <= 15
+
+
+# (order, branch, special points and the window edge each scores t_2 on):
+# each quantum problem's batch also holds random points of its box.
+# Laser-first revival points at t_1 = 5.3 and 6.1 score t_2 on the
+# window's moving edges (the edge-slope term of the gradient), and
+# t_1 = 2 pi + 1 leaves an empty window, which holds no FFT sample
+EMPTY = (2.0, TWO_PI + 1.0)
+SPECIAL = {
+    (PulseOrder.LASER_FIRST, Branch.REVIVAL):
+        [((2.0, 5.3), "lower"), ((2.0, 6.1), "upper"), (EMPTY, "upper")],
+    (PulseOrder.HCP_FIRST, Branch.REVIVAL):
+        [((3.0, 6.0), None), (EMPTY, "upper")],
+}
+BATCHES = [(order, branch, SPECIAL.get((order, branch), []))
+           for order in PulseOrder for branch in Branch]
+
+
+def assert_rows_equal_batches_of_one(prob, points):
+    batch = optimize_module._quantum_points(prob, points)
+    assert len(batch) == len(points)
+    for point, (value, t_2, grad) in zip(points, batch):
+        (alone,) = optimize_module._quantum_points(prob, [point])
+        assert (value, t_2) == alone[:2]
+        assert np.array_equal(grad, alone[2])
+        public = evaluate_objective(prob, *point, gradient=True)
+        assert (value, t_2) == public[:2]
+        assert np.array_equal(grad, public[2])
+    return batch
+
+
+@pytest.mark.parametrize("order, branch, special", BATCHES,
+                         ids=[f"{o.value}-{b.value}" for o, b, _ in BATCHES])
+def test_batch_rows_equal_batches_of_one(order, branch, special):
+    """A point's value, t_2 and gradient do not depend on the batch it is
+    scored in, bit for bit: each row of a batch equals the batch of that
+    point alone, and ``evaluate_objective``."""
+    prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=5.0,
+                               branch=branch)
+    rng = np.random.default_rng(21)
+    points = [(rng.uniform(*prob.bounds.p_s), rng.uniform(*prob.bounds.t_1))
+              for _ in range(6)] + [point for point, _ in special]
+    batch = assert_rows_equal_batches_of_one(prob, points)
+    for (point, edge), (_, t_2, _) in zip(special, batch[6:]):
+        lo, hi = optimize_module._t2_window(prob, point[1])
+        if edge is not None:
+            assert t_2 == {"lower": lo, "upper": hi}[edge]
+            assert t_2 not in prob.bounds.t_2  # a moving edge of the window
+
+
+def test_batch_rows_with_no_fft_sample_in_the_window():
+    """A t_2 box between two FFT samples: every point of the batch is
+    polished from the window's midpoint, as alone."""
+    _, order, p_a, p_s, t_1 = CHECK6
+    prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a)
+    _, peak = evaluate_objective(prob, p_s, t_1)
+    h = _fft_step(prob)
+    j = math.floor(peak / h)
+    box = replace(prob.bounds, t_2=((j + 1.0 / 3.0) * h, (j + 2.0 / 3.0) * h))
+    prob = replace(prob, bounds=box)
+    points = [(p_s, t_1), (p_s + 0.01, t_1), (-2.0, 4.9), (-1.0, 5.1)]
+    for _, t_2, _ in assert_rows_equal_batches_of_one(prob, points):
+        assert box.t_2[0] <= t_2 <= box.t_2[1]
+
+
+def test_a_tail_overflow_in_a_batch_leaves_the_other_points_alone(
+        monkeypatch):
+    """On a basis too small for its strongest point, that point is read
+    again on the grown basis, and the other points of its batch keep the
+    numbers they have alone."""
+    box = BoundsBox((-20.0, -0.04), (0.0, TWO_PI), (0.0, TWO_PI))
+    prob = OptimizationProblem(engine=Engine.QUANTUM,
+                               order=PulseOrder.LASER_FIRST, p_a=2.0,
+                               bounds=box)
+    points = [(-0.1, 1.0), (-20.0, 1.0), (-0.5, 2.0)]
+    default = [evaluate_objective(prob, *p, gradient=True) for p in points]
+    tangents, bases = quantum.two_kick_tangents, []
+
+    def spy(p_s, p_a, t_1, order, l_max):
+        cols, filled = tangents(p_s, p_a, t_1, order, l_max)
+        bases.append((l_max, filled.tolist()))
+        return cols, filled
+
+    monkeypatch.setattr(defaults, "quantum_l_max", lambda strength: 24)
+    monkeypatch.setattr(quantum, "two_kick_tangents", spy)
+    batch = assert_rows_equal_batches_of_one(prob, points)
+    # the strong point alone grows through 49 to 99 = 2 (2 24 + 1) + 1
+    assert bases[:3] == [(24, [False, True, False]), (49, [True]),
+                         (99, [False])]
+    for (value, t_2, grad), ref in zip(batch, default):
+        assert value == pytest.approx(ref[0], abs=1e-10)
+        assert t_2 == pytest.approx(ref[1], abs=defaults.TIME_REFINE_TOL)
+        assert grad == pytest.approx(ref[2], abs=1e-7)

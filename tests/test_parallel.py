@@ -1,22 +1,23 @@
-"""optimize runs its ascents in forked worker processes: the results
-must be those of a serial run, bit for bit, errors included, and no
-worker may outlive the call."""
+"""optimize runs the ascents of all its starts side by side, in lockstep,
+in one process: the results must be those of each start's ascent run
+alone, bit for bit, errors included, and no process is started.
 
-import contextlib
+The test names are those of the fork fan-out that ran each ascent in a
+worker process until the lockstep rounds replaced it; a "worker" below
+is one start's ascent."""
+
 import importlib
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
-import threading
-import time
 
 import pytest
 
 from rotorkick.core import Branch, Engine, PulseOrder
 from rotorkick.errors import ConvergenceFailure
-from rotorkick.optimize import OptimizationProblem, _start_points, optimize, sweep
+from rotorkick.optimize import (OptimizationProblem, _ascend, _start_points,
+                                evaluate_objective, optimize, sweep)
 
 from test_optimize import REVIVAL20, classical_problem
 
@@ -34,79 +35,78 @@ PROBLEMS = {
 }
 
 
-def with_workers(monkeypatch, n):
-    monkeypatch.setattr(optimize_module, "_worker_count", lambda tasks: n)
-
-
 def assert_no_children():
-    """Every forked worker has been reaped: this process has no child."""
+    """optimize left no child process behind: this process has none."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in this process if the block takes longer."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+def alone(prob, start):
+    """One start's ascent run by itself, with its own memo, through the
+    one-point loop ``_ascend``: its end (transformed objective, p_s,
+    t_1) and the points it evaluated."""
+    evaluate = optimize_module._Objective(prob)
+    box = optimize_module._ScaledBox(prob)
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    def score(u):
+        point = box.point(u)
+        evaluate.score([point])
+        value, _, grad = evaluate[point]
+        return prob.transform(value), box.ascent(value, grad)
+
+    evaluate.score([start])
+    value, _, grad = evaluate[start]
+    u0 = box.scaled(start)
+    u, f = _ascend(score, u0, prob.transform(value), box.ascent(value, grad),
+                   box.u_lo, box.u_hi)
+    return (f, *(start if u is u0 else box.point(u))), set(evaluate)
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_parallel_equals_serial(name, monkeypatch):
-    """Every field identical, evaluations included, on one worker, on two
-    and on the CPUs this process may use."""
+    """The lockstep solve is each start's ascent run alone, merged: the
+    same optimum bit for bit and the same evaluation count, the union of
+    the points the starts evaluate."""
     prob, kwargs = PROBLEMS[name]
-    default = optimize(prob, **kwargs)
-    runs = []
-    for n in (1, 2):
-        optimize_module._solve.cache_clear()  # a cold solve on n workers
-        with_workers(monkeypatch, n)
-        runs.append(optimize(prob, **kwargs))
-    assert [repr(r) for r in runs] == [repr(default)] * 2
+    unit = optimize_module._unit_problem(prob)
+    ascent_from, starts = optimize_module._ascent_from, []
+
+    def spy(evaluate, box, start):
+        starts.append(start)
+        return ascent_from(evaluate, box, start)
+
+    monkeypatch.setattr(optimize_module, "_ascent_from", spy)
+    res = optimize_module._solve(unit, kwargs.get("extra_starts", 0),
+                                 kwargs.get("seed"))
+    assert len(starts) >= 8
+    runs = [alone(unit, start) for start in starts]
+    scored = [(unit.transform(evaluate_objective(unit, *s)[0]), *s)
+              for s in starts]
+    best = max([end for end, _ in runs] + scored,
+               key=lambda c: (c[0], -abs(c[1])))
+    assert (unit.transform(res.objective), res.p_s, res.t_1) == best
+    assert res.evaluations == len(set().union(*(seen for _, seen in runs)))
     if name == "classical-revival-20":
-        assert default == REVIVAL20
+        assert optimize(prob) == REVIVAL20
     assert_no_children()
 
 
-def test_sweep_parallel_equals_serial(monkeypatch):
-    """A sweep's rows are the same, evaluations included, on one worker
-    and on two."""
+def test_sweep_parallel_equals_serial():
+    """A sweep solves its problems one after another in one process; its
+    rows equal, evaluations included, cold ``optimize`` calls made one
+    at a time."""
     template = classical_problem(p_a=20.0, branch=Branch.REVIVAL)
-    runs = []
-    for n in (1, 2):
+    swept = sweep(template, [5.0, 20.0])
+    assert [row.error for row in swept] == [None, None]
+    rows = [repr(row.result) for row in swept]
+    cold = []
+    for p_a in (5.0, 20.0):
         optimize_module._solve.cache_clear()
-        with_workers(monkeypatch, n)
-        runs.append([repr(row) for row in sweep(template, [5.0, 20.0])])
-    assert runs[0] == runs[1]
-    assert "REVIVAL" in runs[0][1] and "error=None" in runs[0][1]
+        cold.append(repr(optimize(classical_problem(p_a=p_a,
+                                                    branch=Branch.REVIVAL))))
+    assert rows == cold
+    assert "REVIVAL" in rows[1]
     assert_no_children()
-
-
-def test_worker_count_follows_the_cpus_this_process_may_use():
-    cpus = len(os.sched_getaffinity(0))
-    assert optimize_module._worker_count(1000) == cpus
-    assert optimize_module._worker_count(1) == 1
-
-
-def test_no_fork_while_another_thread_runs():
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(60,))
-    thread.start()
-    try:
-        assert optimize_module._worker_count(1000) == 1
-    finally:
-        release.set()
-        thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert optimize_module._worker_count(1000) == len(os.sched_getaffinity(0))
 
 
 def failing_away_from_the_starts(monkeypatch, prob):
@@ -125,176 +125,96 @@ def failing_away_from_the_starts(monkeypatch, prob):
 
 
 def test_worker_failure_reaches_the_caller_as_in_a_serial_run(monkeypatch):
+    """An exception raised inside an ascent reaches the caller with its
+    type and message: that of the first start's first step, which the
+    first batch after the starts scores first, as that start alone
+    raises it."""
     prob = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=10.0)
     failing_away_from_the_starts(monkeypatch, prob)
-    raised = []
-    for n in (1, 2):
-        with_workers(monkeypatch, n)
-        with pytest.raises(ConvergenceFailure) as info:
-            optimize(prob)
-        raised.append(info.value)
-        assert_no_children()
-    serial, parallel = raised
-    assert type(parallel) is type(serial)
-    assert str(parallel) == str(serial)
-    # the parallel failure was raised in a worker, the serial one here:
-    # the worker's traceback text ends in the same exception
-    worker_traceback = str(parallel.__cause__)
-    assert worker_traceback.startswith("Traceback (most recent call last):")
-    assert "in failing" in worker_traceback
-    assert worker_traceback.rstrip().endswith(
-        f"ConvergenceFailure: {serial}")
-    assert serial.__cause__ is None
+    with pytest.raises(ConvergenceFailure) as info:
+        optimize(prob)
+    unit = optimize_module._unit_problem(prob)
+    with pytest.raises(ConvergenceFailure) as first:
+        alone(unit, _start_points(unit)[0])
+    assert type(info.value) is type(first.value)
+    assert str(info.value) == str(first.value)
+    assert str(info.value).startswith("injected at p_s = ")
+    assert info.value.__cause__ is None
+    assert_no_children()
 
 
 def test_sweep_annotates_a_worker_failure(monkeypatch):
     template = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=10.0)
     failing_away_from_the_starts(monkeypatch, template)
-    with_workers(monkeypatch, 2)
     rows = sweep(template, [10.0])
     assert rows[0].result is None
     assert rows[0].error.startswith("ConvergenceFailure: injected at p_s = ")
     assert_no_children()
 
 
-def dying_away_from_the_starts(monkeypatch, prob, die):
-    """evaluate_objective calls ``die`` in a worker at every point but
-    the start points, which the calling process scores itself."""
-    starts = set(_start_points(optimize_module._unit_problem(prob)))
-    evaluate, parent = optimize_module.evaluate_objective, os.getpid()
+def test_results_of_many_starts_merge_in_start_order():
+    """Ascents of different lengths run in lockstep: each round scores
+    the pending points of the live ascents as one batch, in start order,
+    and their results come back in start order; an exception raised in
+    a batch stops the run."""
+    class Recorder:
+        def __init__(self, fail_at=None):
+            self.batches, self.fail_at = [], fail_at
 
-    def dying(prob, p_s, t_1, gradient=False):
-        if (p_s, t_1) not in starts and os.getpid() != parent:
-            die()
-        return evaluate(prob, p_s, t_1, gradient)
+        def score(self, points):
+            self.batches.append(points)
+            if self.fail_at in points:
+                raise ValueError(f"start {self.fail_at[0]}")
 
-    monkeypatch.setattr(optimize_module, "evaluate_objective", dying)
+    def ascent(i, length):
+        for j in range(length):
+            yield i, j
+        return i * i
 
-
-@pytest.mark.parametrize("die, status", [
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
-    (lambda: os._exit(7), "exit status 7"),
-    (lambda: sys.exit(0), "exit status 1"),
-], ids=["sigkill", "exit-7", "system-exit"])
-def test_a_worker_that_dies_fails_the_call(monkeypatch, die, status):
-    """A worker that ends without sending its results makes optimize
-    raise, naming the exit status, instead of hanging or returning the
-    other workers' results; every worker is reaped."""
-    prob = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=10.0)
-    dying_away_from_the_starts(monkeypatch, prob, die)
-    with_workers(monkeypatch, 2)
-    with deadline(120), pytest.raises(RuntimeError,
-                                      match=f"without a result: {status}"):
-        optimize(prob)
-    assert_no_children()
-
-
-def test_one_dead_worker_among_finished_ones(monkeypatch):
-    """Only the worker of the last start dies; the others finish and are
-    reaped, and the call still raises."""
-    with_workers(monkeypatch, 3)
-    last = 5
-
-    def task(start):
-        if start == last:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return start * start
-
-    assert optimize_module._map_starts(task, list(range(last))) == \
-        [0, 1, 4, 9, 16]
-    assert_no_children()
-    with deadline(60), pytest.raises(RuntimeError, match="signal 9"):
-        optimize_module._map_starts(task, list(range(last + 1)))
-    assert_no_children()
-
-
-def open_fds():
-    return sorted(os.listdir(f"/proc/{os.getpid()}/fd"))
-
-
-def blocked_signals():
-    return signal.pthread_sigmask(signal.SIG_BLOCK, [])
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                    reason="needs /proc/self/fd to list open descriptors")
-def test_a_failed_fork_leaks_no_pipe_and_no_worker(monkeypatch):
-    """When the second fork fails (as with EAGAIN), the call raises that
-    error, the worker already forked is stopped and reaped, no pipe end
-    stays open, and the signals blocked while forking are unblocked."""
-    with_workers(monkeypatch, 3)
-    fork, forks = os.fork, []
-
-    def failing_second_fork():
-        forks.append(None)
-        if len(forks) == 2:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", failing_second_fork)
-    before, mask = open_fds(), blocked_signals()
-    with deadline(60), pytest.raises(BlockingIOError):
-        optimize_module._map_starts(time.sleep, [60.0, 60.0, 60.0])
-    assert len(forks) == 2
-    assert open_fds() == before
-    assert blocked_signals() == mask
-    assert_no_children()
-
-
-def test_an_interrupted_call_stops_its_workers(monkeypatch):
-    """An exception in the waiting parent (here the alarm of a deadline)
-    kills and reaps the workers instead of waiting for them."""
-    with_workers(monkeypatch, 2)
-    started = time.monotonic()
-    with pytest.raises(TimeoutError), deadline(1):
-        optimize_module._map_starts(time.sleep, [60.0, 60.0])
-    assert time.monotonic() - started < 30.0
-    assert_no_children()
-
-
-def test_results_of_many_starts_merge_in_start_order(monkeypatch):
-    """Start i runs in worker i mod w; the results come back in start
-    order, whatever their size, and the earliest start's exception wins."""
-    with_workers(monkeypatch, 3)
-    mask = blocked_signals()
-    big = optimize_module._map_starts(lambda n: bytes(n), [70000, 1, 2, 3])
-    assert [len(b) for b in big] == [70000, 1, 2, 3]
-    assert blocked_signals() == mask
-
-    def task(start):
-        if start in (4, 6):
-            raise ValueError(f"start {start}")
-        return start
-
-    with pytest.raises(ValueError, match="start 4"):
-        optimize_module._map_starts(task, list(range(8)))
-    assert_no_children()
+    lengths = [3, 0, 5, 1]
+    rec = Recorder()
+    ends = optimize_module._lockstep(
+        rec, [ascent(i, n) for i, n in enumerate(lengths)])
+    assert ends == [0, 1, 4, 9]
+    assert rec.batches == [[(0, 0), (2, 0), (3, 0)], [(0, 1), (2, 1)],
+                           [(0, 2), (2, 2)], [(2, 3)], [(2, 4)]]
+    rec = Recorder(fail_at=(2, 1))
+    with pytest.raises(ValueError, match="start 2"):
+        optimize_module._lockstep(
+            rec, [ascent(i, n) for i, n in enumerate(lengths)])
+    assert len(rec.batches) == 2
 
 
 def test_optimize_loads_no_multiprocessing():
-    """The fan-out forks by itself: a fresh optimize on two CPUs loads
-    neither ``multiprocessing`` nor ``concurrent.futures``."""
-    code = ("import os, sys\n"
-            "os.sched_setaffinity(0, list(os.sched_getaffinity(0))[:2])\n"
+    """A fresh interpreter in which every way to start a process raises
+    runs a classical and a quantum optimize, and loads neither
+    ``multiprocessing`` nor ``concurrent.futures``."""
+    code = ("import os, subprocess, sys\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('a process was started')\n"
+            "for name in ('fork', 'forkpty', 'posix_spawn', 'posix_spawnp',\n"
+            "             'spawnv', 'spawnve', 'system'):\n"
+            "    if hasattr(os, name):\n"
+            "        setattr(os, name, refuse)\n"
+            "subprocess.Popen = refuse\n"
             "from rotorkick.core import Engine, PulseOrder\n"
-            "from rotorkick.optimize import (OptimizationProblem, "
-            "_worker_count, optimize)\n"
-            "optimize(OptimizationProblem(Engine.CLASSICAL, "
-            "PulseOrder.SIMULTANEOUS, 10.0))\n"
-            "print(_worker_count(8), sorted(m for m in sys.modules if "
-            "m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+            "from rotorkick.optimize import OptimizationProblem, optimize\n"
+            "for engine, p_a in ((Engine.CLASSICAL, 10.0),\n"
+            "                    (Engine.QUANTUM, 3.0)):\n"
+            "    optimize(OptimizationProblem(engine, PulseOrder.LASER_FIRST,\n"
+            "                                 p_a))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "             ('multiprocessing', 'concurrent')))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, timeout=300).stdout.decode()
-    workers, loaded = out.split(" ", 1)
-    assert loaded.strip() == "[]"
-    assert int(workers) == min(2, len(os.sched_getaffinity(0)))
+    assert out.strip() == "[]"
 
 
 def test_optimize_in_a_daemonic_pool_worker():
-    """A daemonic process may not have children: its optimize runs the
-    ascents serially and returns the parent's result."""
+    """A daemonic process may not have children, and optimize needs
+    none: inside one it returns the parent's result."""
     prob = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=10.0)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.apply(optimize, (prob,))
