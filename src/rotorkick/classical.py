@@ -36,8 +36,8 @@ import numpy as np
 
 from . import defaults
 from .core import (KickKind, ObservableSeries, PulseOrder, PulseSequence,
-                   is_even_grid, observable_kind, phase_jet, phase_sum,
-                   pulse_pair, time_grid, validate_sequence, walk_sequence)
+                   observable_kind, phase_jet, phase_sum, pulse_pair,
+                   time_grid, validate_sequence, walk_sequence)
 from .errors import ConvergenceFailure, InvalidNodeCount, NonFiniteValue
 
 
@@ -309,16 +309,12 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
     t_eval = time_grid(t_eval)
     t_last = float(t_eval[-1]) if t_eval.size else -math.inf
     flights = [(kk.strength, t_last - kk.time) for kk in seq.kicks]
-    # each segment's is_even_grid, in walk order, settled once for every pass
-    evens = walk_sequence(seq, t_eval, None, lambda s, dt: s,
-                          lambda s, kicks: s, lambda s, dts: [is_even_grid(dts)])
 
     def average(ens: ClassicalEnsemble) -> np.ndarray:
         rest = (ens.theta0, np.zeros(ens.theta0.shape))
-        even = iter(evens)
         return walk_sequence(seq, t_eval, rest, _fly, _kick,
                              lambda state, dts: _free_flight_average(
-                                 *state, ens.weights, dts, k, next(even)))
+                                 *state, ens.weights, dts, k))
 
     vals = _refine(average, defaults.ensemble_nodes(flights))
     if k == 1:
@@ -328,34 +324,34 @@ def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries
     return ObservableSeries(t_eval, vals, kind)
 
 
-def _refine(average, n_nodes: int) -> np.ndarray:
+def _refine(average, n_nodes: int, change=np.subtract) -> np.ndarray:
     """The ensemble average ``average`` gives for a rule, the rule doubled
-    from ``n_nodes`` until two successive rules agree within
-    ``defaults.QUADRATURE_TOL`` at every sample (an empty grid agrees at
-    once), or ``defaults.NODE_CAP`` is reached. A start whose doubled
-    rule is already beyond the cap fails before any rule is built."""
+    from ``n_nodes`` until ``change(new, old)`` of two successive rules is
+    within ``defaults.QUADRATURE_TOL`` in every entry (an empty grid
+    agrees at once). A rule past ``defaults.NODE_CAP`` fails instead, so
+    a start whose doubled rule is already beyond the cap fails before any
+    rule is built."""
     tol, cap = defaults.QUADRATURE_TOL, defaults.NODE_CAP
-    if 2 * n_nodes > cap:
-        raise ConvergenceFailure(f"quadrature needs a rule of {2 * n_nodes} "
-                                 f"nodes, beyond the node cap {cap}")
-    n, prev = n_nodes, average(make_ensemble(n_nodes))
+    n, prev = n_nodes, None
     while 2 * n <= cap:
+        if prev is None:
+            prev = average(make_ensemble(n))
         n *= 2
         vals = average(make_ensemble(n))
-        if (np.abs(vals - prev) < tol).all():
+        if (np.abs(change(vals, prev)) < tol).all():
             return vals
         prev = vals
-    raise ConvergenceFailure(
-        f"quadrature not converged below {tol} at node cap {cap}")
+    raise ConvergenceFailure(f"quadrature below {tol} needs a rule of "
+                             f"{2 * n} nodes, beyond the node cap {cap}")
 
 
 def _free_flight_average(theta1: np.ndarray, omega: np.ndarray,
-                         weights: np.ndarray, t_2: np.ndarray, k: int,
-                         even: bool | None = None) -> np.ndarray:
+                         weights: np.ndarray, t_2: np.ndarray,
+                         k: int) -> np.ndarray:
     """sum_i w_i cos^k(theta1_i + t omega_i) at every t of ``t_2``, k = 1
     and (cos^2 x = (1 + cos 2x) / 2) k = 2 read off :func:`core.phase_sum`
-    at phases k theta1_i and rates k omega_i; ``even`` as there."""
-    s = phase_sum(weights, k * theta1, k * omega, t_2, even)
+    at phases k theta1_i and rates k omega_i."""
+    s = phase_sum(weights, k * theta1, k * omega, t_2)
     return s if k == 1 else 0.5 * (weights.sum() + s)
 
 
@@ -388,10 +384,8 @@ class TwoKickScan:
         first, second = (sum(abs(kk.strength) for kk in pulse)
                          for pulse in self._pulses)
         flights = [(first, abs(t_1) + reach), (second, reach)]
-        even = is_even_grid(t_2)
         self.values = _refine(
-            lambda ens: _free_flight_average(*self._state(ens)[:3], t_2, k,
-                                             even),
+            lambda ens: _free_flight_average(*self._state(ens)[:3], t_2, k),
             defaults.ensemble_nodes(flights))
 
     def _state(self, ens: ClassicalEnsemble) -> tuple[np.ndarray, ...]:
@@ -406,44 +400,31 @@ class TwoKickScan:
 
     def jet(self, t: float) -> np.ndarray:
         """(f, f', f'') of the average at the one time ``t``, from
-        :func:`core.phase_jet` on the finest rule reached.
-
-        The check of :func:`_refine`, at this time: the value must agree
-        with the next coarser rule's within ``defaults.QUADRATURE_TOL``,
-        else the rule doubles, up to ``defaults.NODE_CAP``.
+        :func:`core.phase_jet`: the :func:`_refine` of the value f from
+        half the finest rule the scan reached, so the finest rule's f
+        must agree with the next coarser one's within
+        ``defaults.QUADRATURE_TOL``, else the rule doubles, up to
+        ``defaults.NODE_CAP``.
         """
-        return self._settled(self._jet, t, lambda new, old: new[0] - old[0])
+        return _refine(partial(self._jet, t), max(self._kicked) // 2,
+                       lambda new, old: new[0] - old[0])
 
     def gradient(self, t: float) -> np.ndarray:
         """d/d(p_s, t_1) of the average at the one time ``t``: -sum_i w_i
-        d cos^k(theta_i), dtheta_i = dtheta1_i + t domega_i, on the finest
-        rule reached, with the coarser-rule check of :meth:`jet` on each
-        component in the scale-free variables (p_s/p_a, p_a t_1)."""
-        return self._settled(self._gradient, t,
-                             lambda new, old: (new - old) * self._scale)
+        d cos^k(theta_i), dtheta_i = dtheta1_i + t domega_i, settled as
+        :meth:`jet`'s value on each component in the scale-free variables
+        (p_s/p_a, p_a t_1)."""
+        return _refine(partial(self._gradient, t), max(self._kicked) // 2,
+                       lambda new, old: (new - old) * self._scale)
 
-    def _settled(self, read, t: float, change) -> np.ndarray:
-        tol, cap = defaults.QUADRATURE_TOL, defaults.NODE_CAP
-        n = max(self._kicked)
-        prev = read(n // 2, t)
-        while True:
-            out = read(n, t)
-            if (np.abs(change(out, prev)) < tol).all():
-                return out
-            if 2 * n > cap:
-                raise ConvergenceFailure(
-                    f"quadrature not converged below {tol} at node cap {cap}")
-            n, prev = 2 * n, out
-
-    def _jet(self, n_nodes: int, t: float) -> np.ndarray:
-        theta1, omega, weights = self._state(make_ensemble(n_nodes))[:3]
+    def _jet(self, t: float, ens: ClassicalEnsemble) -> np.ndarray:
+        theta1, omega, weights = self._state(ens)[:3]
         k = self._k  # as in _free_flight_average
         s = phase_jet(weights, k * theta1, k * omega, t)
         return s if k == 1 else 0.5 * (s + [weights.sum(), 0.0, 0.0])
 
-    def _gradient(self, n_nodes: int, t: float) -> np.ndarray:
-        theta1, omega, weights, d_theta, d_omega = self._state(
-            make_ensemble(n_nodes))
+    def _gradient(self, t: float, ens: ClassicalEnsemble) -> np.ndarray:
+        theta1, omega, weights, d_theta, d_omega = self._state(ens)
         k = self._k  # d cos^2 x = -sin(2x) dx
         slopes = weights * np.sin(k * (theta1 + t * omega))
         return -(d_theta + t * d_omega) @ slopes

@@ -245,8 +245,10 @@ def _cmd_sweep(args) -> int:
     if not pas:
         raise ConfigError("empty p_a list")
 
+    # sweep sets each row's p_a and bounds, so a bad p_a anywhere in the
+    # list is that row's annotation, not an error of the template's
     template = OptimizationProblem(
-        engine=Engine(args.engine), order=PulseOrder(args.order), p_a=pas[0],
+        engine=Engine(args.engine), order=PulseOrder(args.order), p_a=1.0,
         branch=Branch(args.branch), objective_sign=ObjectiveSign(args.sign),
     )
     lines = [CSV_HEADER]

@@ -166,7 +166,7 @@ _BLOCK_BYTES = 1 << 18
 
 
 def phase_sum(weights: np.ndarray, phases, rates: np.ndarray,
-              t: np.ndarray, even: bool | None = None) -> np.ndarray:
+              t: np.ndarray) -> np.ndarray:
     """Re sum_i w_i exp(i(phases_i + rates_i t)) at every t of ``t``, the
     free-flight sampler of both engines (classical nodes, quantum beats).
 
@@ -176,14 +176,13 @@ def phase_sum(weights: np.ndarray, phases, rates: np.ndarray,
     repeated multiplication: three exponentials per term, not n. A is
     built and multiplied ``_BLOCK_BYTES`` at a time, never one row alone
     unless it has one (numpy hands a one-row product to gemv, which
-    rounds otherwise). Any other array takes B = 1. ``even`` is
-    :func:`is_even_grid` of ``t``, tested here if None; a caller sampling
-    one ``t`` on many rules settles it once.
+    rounds otherwise). Any other array (:func:`is_even_grid`) takes
+    B = 1.
     """
     n = t.size
     t_0 = t[0] if n else 0.0
     h = (t[-1] - t_0) / (n - 1) if n > 1 else 0.0
-    if not (is_even_grid(t) if even is None else even):
+    if not is_even_grid(t):
         a = weights * np.exp(1j * (phases + t[:, None] * rates))
         # + 0.0 turns -0.0 into 0.0: a band that vanishes by parity prints 0
         return (a @ np.ones((1, rates.size)).T).real.ravel() + 0.0

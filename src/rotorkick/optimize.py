@@ -10,7 +10,7 @@ projected quasi-Newton ascent over (p_s, t_1) in a box, run in scaled
 coordinates (p_s/p_a, t_1*p_a). The best value over t_2 is an envelope,
 so its gradient in (p_s, t_1) is the partial derivative at the best t_2,
 which each engine reads off tangents carried through the kicks. The
-ascent is the package's own (:func:`_ascend`); the package imports
+ascent is the package's own (:func:`_ascent`); the package imports
 numpy alone.
 
 Branches
@@ -387,9 +387,11 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
 
     The starts are the grid of :func:`_start_points` and
     ``extra_starts`` seeded random points of the box, scored as one
-    batch; each runs one :func:`_ascent_from`, all in lockstep
-    (:func:`_lockstep`). A point's numbers do not depend on its batch,
-    so each ascent visits the points it visits alone.
+    batch; each runs one :func:`_ascent` in the scaled box, all in
+    lockstep (:func:`_lockstep`), each round's points one batch of the
+    memo. A point's numbers do not depend on its batch, so each ascent
+    visits the points it visits alone. An ascent that never left its
+    start ends on the start itself.
     """
     evaluate = _Objective(prob)
     (ps_lo, ps_hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
@@ -404,15 +406,28 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
     evaluate.score(starts)
     scored = [(prob.transform(evaluate[s][0]), *s) for s in starts]
     box = _ScaledBox(prob)
-    ends = _lockstep(evaluate, [_ascent_from(evaluate, box, start)
-                                for start in starts])
-    score, ps, t1 = max(ends + scored, key=lambda c: (c[0], -abs(c[1])))
+
+    def reply(point):
+        value, _, grad = evaluate[point]
+        return prob.transform(value), box.ascent(value, grad)
+
+    def score(us):
+        points = [box.point(u) for u in us]
+        evaluate.score(points)
+        return [reply(p) for p in points]
+
+    u0s = [box.scaled(s) for s in starts]
+    ends = _lockstep(score, [_ascent(u0, *reply(s), box.u_lo, box.u_hi)
+                             for u0, s in zip(u0s, starts)])
+    ends = [(f, *(s if u is u0 else box.point(u)))
+            for (u, f), u0, s in zip(ends, u0s, starts)]
+    best, ps, t1 = max(ends + scored, key=lambda c: (c[0], -abs(c[1])))
     value, t2, grad = evaluate[ps, t1]
     return OptimizationResult(
         p_a=prob.p_a, p_s=ps, t_1=t1, t_2=t2, objective=value,
         branch=prob.branch, order=prob.order, engine=prob.engine,
         evaluations=len(evaluate),
-        stagnated=bool(score <= max(c[0] for c in scored) + 1e-12),
+        stagnated=bool(best <= max(c[0] for c in scored) + 1e-12),
         on_boundary=bool(_outward(box.scaled((ps, t1)),
                                   box.ascent(value, grad), box.u_lo,
                                   box.u_hi).any()),
@@ -472,21 +487,22 @@ class _Objective(dict):
         self.update(zip(new, found))
 
 
-def _lockstep(evaluate: _Objective, ascents: list) -> list:
-    """The return values of the generators ``ascents``, run in lockstep:
-    each round scores the point every live one yields as one batch of
-    ``evaluate`` (:meth:`_Objective.score`), then resumes them in order."""
-    ends, pending = [None] * len(ascents), dict.fromkeys(range(len(ascents)))
+def _lockstep(score, ascents: list) -> list:
+    """The return values of the :func:`_ascent` generators ``ascents``,
+    run in lockstep: each round sends every live one the reply for the
+    point it yielded, in order, and scores all the round's points in one
+    call ``score(points)``, which returns one reply per point."""
+    ends, replies = [None] * len(ascents), dict.fromkeys(range(len(ascents)))
     while True:
-        for i in list(pending):
+        pending = {}
+        for i, reply in replies.items():
             try:
-                pending[i] = next(ascents[i])
+                pending[i] = ascents[i].send(reply)
             except StopIteration as stop:
                 ends[i] = stop.value
-                del pending[i]
         if not pending:
             return ends
-        evaluate.score(list(pending.values()))
+        replies = dict(zip(pending, score(list(pending.values()))))
 
 
 class _ScaledBox:
@@ -527,49 +543,13 @@ def _outward(u: np.ndarray, g: np.ndarray, lo: np.ndarray,
     return ((u <= lo) & (g < -tol)) | ((u >= hi) & (g > tol))
 
 
-def _ascent_from(evaluate: _Objective, box: _ScaledBox,
-                 start: tuple[float, float]):
-    """One :func:`_ascent` of the score from ``start`` = (p_s, t_1), in
-    ``box``, the scaled box of ``evaluate``'s problem: a generator that
-    yields each (p_s, t_1) it needs and reads it off ``evaluate`` when
-    resumed, so ``evaluate`` must hold it by then. Returns (transformed
-    objective, p_s, t_1) at the end point.
-    """
-    def score(point):
-        value, _, grad = evaluate[point]
-        return evaluate.prob.transform(value), box.ascent(value, grad)
-
-    u0 = box.scaled(start)
-    steps, reply = _ascent(u0, *score(start), box.u_lo, box.u_hi), None
-    try:
-        while True:
-            point = box.point(steps.send(reply))
-            yield point
-            reply = score(point)
-    except StopIteration as stop:
-        u, f = stop.value
-    end = start if u is u0 else box.point(u)  # the start, if never left
-    return (f, *end)
-
-
-def _ascend(score, u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`_ascent` driven by ``score(u)`` -> (value, gradient), one
-    point at a time; returns the end point and its score."""
-    steps, reply = _ascent(u, f, g, lo, hi), None
-    try:
-        while True:
-            reply = score(steps.send(reply))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _ascent(u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
             hi: np.ndarray):
     """Maximize a score over the box [lo, hi] from u, where it is f with
     gradient g, by a projected quasi-Newton ascent for a few variables: a
     generator that yields each point it needs scored and is sent back
-    its (value, gradient); returns the end point and its score.
+    its (value, gradient), as :func:`_lockstep` does; returns the end
+    point and its score.
 
     BFGS on the inverse Hessian, started as the identity and scaled at
     the first update. Coordinates on a bound whose gradient points out

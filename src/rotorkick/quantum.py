@@ -98,26 +98,23 @@ class KickOperator:
     l_max: int
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (idx, vals, vecs)
 
-    def apply(self, coeffs: np.ndarray, strength: float) -> np.ndarray:
-        """exp(i * strength * M) @ coeffs via the eigenbasis; ``coeffs``
-        is one state or a matrix of state columns."""
-        out = np.zeros(coeffs.shape, dtype=complex)
-        for idx, vals, vecs in self.blocks:
-            out[idx] = (vecs * np.exp(1j * strength * vals)) @ (vecs.T @ coeffs[idx])
-        return out
-
-    def apply_each(self, cols: np.ndarray, strengths) -> np.ndarray:
-        """exp(i s_k M) @ cols[:, k] for the columns of every point k of
-        ``cols`` (l_max + 1, K, c), s_k one strength each (or one for
-        all): one complex eigenbasis product for all K points, which
-        rounds each column as a batch of one does."""
+    def apply(self, coeffs: np.ndarray, strengths) -> np.ndarray:
+        """exp(i s_k M) @ coeffs[:, k] for every point k of ``coeffs``,
+        one state (l_max + 1,) or the columns (l_max + 1, K, ...) of K
+        points, s_k one strength each (or one for all): one complex
+        eigenbasis product for all K points, which rounds each column as
+        a batch of one does. A state is one column; real input is taken
+        as complex."""
+        cols = np.asarray(coeffs, dtype=complex)
         out = np.empty_like(cols)
-        strengths = np.broadcast_to(strengths, cols.shape[1])
         for idx, vals, vecs in self.blocks:
-            part = (vecs.T @ cols[idx].reshape(idx.size, -1)).reshape(
-                out[idx].shape)
-            part *= np.exp(1j * np.multiply.outer(vals, strengths))[:, :, None]
-            out[idx] = (vecs @ part.reshape(idx.size, -1)).reshape(part.shape)
+            phase = np.exp(1j * np.multiply.outer(vals, strengths))
+            part = vecs.T @ cols[idx].reshape(idx.size, -1)
+            # the columns of point k, however many, take the phase of s_k
+            part = part.reshape(idx.size, phase.size // idx.size, -1)
+            part *= phase.reshape(part.shape[:2] + (1,))
+            out[idx] = (vecs @ part.reshape(idx.size, -1)).reshape(
+                (idx.size,) + cols.shape[1:])
         return out
 
     @property
@@ -255,13 +252,14 @@ def _kick_group(psi: RotorWavefunction, kicks) -> RotorWavefunction:
 
 def _tangent_group(cols: np.ndarray, kicks, filled: np.ndarray) -> np.ndarray:
     """:func:`_kick_group` of the columns (state, d/dp_s, d/dt_1) of each
-    point of :func:`two_kick_tangents`, ``cols`` (l_max + 1, K, 3), marking
-    in ``filled`` the points whose tail a kick fills. A symmetric kick,
+    point of :func:`two_kick_tangents`, ``cols`` (l_max + 1, K, 3), each
+    kick one :meth:`KickOperator.apply` for all K points, marking in
+    ``filled`` the points whose tail a kick fills. A symmetric kick,
     whose strength is p_s, adds d/dp_s exp(i p_s M) a = i M a' of the
     kicked state a' to the second column, M the banded cos^2 matrix."""
     l_max = cols.shape[0] - 1
     for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
-        cols = kick_operator(kk.kind, l_max).apply_each(cols, kk.strength)
+        cols = kick_operator(kk.kind, l_max).apply(cols, kk.strength)
         filled |= ~(_tail_population(cols[:, :, 0]) < defaults.TAIL_TOL)
         if kk.kind is KickKind.SYMMETRIC:
             a = cols[:, :, 0]
@@ -382,8 +380,8 @@ def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
     (K, 3, l_max + 1), and whether a kick filled each point's tail, so
     that its rows are to be read on a larger basis.
 
-    Each kick is one eigenbasis product for all K points, the tangents
-    two more columns of it (:func:`_tangent_group`); the flight adds
+    Each kick is one :meth:`KickOperator.apply` for all K points, the
+    tangents two more columns of it (:func:`_tangent_group`); the flight adds
     d/dt_1 = -i l(l+1)/2 times the flown state. A point's rows are those
     of a batch of one, and :func:`two_kick_state`'s up to round-off.
     """

@@ -1,9 +1,10 @@
 """The optimizer's projected quasi-Newton ascent against scipy's L-BFGS-B.
 
-``optimize._ascend`` maximizes a smooth score with its gradient over a
-box, as scipy's bounded quasi-Newton method minimizes the negated score:
-from the same start both must end on the same point, interior or on a
-bound, with ``_ascend`` scoring at least as high. scipy.optimize is
+``optimize._ascent``, driven alone by ``optimize._lockstep``, maximizes
+a smooth score with its gradient over a box, as scipy's bounded
+quasi-Newton method minimizes the negated score: from the same start
+both must end on the same point, interior or on a bound, with the
+ascent scoring at least as high. scipy.optimize is
 imported here only, as in ``oracles.py``.
 """
 import math
@@ -13,7 +14,7 @@ import pytest
 from scipy.optimize import minimize
 
 from rotorkick import defaults
-from rotorkick.optimize import _ascend, _outward
+from rotorkick.optimize import _ascent, _lockstep, _outward
 
 
 def boxed_peak(u):
@@ -49,13 +50,15 @@ CASES = [
 def run(score, start, lo, hi):
     calls = []
 
-    def counted(u):
-        calls.append(u.copy())
-        return score(u)
+    def counted(us):
+        assert len(us) == 1  # one ascent: one point a round
+        calls.append(us[0].copy())
+        return [score(us[0])]
 
     u0 = np.array(start, dtype=float)
-    u, f = _ascend(counted, u0, *score(u0), np.array(lo, dtype=float),
-                   np.array(hi, dtype=float))
+    [(u, f)] = _lockstep(counted, [_ascent(u0, *score(u0),
+                                           np.array(lo, dtype=float),
+                                           np.array(hi, dtype=float))])
     return u, f, len(calls) + 1
 
 

@@ -181,6 +181,30 @@ def test_jet_doubles_a_disagreeing_rule_pair_up_to_the_cap(monkeypatch):
     assert max(rules) == converged
 
 
+def test_gradient_doubles_a_disagreeing_rule_pair_up_to_the_cap(monkeypatch):
+    """The gradient's rule-pair check, as the jet's: at t_2 = 6 the rules
+    a scan of t_2 = 0 converged on disagree in the scale-free components,
+    so the gradient doubles the rule until a pair agrees and reads the
+    gradient a scan there converges to. With the cap at the scan's own
+    rule it raises instead, building no rule beyond it."""
+    rules, build = [], classical.make_ensemble
+    monkeypatch.setattr(classical, "make_ensemble",
+                        lambda n: rules.append(n) or build(n))
+    scan = TwoKickScan(-2.0, 10.0, 0.3, [0.0])
+    converged = max(rules)
+    grad = scan.gradient(6.0)
+    assert max(rules) > converged
+    there = TwoKickScan(-2.0, 10.0, 0.3, [6.0])
+    scale = np.array([10.0, 0.1])  # d/d(p_s/p_a, p_a t_1)
+    assert grad * scale == pytest.approx(there.gradient(6.0) * scale,
+                                         abs=defaults.QUADRATURE_TOL)
+    monkeypatch.setattr(defaults, "NODE_CAP", converged)
+    rules.clear()
+    with pytest.raises(ConvergenceFailure):
+        TwoKickScan(-2.0, 10.0, 0.3, [0.0]).gradient(6.0)
+    assert max(rules) == converged
+
+
 def test_ensemble_nodes_ladder():
     for p, span in [(0.0, 5.0), (10.0, 0.0), (1.0, 7.9), (12.0, 0.5)]:
         assert defaults.ensemble_nodes([(p, span)]) == 64
@@ -367,35 +391,6 @@ def test_free_flight_average_matches_direct_quadrature(order):
                 ens.weights, sign * t2, k)
             assert got.shape == t2.shape
             assert np.max(np.abs(got - direct)) < 1e-12
-
-
-def test_even_grid_test_is_settled_once_per_scan_and_segment(monkeypatch):
-    """Every rule pass samples the same times, so a TwoKickScan tests its
-    t_2 grid for evenness once, and classical_observable each segment
-    between kicks once, however many rules the quadrature doubles
-    through; every pass's phase_sum reads the settled answer."""
-    tested, settled = [], []
-    is_even, phase_sum = classical.is_even_grid, classical.phase_sum
-
-    def test_once(t):
-        tested.append(t.size)
-        return is_even(t)
-
-    def summed(weights, phases, rates, t, even):
-        settled.append(even)
-        return phase_sum(weights, phases, rates, t, even)
-
-    monkeypatch.setattr(classical, "is_even_grid", test_once)
-    monkeypatch.setattr(classical, "phase_sum", summed)
-    TwoKickScan(-2.0, 10.0, 0.3, np.linspace(0.0, 1.0, 300))
-    assert tested == [300]
-    assert len(settled) >= 2 and set(settled) == {True}
-    tested.clear(), settled.clear()
-    seq = two_pulse_sequence(-2.0, 10.0, 0.3, PulseOrder.LASER_FIRST)
-    ts = np.concatenate((np.linspace(-1.0, 0.29, 40), [0.4, 0.6, 0.65]))
-    classical_observable(seq, 1, ts)
-    assert tested == [31, 9, 3]  # before, between and after the kicks
-    assert len(settled) >= 6 and settled[:3] == [True, True, False]
 
 
 def test_non_finite_input_raises_before_quadrature():

@@ -186,6 +186,23 @@ def test_sweep_classical(capsys):
     assert objs[0] == pytest.approx(objs[1], abs=2e-3)
 
 
+@pytest.mark.parametrize("bad", ["nan", "2e4"])
+def test_sweep_annotates_a_bad_pa_first_or_last(capsys, bad):
+    """A p_a the problem refuses is annotated wherever it sits in the
+    list, and the good row is the same either way."""
+    outs = []
+    for pas in (f"{bad},10", f"10,{bad}"):
+        code, out, err = run(capsys, "sweep", "--engine", "classical",
+                             "--order", "simultaneous", "--pa-list", pas)
+        assert code == 0 and err == ""
+        outs.append(out.splitlines())
+    skipped = f"# skipped p_a={float(bad):g}: NonFiniteValue: bad p_a: "
+    first, last = outs
+    assert first[0] == last[0] and len(first) == len(last) == 3
+    assert first[1].startswith(skipped) and last[2].startswith(skipped)
+    assert first[2] == last[1] and first[2].startswith("1.00000000000e+01,")
+
+
 def test_sweep_quantum_rejects_large_pa(capsys):
     code, _, err = run(capsys, "sweep", "--engine", "quantum",
                        "--pa-list", "40")

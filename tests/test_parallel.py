@@ -16,8 +16,9 @@ import pytest
 
 from rotorkick.core import Branch, Engine, PulseOrder
 from rotorkick.errors import ConvergenceFailure
-from rotorkick.optimize import (OptimizationProblem, _ascend, _start_points,
-                                evaluate_objective, optimize, sweep)
+from rotorkick.optimize import (OptimizationProblem, _ascent, _lockstep,
+                                _start_points, evaluate_objective, optimize,
+                                sweep)
 
 from test_optimize import REVIVAL20, classical_problem
 
@@ -42,23 +43,26 @@ def assert_no_children():
 
 
 def alone(prob, start):
-    """One start's ascent run by itself, with its own memo, through the
-    one-point loop ``_ascend``: its end (transformed objective, p_s,
-    t_1) and the points it evaluated."""
+    """One start's ascent run by itself, with its own memo, through
+    ``_lockstep`` with one ascent, one point a round: its end
+    (transformed objective, p_s, t_1) and the points it evaluated."""
     evaluate = optimize_module._Objective(prob)
     box = optimize_module._ScaledBox(prob)
 
-    def score(u):
-        point = box.point(u)
-        evaluate.score([point])
+    def reply(point):
         value, _, grad = evaluate[point]
         return prob.transform(value), box.ascent(value, grad)
 
+    def score(us):
+        assert len(us) == 1
+        point = box.point(us[0])
+        evaluate.score([point])
+        return [reply(point)]
+
     evaluate.score([start])
-    value, _, grad = evaluate[start]
     u0 = box.scaled(start)
-    u, f = _ascend(score, u0, prob.transform(value), box.ascent(value, grad),
-                   box.u_lo, box.u_hi)
+    [(u, f)] = _lockstep(score, [_ascent(u0, *reply(start), box.u_lo,
+                                         box.u_hi)])
     return (f, *(start if u is u0 else box.point(u))), set(evaluate)
 
 
@@ -69,15 +73,24 @@ def test_parallel_equals_serial(name, monkeypatch):
     the points the starts evaluate."""
     prob, kwargs = PROBLEMS[name]
     unit = optimize_module._unit_problem(prob)
-    ascent_from, starts = optimize_module._ascent_from, []
+    score, batches, ascents = optimize_module._Objective.score, [], []
 
-    def spy(evaluate, box, start):
-        starts.append(start)
-        return ascent_from(evaluate, box, start)
+    def spy(evaluate, points):
+        batches.append(list(points))
+        return score(evaluate, points)
 
-    monkeypatch.setattr(optimize_module, "_ascent_from", spy)
+    def ascent(u, *args):
+        ascents.append(u)
+        return _ascent(u, *args)
+
+    monkeypatch.setattr(optimize_module._Objective, "score", spy)
+    monkeypatch.setattr(optimize_module, "_ascent", ascent)
     res = optimize_module._solve(unit, kwargs.get("extra_starts", 0),
                                  kwargs.get("seed"))
+    starts = batches[0]  # the starts are the first batch, one ascent each
+    box = optimize_module._ScaledBox(unit)
+    assert [u.tolist() for u in ascents] == [box.scaled(s).tolist()
+                                             for s in starts]
     assert len(starts) >= 8
     runs = [alone(unit, start) for start in starts]
     scored = [(unit.transform(evaluate_objective(unit, *s)[0]), *s)
@@ -155,8 +168,9 @@ def test_sweep_annotates_a_worker_failure(monkeypatch):
 def test_results_of_many_starts_merge_in_start_order():
     """Ascents of different lengths run in lockstep: each round scores
     the pending points of the live ascents as one batch, in start order,
-    and their results come back in start order; an exception raised in
-    a batch stops the run."""
+    each ascent is sent the reply for its own point, and their results
+    come back in start order; an exception raised in a batch stops the
+    run."""
     class Recorder:
         def __init__(self, fail_at=None):
             self.batches, self.fail_at = [], fail_at
@@ -165,23 +179,22 @@ def test_results_of_many_starts_merge_in_start_order():
             self.batches.append(points)
             if self.fail_at in points:
                 raise ValueError(f"start {self.fail_at[0]}")
+            return [("reply", p) for p in points]
 
     def ascent(i, length):
         for j in range(length):
-            yield i, j
+            assert (yield i, j) == ("reply", (i, j))
         return i * i
 
     lengths = [3, 0, 5, 1]
     rec = Recorder()
-    ends = optimize_module._lockstep(
-        rec, [ascent(i, n) for i, n in enumerate(lengths)])
+    ends = _lockstep(rec.score, [ascent(i, n) for i, n in enumerate(lengths)])
     assert ends == [0, 1, 4, 9]
     assert rec.batches == [[(0, 0), (2, 0), (3, 0)], [(0, 1), (2, 1)],
                            [(0, 2), (2, 2)], [(2, 3)], [(2, 4)]]
     rec = Recorder(fail_at=(2, 1))
     with pytest.raises(ValueError, match="start 2"):
-        optimize_module._lockstep(
-            rec, [ascent(i, n) for i, n in enumerate(lengths)])
+        _lockstep(rec.score, [ascent(i, n) for i, n in enumerate(lengths)])
     assert len(rec.batches) == 2
 
 

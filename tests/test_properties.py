@@ -10,7 +10,7 @@ from rotorkick.classical import (classical_observable, make_ensemble,
                                  propagate_classical, two_kick_observable,
                                  two_kick_theta)
 from rotorkick.core import (Kick, KickKind, PulseOrder, PulseSequence,
-                            format_sequence, is_even_grid, parse_sequence,
+                            format_sequence, parse_sequence,
                             validate_sequence)
 from rotorkick.quantum import (RotorWavefunction, apply_kick, expectation,
                                free_propagate, ground_state,
@@ -227,10 +227,9 @@ def test_segment_walk_matches_point_by_point(case):
     segments = [n for n in np.diff([0, *cuts, ts.size]) if n]
     calls, sampler = [], classical._free_flight_average
 
-    def counted(theta, omega, weights, dts, k, even):
+    def counted(theta, omega, weights, dts, k):
         calls.append(dts.size)
-        assert even == is_even_grid(dts)  # settled once per segment
-        return sampler(theta, omega, weights, dts, k, even)
+        return sampler(theta, omega, weights, dts, k)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classical, "_free_flight_average", counted)

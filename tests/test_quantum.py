@@ -63,6 +63,18 @@ def test_kick_operator_unitary_and_reconstructs(kind, strength):
         assert np.max(np.abs(op.reconstructed() - op.matrix)) < 1e-12
 
 
+@pytest.mark.parametrize("kind", list(KickKind))
+def test_kick_of_a_real_vector_is_that_of_its_complex_cast(kind):
+    """A real state kicks to the complex state its complex cast kicks
+    to, bit for bit, and a state is kicked as one column of a batch."""
+    op = kick_operator(kind, 24)
+    real = np.eye(25)[:, 3]
+    got = op.apply(real, 2.5)
+    assert got.dtype == complex and got.shape == (25,)
+    assert np.array_equal(got, op.apply(real.astype(complex), 2.5))
+    assert np.array_equal(got, op.apply(real[:, None, None], [2.5])[:, 0, 0])
+
+
 def test_kick_operator_cache_is_bounded():
     """Every l_max the optimizer visits is a new key; the cache keeps at
     most its bound, and a rebuilt operator equals the evicted one."""
