@@ -148,6 +148,9 @@ def _cmd_simulate(args) -> int:
     engines = ([Engine.CLASSICAL, Engine.QUANTUM] if args.engine == "both"
                else [Engine(args.engine)])
     t = _time_grid(args)
+    if args.engine == "quantum" and args.classical_shift is not None:
+        raise ConfigError("--classical-shift shifts the classical trace; "
+                          "--engine quantum has none")
 
     if args.sequence is not None:
         if args.pa is not None or args.ps is not None or args.t1 != 0.0 \

@@ -150,103 +150,106 @@ def evaluate_objective(
     prob: OptimizationProblem, p_s: float, t_1: float, gradient: bool = False
 ):
     """Best signed <cos theta> over the branch's t_2 window, and its t_2;
-    with ``gradient``, also its derivatives in (p_s, t_1), an array.
+    with ``gradient``, also its derivatives in (p_s, t_1), an array: the
+    batch of one of :func:`_points`."""
+    found = _points(prob, [(p_s, t_1)])[0]
+    return found if gradient else found[:2]
 
-    One finder for both engines: a first scan samples the window, then
-    :func:`_polish` ascends from its best sample within one sample
-    spacing each side (clipped to the window) on the engine's analytic
-    t-derivatives (:func:`_peak`). The classical scan is an even grid
-    from edge to edge of :class:`classical.TwoKickScan`, at the
-    strength-scaled step, whose converged rule pair the polish reads on.
-    A quantum point is a batch of one of :func:`_quantum_points`. A
-    window holding no sample is polished from its midpoint. The returned
-    t_2 lies in the window; an empty window (lo > hi) is scored at hi.
 
-    The gradient is the envelope's: the best value is a maximum over t_2,
-    so its derivative is the partial one at the returned t_2, read off
-    the tangents the engine carried through the kicks
-    (:meth:`classical.TwoKickScan.gradient`,
-    :func:`quantum.orientation_tangents`).
+def _points(prob: OptimizationProblem, points,
+            l_max: int | None = None) -> list:
+    """(value, t_2, gradient) at each (p_s, t_1) of ``points``: the t_2
+    finder and envelope gradient of both engines.
+
+    Each point's window (:func:`_t2_window`; an empty one, lo > hi, is
+    scored at hi) gets the engine's first scan (:func:`_classical_scan`,
+    :func:`_quantum_scans`), then :func:`_polish` from its best sample
+    within one sample spacing each side, clipped to the window, or from
+    the midpoint of a window holding no sample. The gradient is the
+    envelope's: the partial derivative at the returned t_2, read off the
+    tangents the engine carried through the kicks, plus the slope times
+    dt_2/dt_1 = -1 where t_2 sits on an edge of the quantum revival
+    window, which moves with t_1. A point's numbers do not depend on its
+    batch; quantum points whose tail a kick fills are read again on a
+    basis grown from ``l_max``.
     """
+    ps, t1 = np.array(points, dtype=float).reshape(-1, 2).T.tolist()
     if prob.engine is Engine.QUANTUM:
-        found = _quantum_points(prob, [(p_s, t_1)])[0]
-        return found if gradient else found[:2]
-    lo, hi = _t2_window(prob, t_1)
-    lo = min(lo, hi)
+        scans, l_max = _quantum_scans(prob, ps, t1, l_max)
+    else:
+        scans = [partial(_classical_scan, prob, *p) for p in zip(ps, t1)]
+    found = []
+    for t_1, scan in zip(t1, scans):
+        if scan is None:  # a kick filled the tail
+            found.append(None)
+            continue
+        lo, hi = _t2_window(prob, t_1)
+        lo = min(lo, hi)
+        ts, values, h, jet, tangents = scan(lo, hi)
+        if ts.size:
+            j = int(np.argmax(prob.transform(values)))
+            t = min(max(ts[j], lo), hi)
+            value, t_2 = _polish(prob, jet, max(lo, t - h), t,
+                                 min(hi, t + h), values[j])
+        else:
+            value, t_2 = _polish(prob, jet, lo, 0.5 * (lo + hi), hi, None)
+        grad = tangents(t_2)
+        if t_2 in (lo, hi) and t_2 not in prob.bounds.t_2:
+            grad[1] -= jet(t_2)[1]  # on the edge 2 pi - t_1 (- Delta)
+        found.append((value, t_2, grad))
+    if None in found:
+        again = iter(_points(
+            prob, [p for p, f in zip(points, found) if f is None],
+            quantum.grown_l_max(l_max, "a kick of the pulse pair")))
+        found = [next(again) if f is None else f for f in found]
+    return found
+
+
+def _classical_scan(prob: OptimizationProblem, p_s: float, t_1: float,
+                    lo: float, hi: float) -> tuple:
+    """A classical point's first scan of [lo, hi] for :func:`_points`:
+    an even grid from edge to edge at the strength-scaled step, one
+    :class:`classical.TwoKickScan`, on whose converged rule pair the
+    polish and the gradient read."""
     step = defaults.scan_step(abs(p_s) + abs(prob.p_a))
     n = max(8, int(math.ceil((hi - lo) / step)) + 1)
     ts = np.linspace(lo, hi, n)
     scan = classical.TwoKickScan(p_s, prob.p_a, t_1, ts, prob.order)
-    value, t_2 = _peak(prob, scan.jet, lo, hi, ts, scan.values,
-                       (hi - lo) / (n - 1))
-    return (value, t_2, scan.gradient(t_2)) if gradient else (value, t_2)
+    return ts, scan.values, (hi - lo) / (n - 1), scan.jet, scan.gradient
 
 
-def _quantum_points(prob: OptimizationProblem, points,
-                    l_max: int | None = None) -> list:
-    """(value, t_2, gradient) of :func:`evaluate_objective` at each
-    (p_s, t_1) of ``points``: the quantum problem's batch kernel.
+def _quantum_scans(prob: OptimizationProblem, ps, t1,
+                   l_max: int | None) -> tuple[list, int]:
+    """The first scan of each quantum point for :func:`_points` (None
+    where a kick filled its tail), and the basis they are read on.
 
-    Every point is read on one basis, that of the box's largest |p_s|
-    plus |p_a|, and from one FFT length n of that strength: the smallest
-    power of two with n >= 4(l_max + 1) and 2 pi / n <= ``scan_step``.
-    So a point's numbers do not depend on its batch. The points take
-    their kicks together (:func:`quantum.two_kick_tangents`) and their
-    first scans from one FFT of K rows; orientation has period 2 pi, so
-    a window's samples are read mod n. Each point is then polished
-    (:func:`_peak`) and its gradient read alone, adding the slope times
-    dt_2/dt_1 = -1 where t_2 sits on an edge of the revival window, which
-    moves with t_1. Points whose tail a kick fills are read again on a
-    grown basis.
+    The basis is ``l_max``, by default that of the box's largest |p_s|
+    plus |p_a|, and the FFT length n the smallest power of two with
+    n >= 4(l_max + 1) and 2 pi / n <= ``scan_step`` of that strength. The
+    points take their kicks together (:func:`quantum.two_kick_tangents`)
+    and their first scans from one FFT of K rows; orientation has period
+    2 pi, so a window's samples are read mod n.
     """
     strength = max(map(abs, prob.bounds.p_s)) + abs(prob.p_a)
-    if l_max is None:
-        l_max = defaults.quantum_l_max(strength)
-    ps, t1 = np.array(points, dtype=float).reshape(-1, 2).T
+    l_max = quantum._basis(strength, l_max)
     cols, filled = quantum.two_kick_tangents(ps, prob.p_a, t1, prob.order,
                                              l_max)
-    l_max = cols.shape[-1] - 1
     n = 1 << (max(4 * (l_max + 1), math.ceil(
         REVIVAL_PERIOD / defaults.scan_step(strength))) - 1).bit_length()
     h = REVIVAL_PERIOD / n
     samples = quantum.orientation_samples(cols[:, 0], n)
-    found = []
-    for t_1, rows, values, full in zip(t1, cols, samples, filled):
-        if full:
-            found.append(None)
-            continue
+
+    def scan(rows, values, lo, hi):
         psi = quantum.RotorWavefunction(rows[0])
-        lo, hi = _t2_window(prob, float(t_1))
-        lo = min(lo, hi)
         first = math.ceil(lo / h)
         # one period of indices holds the first best sample of any range
         idx = np.arange(first, min(math.floor(hi / h), first + n - 1) + 1)
-        jet = partial(quantum.observable_scan, psi, 1, jet=True)
-        value, t_2 = _peak(prob, jet, lo, hi, idx * h, values[idx % n], h)
-        grad = quantum.orientation_tangents(psi, rows[1:], t_2)
-        if (prob.branch is Branch.REVIVAL and t_2 in (lo, hi)
-                and t_2 not in prob.bounds.t_2):
-            grad[1] -= jet(t_2)[1]  # on the edge 2 pi - t_1 (- Delta)
-        found.append((value, t_2, grad))
-    if filled.any():
-        again = iter(_quantum_points(
-            prob, [p for p, full in zip(points, filled) if full],
-            quantum.grown_l_max(l_max, "a kick of the pulse pair")))
-        found = [next(again) if full else f for f, full in zip(found, filled)]
-    return found
+        return (idx * h, values[idx % n], h,
+                partial(quantum.observable_scan, psi, 1, jet=True),
+                partial(quantum.orientation_tangents, psi, rows[1:]))
 
-
-def _peak(prob: OptimizationProblem, jet, lo: float, hi: float,
-          ts: np.ndarray, values: np.ndarray, h: float) -> tuple[float, float]:
-    """The best (f, t_2) of the window [lo, hi], lo <= hi, from the first
-    scan's samples ``values`` at the times ``ts``, spaced h: the
-    :func:`_polish` of its best sample within one spacing each side, or
-    of the midpoint if the window holds no sample."""
-    if not ts.size:
-        return _polish(prob, jet, lo, 0.5 * (lo + hi), hi, None)
-    j = int(np.argmax(prob.transform(values)))
-    t = min(max(ts[j], lo), hi)
-    return _polish(prob, jet, max(lo, t - h), t, min(hi, t + h), values[j])
+    return [None if full else partial(scan, rows, values)
+            for rows, values, full in zip(cols, samples, filled)], l_max
 
 
 def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
@@ -288,11 +291,14 @@ def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
 
 
 def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
-    """Deterministic coarse-grid ascent starts (at least 8)."""
+    """Deterministic coarse-grid ascent starts (at least 8), all in the
+    box: p_s takes the sign of the side of the box that reaches further
+    from 0, and magnitudes from 0 up where the box spans 0."""
     (ps_lo, ps_hi) = prob.bounds.p_s
     (t1_lo, t1_hi) = prob.bounds.t_1
-    sign = 1.0 if ps_lo >= 0 else -1.0
-    mag_lo = max(min(abs(ps_lo), abs(ps_hi)), 1e-6)
+    sign = -1.0 if ps_lo < 0.0 and -ps_lo >= ps_hi else 1.0
+    spans = ps_lo < 0.0 < ps_hi
+    mag_lo = max(0.0 if spans else min(abs(ps_lo), abs(ps_hi)), 1e-6)
     mag_hi = max(abs(ps_lo), abs(ps_hi))
     mags = np.clip(np.geomspace(1.05 * mag_lo, 0.95 * mag_hi, 4),
                    mag_lo, mag_hi)
@@ -333,8 +339,7 @@ def optimize(
     seed: int | None = None,
 ) -> OptimizationResult:
     """Multi-start projected quasi-Newton ascent over (p_s, t_1) around
-    the inner t_2 scan, on the envelope gradient of
-    :func:`evaluate_objective`.
+    the inner t_2 scan, on the envelope gradient of :func:`_points`.
 
     ``extra_starts`` adds seeded uniform-random starts on top of the
     deterministic grid (the only use of randomness). Results from all
@@ -462,8 +467,7 @@ def _check_extra_starts(extra_starts: int) -> None:
 
 
 class _Objective(dict):
-    """:func:`evaluate_objective` of one problem with its gradient,
-    memoized on (p_s, t_1): a dict of (p_s, t_1) -> (value, t_2,
+    """:func:`_points` of one problem, memoized on (p_s, t_1): a dict of (p_s, t_1) -> (value, t_2,
     gradient), filled by :meth:`score`. Its length is the evaluation
     count, each evaluation one value and gradient.
     """
@@ -474,17 +478,10 @@ class _Objective(dict):
 
     def score(self, points) -> None:
         """Evaluate the points not yet held as one batch, in order: one
-        call of the quantum kernel :func:`_quantum_points` for them all,
-        classically one :func:`evaluate_objective` each."""
+        call of :func:`_points` for them all."""
         new = [p for p in dict.fromkeys(points) if p not in self]
-        if not new:
-            return
-        if self.prob.engine is Engine.QUANTUM:
-            found = _quantum_points(self.prob, new)
-        else:
-            found = [evaluate_objective(self.prob, *p, gradient=True)
-                     for p in new]
-        self.update(zip(new, found))
+        if new:
+            self.update(zip(new, _points(self.prob, new)))
 
 
 def _lockstep(score, ascents: list) -> list:
@@ -545,8 +542,8 @@ def _outward(u: np.ndarray, g: np.ndarray, lo: np.ndarray,
 
 def _ascent(u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
             hi: np.ndarray):
-    """Maximize a score over the box [lo, hi] from u, where it is f with
-    gradient g, by a projected quasi-Newton ascent for a few variables: a
+    """Maximize a score over the box [lo, hi] from u, which must lie in
+    the box, where the score is f with gradient g, by a projected quasi-Newton ascent for a few variables: a
     generator that yields each point it needs scored and is sent back
     its (value, gradient), as :func:`_lockstep` does; returns the end
     point and its score.

@@ -176,12 +176,17 @@ def kick_operator(kind: KickKind, l_max: int) -> KickOperator:
     return KickOperator(kind, l_max, blocks)
 
 
-def _check_basis_size(l_max: int) -> int:
+def _basis(strength: float, l_max: int | None = None) -> int:
+    """The basis of kicks of total ``strength``: the hint ``l_max``, else
+    ``defaults.quantum_l_max``; at least 4, and ``BasisOverflow`` past
+    ``defaults.L_MAX_CAP``."""
+    if l_max is None:
+        l_max = defaults.quantum_l_max(strength)
     if l_max > defaults.L_MAX_CAP:
         raise BasisOverflow(
             f"requested l_max = {l_max} exceeds the cap {defaults.L_MAX_CAP}"
         )
-    return l_max
+    return max(l_max, 4)
 
 
 def ground_state(l_max: int) -> RotorWavefunction:
@@ -345,9 +350,7 @@ def run_sequence(
     kind = observable_kind(k)
     seq = validate_sequence(seq)
     t_eval = time_grid(t_eval)
-    if l_max_hint is None:
-        l_max_hint = defaults.quantum_l_max(seq.total_strength())
-    psi = ground_state(max(_check_basis_size(l_max_hint), 4))
+    psi = ground_state(_basis(seq.total_strength(), l_max_hint))
     values = walk_sequence(seq, t_eval, psi, free_propagate, _kick_group,
                            lambda psi, dts: observable_scan(psi, k, dts))
     return ObservableSeries(t_eval, values, kind)
@@ -366,7 +369,9 @@ def two_kick_state(
     the observation time t_2. A NaN or infinite strength or delay raises
     ``NonFiniteValue`` before the basis is sized.
     """
-    psi = ground_state(_pair_l_max(p_s, p_a, t_1, l_max))
+    if not np.isfinite([p_s, p_a, t_1]).all():
+        raise NonFiniteValue("non-finite value in (p_s, p_a, t_1)")
+    psi = ground_state(_basis(abs(p_s) + abs(p_a), l_max))
     first, second = pulse_pair(p_s, p_a, order)
     return _kick_group(free_propagate(_kick_group(psi, first), t_1), second)
 
@@ -386,9 +391,10 @@ def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
     of a batch of one, and :func:`two_kick_state`'s up to round-off.
     """
     p_s, t_1 = np.atleast_1d(p_s), np.atleast_1d(t_1)
-    if not (np.isfinite(p_s).all() and np.isfinite(t_1).all()):
-        raise NonFiniteValue("non-finite value in (p_s, t_1)")
-    size = _pair_l_max(np.abs(p_s).max(initial=0.0), p_a, 0.0, l_max) + 1
+    if not (np.isfinite(p_s).all() and np.isfinite(t_1).all()
+            and math.isfinite(p_a)):
+        raise NonFiniteValue("non-finite value in (p_s, p_a, t_1)")
+    size = _basis(np.abs(p_s).max(initial=0.0) + abs(p_a), l_max) + 1
     cols = np.zeros((size, p_s.size, 3), dtype=complex)
     cols[0, :, 0] = 1.0
     filled = np.zeros(p_s.size, dtype=bool)
@@ -399,14 +405,6 @@ def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
     cols[:, :, 2] -= 1j * energy[:, None] * cols[:, :, 0]
     cols = _tangent_group(cols, second, filled)
     return np.ascontiguousarray(cols.transpose(1, 2, 0)), filled
-
-
-def _pair_l_max(p_s: float, p_a: float, t_1: float, l_max: int | None) -> int:
-    if not np.isfinite([p_s, p_a, t_1]).all():
-        raise NonFiniteValue("non-finite value in (p_s, p_a, t_1)")
-    if l_max is None:
-        l_max = defaults.quantum_l_max(abs(p_s) + abs(p_a))
-    return max(_check_basis_size(l_max), 4)
 
 
 def orientation_tangents(psi: RotorWavefunction, dpsi: np.ndarray,

@@ -99,6 +99,8 @@ def test_simulate_classical_shift(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--sequence", str(seq),
                        "--classical-shift", "6.2")
     assert code == 2 and "--classical-shift" in err
+    code, out, err = run(capsys, *argv, "--engine", "quantum")
+    assert code == 2 and out == "" and "--classical-shift" in err
 
 
 @pytest.mark.parametrize("extra", [

@@ -276,7 +276,7 @@ def test_quantum_t2_finder_makes_one_fft(monkeypatch):
     spy("observable_scan", lambda psi, k, dts: np.size(dts))
     spy("orientation_samples", lambda rows, n: (len(rows), n))
     points = [(p_s, t_1), (p_s - 0.3, t_1 + 0.2), (-2.5, 1.0)]
-    optimize_module._quantum_points(prob, points)
+    optimize_module._points(prob, points)
     (first, size, _, _), *reads = calls
     assert first == "orientation_samples"
     assert size == (3, round(TWO_PI / _fft_step(prob)))
@@ -348,7 +348,7 @@ def test_polished_value_never_falls_below_the_first_scan(monkeypatch):
             evaluate_objective(prob, *point)
     quantum3 = OptimizationProblem(engine=Engine.QUANTUM,
                                    order=PulseOrder.LASER_FIRST, p_a=3.0)
-    optimize_module._quantum_points(quantum3, draws(quantum3))  # one batch
+    optimize_module._points(quantum3, draws(quantum3))  # one batch
     assert len(starts) == 30
     assert all(found >= first for first, found in starts)
     assert sum(found > first for first, found in starts) >= 20
@@ -565,11 +565,11 @@ def test_a_second_identical_optimize_evaluates_nothing(monkeypatch):
     first = optimize(prob)
     calls = []
 
-    def spy(prob, p_s, t_1, gradient=False):
-        calls.append((p_s, t_1))
+    def spy(prob, points, l_max=None):
+        calls.append(points)
         raise AssertionError("evaluated")
 
-    monkeypatch.setattr(optimize_module, "evaluate_objective", spy)
+    monkeypatch.setattr(optimize_module, "_points", spy)
     assert optimize(prob) == first
     assert calls == []
 
@@ -689,6 +689,64 @@ def test_objective_sign_picks_signed_or_magnitude_maximum(sign):
     assert abs(t2 - ts[j]) <= 1e-5
 
 
+# p_s boxes that span 0, as (lo, hi) / p_a: reaching further below 0
+# than above it, and further above it than below
+SPANNING = [(-0.8, 0.1), (-0.1, 0.8)]
+# optimize calls that once never returned: (engine, order, branch,
+# p_a, p_s box / p_a), and the classical prompt problems of every order
+SPANNING_SOLVES = [
+    (Engine.QUANTUM, PulseOrder.HCP_FIRST, Branch.PROMPT, 5.0, (-0.2, 0.8)),
+    (Engine.CLASSICAL, PulseOrder.LASER_FIRST, Branch.REVIVAL, 10.0,
+     (-0.8, 0.1)),
+] + [(Engine.CLASSICAL, order, Branch.PROMPT, 10.0, ratios)
+     for order in PulseOrder for ratios in SPANNING]
+
+
+def spanning_problem(engine, order, branch, p_a, ratios):
+    box = default_bounds(engine, order, branch, p_a)
+    return OptimizationProblem(
+        engine=engine, order=order, p_a=p_a, branch=branch,
+        bounds=replace(box, p_s=tuple(r * p_a for r in ratios)))
+
+
+@pytest.mark.parametrize("engine", list(Engine))
+def test_starts_of_a_box_spanning_zero_lie_in_the_box(engine):
+    for order in PulseOrder:
+        for branch in Branch:
+            for ratios in SPANNING:
+                prob = spanning_problem(engine, order, branch, 10.0, ratios)
+                for p in (prob, optimize_module._unit_problem(prob)):
+                    (lo, hi), (t1_lo, t1_hi) = p.bounds.p_s, p.bounds.t_1
+                    starts = _start_points(p)
+                    assert len(starts) >= 4
+                    assert all(lo <= ps <= hi and t1_lo <= t1 <= t1_hi
+                               for ps, t1 in starts), (p.bounds, starts)
+
+
+@pytest.mark.parametrize(
+    "engine, order, branch, p_a, ratios", SPANNING_SOLVES,
+    ids=[f"{e.value}-{o.value}-{b.value}-from{r[0]:g}to{r[1]:g}"
+         for e, o, b, _, r in SPANNING_SOLVES])
+def test_optimize_returns_in_a_box_spanning_zero(monkeypatch, engine, order,
+                                                 branch, p_a, ratios):
+    """An ascent started outside its box never ended its line search; a
+    spy that counts the scoring rounds fails the test instead of letting
+    it hang."""
+    score, rounds = optimize_module._Objective.score, []
+
+    def counted(evaluate, points):
+        rounds.append(len(points))
+        if len(rounds) > 1000:
+            raise AssertionError("more than 1000 scoring rounds")
+        return score(evaluate, points)
+
+    monkeypatch.setattr(optimize_module._Objective, "score", counted)
+    prob = spanning_problem(engine, order, branch, p_a, ratios)
+    res = optimize(prob)
+    assert in_box(prob.bounds, res)
+    assert res.evaluations <= 1000
+
+
 def test_sweep_rows_and_warm_start():
     template = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=5.0)
     rows = sweep(template, [5.0, 10.0])
@@ -707,10 +765,10 @@ def test_sweep_rows_and_warm_start():
 @pytest.mark.parametrize("p_a", [10.0, 0.0])
 def test_negative_extra_starts_are_refused_before_any_evaluation(
         monkeypatch, p_a):
-    def never(prob, p_s, t_1, gradient=False):
+    def never(prob, points, l_max=None):
         raise AssertionError("evaluated")
 
-    monkeypatch.setattr(optimize_module, "evaluate_objective", never)
+    monkeypatch.setattr(optimize_module, "_points", never)
     prob = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=p_a)
     with pytest.raises(ValueError, match="extra_starts"):
         optimize(prob, extra_starts=-3, seed=1)
@@ -728,10 +786,10 @@ def test_sweep_annotates_failed_points():
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    def broken(prob, p_s, t_1, gradient=False):
+    def broken(prob, points, l_max=None):
         return 1.0 / 0.0
 
-    monkeypatch.setattr(optimize_module, "evaluate_objective", broken)
+    monkeypatch.setattr(optimize_module, "_points", broken)
     template = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=5.0)
     with pytest.raises(ZeroDivisionError):
         sweep(template, [5.0, 10.0])
@@ -791,15 +849,18 @@ SPECIAL = {
     (PulseOrder.HCP_FIRST, Branch.REVIVAL):
         [((3.0, 6.0), None), (EMPTY, "upper")],
 }
-BATCHES = [(order, branch, SPECIAL.get((order, branch), []))
+BATCHES = [(engine, order, branch,
+            SPECIAL.get((order, branch), []) if engine is Engine.QUANTUM
+            else [])
+           for engine in (Engine.QUANTUM, Engine.CLASSICAL)
            for order in PulseOrder for branch in Branch]
 
 
 def assert_rows_equal_batches_of_one(prob, points):
-    batch = optimize_module._quantum_points(prob, points)
+    batch = optimize_module._points(prob, points)
     assert len(batch) == len(points)
     for point, (value, t_2, grad) in zip(points, batch):
-        (alone,) = optimize_module._quantum_points(prob, [point])
+        (alone,) = optimize_module._points(prob, [point])
         assert (value, t_2) == alone[:2]
         assert np.array_equal(grad, alone[2])
         public = evaluate_objective(prob, *point, gradient=True)
@@ -808,13 +869,15 @@ def assert_rows_equal_batches_of_one(prob, points):
     return batch
 
 
-@pytest.mark.parametrize("order, branch, special", BATCHES,
-                         ids=[f"{o.value}-{b.value}" for o, b, _ in BATCHES])
-def test_batch_rows_equal_batches_of_one(order, branch, special):
+@pytest.mark.parametrize(
+    "engine, order, branch, special", BATCHES,
+    ids=[("" if e is Engine.QUANTUM else "classical-")
+         + f"{o.value}-{b.value}" for e, o, b, _ in BATCHES])
+def test_batch_rows_equal_batches_of_one(engine, order, branch, special):
     """A point's value, t_2 and gradient do not depend on the batch it is
     scored in, bit for bit: each row of a batch equals the batch of that
-    point alone, and ``evaluate_objective``."""
-    prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=5.0,
+    point alone, and ``evaluate_objective``, on either engine."""
+    prob = OptimizationProblem(engine=engine, order=order, p_a=5.0,
                                branch=branch)
     rng = np.random.default_rng(21)
     points = [(rng.uniform(*prob.bounds.p_s), rng.uniform(*prob.bounds.t_1))

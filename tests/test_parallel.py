@@ -123,18 +123,20 @@ def test_sweep_parallel_equals_serial():
 
 
 def failing_away_from_the_starts(monkeypatch, prob):
-    """evaluate_objective raises ConvergenceFailure at every point but
-    the start points the solver uses, those of the scale-free problem, so
-    it raises only inside the ascents."""
+    """The point kernel ``_points`` raises ConvergenceFailure at the
+    first point of a batch that is not a start point the solver uses,
+    those of the scale-free problem, so it raises only inside the
+    ascents."""
     starts = set(_start_points(optimize_module._unit_problem(prob)))
-    evaluate = optimize_module.evaluate_objective
+    points = optimize_module._points
 
-    def failing(prob, p_s, t_1, gradient=False):
-        if (p_s, t_1) not in starts:
-            raise ConvergenceFailure(f"injected at p_s = {p_s!r}")
-        return evaluate(prob, p_s, t_1, gradient)
+    def failing(prob, batch, l_max=None):
+        for p_s, t_1 in batch:
+            if (p_s, t_1) not in starts:
+                raise ConvergenceFailure(f"injected at p_s = {p_s!r}")
+        return points(prob, batch, l_max)
 
-    monkeypatch.setattr(optimize_module, "evaluate_objective", failing)
+    monkeypatch.setattr(optimize_module, "_points", failing)
 
 
 def test_worker_failure_reaches_the_caller_as_in_a_serial_run(monkeypatch):
