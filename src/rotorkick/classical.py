@@ -370,30 +370,39 @@ class TwoKickScan:
 
     def __init__(self, p_s: float, p_a: float, t_1: float, t_2,
                  order: PulseOrder = PulseOrder.LASER_FIRST, k: int = 1):
+        first, second = pulse_pair(p_s, p_a, order)
+        strengths = [sum(abs(kk.strength) for kk in pulse)
+                     for pulse in (first, second)]
+        pa = abs(p_a) or 1.0
+        # the first pulse flies |t_1| + max|t_2|, the second max|t_2|;
+        # d/d(p_s, t_1) -> d/d(p_s/p_a, p_a t_1), the scale-free variables
+        self._scan((p_s, p_a, t_1), t_2, k,
+                   partial(_after_kicks, first=first, second=second, t_1=t_1,
+                           tangents=True),
+                   lambda reach: [(strengths[0], abs(t_1) + reach),
+                                  (strengths[1], reach)],
+                   [pa, 1.0 / pa])
+
+    def _scan(self, params, t_2, k: int, after, flights, scale) -> None:
+        """Check ``params`` and ``t_2``, keep the pair state ``after(theta0)``
+        (theta1, omega, dtheta1, domega) and the gradient's ``scale``, and
+        scan from the rule of ``flights(max|t_2|)``."""
         observable_kind(k)
         t_2 = np.atleast_1d(np.asarray(t_2, dtype=float))
-        if not (np.isfinite([p_s, p_a, t_1]).all() and np.isfinite(t_2).all()):
+        if not (np.isfinite(params).all() and np.isfinite(t_2).all()):
             raise NonFiniteValue("non-finite value in (p_s, p_a, t_1, t_2)")
-        self._pulses, self._t_1, self._k = pulse_pair(p_s, p_a, order), t_1, k
-        # d/d(p_s, t_1) -> d/d(p_s/p_a, p_a t_1), the scale-free variables
-        pa = abs(p_a) or 1.0
-        self._scale = np.array([pa, 1.0 / pa])
+        self._after, self._k, self._scale = after, k, np.array(scale)
         self._kicked: dict[int, tuple[np.ndarray, ...]] = {}
-        # the first pulse flies |t_1| + max|t_2|, the second max|t_2|
         reach = float(np.max(np.abs(t_2))) if t_2.size else 0.0
-        first, second = (sum(abs(kk.strength) for kk in pulse)
-                         for pulse in self._pulses)
-        flights = [(first, abs(t_1) + reach), (second, reach)]
         self.values = _refine(
             lambda ens: _free_flight_average(*self._state(ens)[:3], t_2, k),
-            defaults.ensemble_nodes(flights))
+            defaults.ensemble_nodes(flights(reach)))
 
     def _state(self, ens: ClassicalEnsemble) -> tuple[np.ndarray, ...]:
         """(theta1, omega, weights, dtheta1, domega) of the rule ``ens``
         after the pair."""
         if len(ens) not in self._kicked:
-            theta1, omega, d_theta, d_omega = _after_kicks(
-                ens.theta0, *self._pulses, self._t_1, tangents=True)
+            theta1, omega, d_theta, d_omega = self._after(ens.theta0)
             self._kicked[len(ens)] = (theta1, omega, ens.weights, d_theta,
                                       d_omega)
         return self._kicked[len(ens)]
@@ -428,6 +437,34 @@ class TwoKickScan:
         k = self._k  # d cos^2 x = -sin(2x) dx
         slopes = weights * np.sin(k * (theta1 + t * omega))
         return -(d_theta + t * d_omega) @ slopes
+
+
+class WeakLaserScan(TwoKickScan):
+    """The :class:`TwoKickScan` of the laser-first pair in its weak-laser
+    limit: p_s -> 0 at fixed c = p_s t_1, the same in the scale-free
+    variables (r T_1). The symmetric kick then displaces each rotor, by
+    -c sin(2 theta0), instead of setting it turning, and the asymmetric
+    kick p_a acts from there:
+
+        theta1 = theta0 - c sin(2 theta0),  omega = -p_a sin(theta1),
+
+    so theta(t_2) = theta1 + t_2 omega. :meth:`gradient` is d/dc, one
+    entry. The rule starts from the phase |c| + |p_a| max|t_2|, the
+    pair's own as r -> 0.
+    """
+
+    def __init__(self, c: float, p_a: float, t_2, k: int = 1):
+        self._scan((c, p_a), t_2, k, partial(_weak_laser, c=c, p_a=p_a),
+                   lambda reach: [(abs(c), 1.0), (abs(p_a), reach)], [1.0])
+
+
+def _weak_laser(theta0: np.ndarray, c: float, p_a: float):
+    """(theta1, omega, dtheta1/dc, domega/dc) of :class:`WeakLaserScan`,
+    the tangents one row each."""
+    d_theta = -np.sin(2.0 * theta0)
+    theta1 = theta0 + c * d_theta
+    return (theta1, -p_a * np.sin(theta1), d_theta[None],
+            (-p_a * np.cos(theta1) * d_theta)[None])
 
 
 def two_kick_observable(

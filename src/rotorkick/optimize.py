@@ -10,8 +10,10 @@ projected quasi-Newton ascent over (p_s, t_1) in a box, run in scaled
 coordinates (p_s/p_a, t_1*p_a). The best value over t_2 is an envelope,
 so its gradient in (p_s, t_1) is the partial derivative at the best t_2,
 which each engine reads off tangents carried through the kicks. The
-ascent is the package's own (:func:`_ascent`); the package imports
-numpy alone.
+classical laser-first optimum climbs a ridge p_s t_1 ~ c to the p_s
+bound nearest 0, so that problem runs one ascent, from the best c of its
+weak-laser limit p_s/p_a -> 0. The ascent is the package's own
+(:func:`_ascent`); the package imports numpy alone.
 
 Branches
 --------
@@ -210,11 +212,16 @@ def _classical_scan(prob: OptimizationProblem, p_s: float, t_1: float,
     """A classical point's first scan of [lo, hi] for :func:`_points`:
     an even grid from edge to edge at the strength-scaled step, one
     :class:`classical.TwoKickScan`, on whose converged rule pair the
-    polish and the gradient read."""
-    step = defaults.scan_step(abs(p_s) + abs(prob.p_a))
+    polish and the gradient read. A point (c, 0) of a
+    :class:`_WeakLaserLimit` is scanned on :class:`classical.WeakLaserScan`,
+    whose symmetric kick has no strength left."""
+    limit = isinstance(prob, _WeakLaserLimit)
+    step = defaults.scan_step(abs(prob.p_a) if limit
+                              else abs(p_s) + abs(prob.p_a))
     n = max(8, int(math.ceil((hi - lo) / step)) + 1)
     ts = np.linspace(lo, hi, n)
-    scan = classical.TwoKickScan(p_s, prob.p_a, t_1, ts, prob.order)
+    scan = (classical.WeakLaserScan(p_s, prob.p_a, ts) if limit
+            else classical.TwoKickScan(p_s, prob.p_a, t_1, ts, prob.order))
     return ts, scan.values, (hi - lo) / (n - 1), scan.jet, scan.gradient
 
 
@@ -291,11 +298,19 @@ def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
 
 
 def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
-    """Deterministic coarse-grid ascent starts (at least 8), all in the
-    box: p_s takes the sign of the side of the box that reaches further
-    from 0, and magnitudes from 0 up where the box spans 0."""
+    """Deterministic ascent starts, all in the box.
+
+    A classical laser-first problem whose p_s box lies below 0 starts
+    from one point alone, :func:`_weak_laser_seed`. Every other problem
+    starts from a coarse grid (at least 8 points, 4 for simultaneous
+    pulses): p_s takes the sign of the side of the box that reaches
+    further from 0, and magnitudes from 0 up where the box spans 0.
+    """
     (ps_lo, ps_hi) = prob.bounds.p_s
     (t1_lo, t1_hi) = prob.bounds.t_1
+    if (prob.engine is Engine.CLASSICAL
+            and prob.order is PulseOrder.LASER_FIRST and ps_hi < 0.0):
+        return [_weak_laser_seed(prob)]
     sign = -1.0 if ps_lo < 0.0 and -ps_lo >= ps_hi else 1.0
     spans = ps_lo < 0.0 < ps_hi
     mag_lo = max(0.0 if spans else min(abs(ps_lo), abs(ps_hi)), 1e-6)
@@ -333,6 +348,76 @@ def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
     return delays
 
 
+@dataclass(frozen=True)
+class _WeakLaserLimit(OptimizationProblem):
+    """The weak-laser limit of a classical laser-first problem, in the
+    unit variables: p_s/p_a -> 0 at fixed c = p_s t_1
+    (:class:`classical.WeakLaserScan`). Its p_a is +-1, its points are
+    (c, 0) and its box that of (c, 0, tau), tau = |p_a| t_2."""
+
+
+def _weak_laser_seed(prob: OptimizationProblem) -> tuple[float, float]:
+    """The one start of a classical laser-first problem whose p_s box
+    lies below 0: (p_s, t_1) = (ps_hi, c / ps_hi), ps_hi the box's p_s
+    bound nearest 0 and c the best c = p_s t_1 of the problem's
+    weak-laser limit (:func:`_weak_laser_limit`) over [ps_hi t1_hi,
+    ps_hi t1_lo], which holds the seed in the box. The optimum sits on
+    the p_s bound nearest 0, where the objective is nearest its limit,
+    along the ridge p_s t_1 ~ c."""
+    (_, ps_hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
+    pa = abs(prob.p_a)
+    limit = _WeakLaserLimit(
+        Engine.CLASSICAL, PulseOrder.LASER_FIRST, math.copysign(1.0, prob.p_a),
+        bounds=BoundsBox((ps_hi * t1_hi, ps_hi * t1_lo + 0.0), (0.0, 0.0),
+                         tuple(pa * t for t in prob.bounds.t_2)),
+        objective_sign=prob.objective_sign)
+    _, c = _weak_laser_limit(limit)
+    return ps_hi, min(max(c / ps_hi, t1_lo), t1_hi)
+
+
+#: the widest spacing of the weak-laser limit's first samples in c: its
+#: maxima lie about pi apart (0.947 at c = -0.85, 0.725 at -4.4, 0.688
+#: at -7.5, ...)
+_LIMIT_STEP = 0.5
+
+
+@lru_cache(maxsize=64)
+def _weak_laser_limit(limit: _WeakLaserLimit) -> tuple[float, float]:
+    """(value, c) at the best c of the weak-laser limit ``limit``,
+    memoized in a bounded LRU cache keyed on the limit's box, p_a and
+    objective sign.
+
+    The c box is sampled evenly, edges included, at most
+    ``_LIMIT_STEP`` apart, and the samples are scored as one batch of
+    :func:`_points`. Each sample that no neighbour beats starts one 1-D
+    :func:`_ascent`, all in lockstep (:func:`_lockstep`) as in
+    :func:`_solve`; the best end wins, ties to the smaller |c|.
+    """
+    evaluate, box = _Objective(limit), _ScaledBox(limit)
+    lo, hi = limit.bounds.p_s
+    cs = np.linspace(lo, hi, max(2, math.ceil((hi - lo) / _LIMIT_STEP) + 1))
+    samples = [(c, 0.0) for c in dict.fromkeys(cs.tolist())]
+    evaluate.score(samples)
+
+    def reply(point):
+        value, _, grad = evaluate[point]
+        return limit.transform(value), box.ascent(value, grad)
+
+    def score(us):
+        points = [box.point(u) for u in us]
+        evaluate.score(points)
+        return [reply(p) for p in points]
+
+    f = [reply(p)[0] for p in samples]
+    ends = _lockstep(score, [_ascent(box.scaled(p), *reply(p), box.u_lo,
+                                     box.u_hi)
+                             for i, p in enumerate(samples)
+                             if f[i] >= max(f[max(i - 1, 0):i + 2])])
+    u, _ = max(ends, key=lambda end: (end[1], -abs(end[0][0])))
+    c = box.point(u)[0]
+    return evaluate[c, 0.0][0], c
+
+
 def optimize(
     prob: OptimizationProblem,
     extra_starts: int = 0,
@@ -342,7 +427,8 @@ def optimize(
     the inner t_2 scan, on the envelope gradient of :func:`_points`.
 
     ``extra_starts`` adds seeded uniform-random starts on top of the
-    deterministic grid (the only use of randomness). Results from all
+    deterministic ones (:func:`_start_points`; the only use of
+    randomness). Results from all
     starts are merged deterministically: best transformed objective,
     ties broken by smaller |p_s|. ``evaluations`` counts value and
     gradient calls. ``stagnated`` is set when no ascent ended above the
@@ -390,7 +476,7 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
     cache keyed on all its arguments (``defaults`` are constants, and the
     seed of no extra starts is None), so a hit is the cold solve's result.
 
-    The starts are the grid of :func:`_start_points` and
+    The starts are those of :func:`_start_points` and
     ``extra_starts`` seeded random points of the box, scored as one
     batch; each runs one :func:`_ascent` in the scaled box, all in
     lockstep (:func:`_lockstep`), each round's points one batch of the
@@ -504,12 +590,14 @@ def _lockstep(score, ascents: list) -> list:
 
 class _ScaledBox:
     """The search box of a problem in the scaled coordinates
-    u = (p_s/|p_a|, t_1 |p_a|), only the first for simultaneous pulses:
-    the box [lo, hi] of (p_s, t_1) is [u_lo, u_hi] in u."""
+    u = (p_s/|p_a|, t_1 |p_a|), only the first for simultaneous pulses
+    and for a :class:`_WeakLaserLimit` (c, |p_a| = 1): the box [lo, hi] of
+    (p_s, t_1) is [u_lo, u_hi] in u."""
 
     def __init__(self, prob: OptimizationProblem):
         pa = abs(prob.p_a)
-        dims = 1 if prob.order is PulseOrder.SIMULTANEOUS else 2
+        dims = 1 if (prob.order is PulseOrder.SIMULTANEOUS
+                     or isinstance(prob, _WeakLaserLimit)) else 2
         self.scale = np.array([pa, 1.0 / pa])[:dims]
         box = np.array([prob.bounds.p_s, prob.bounds.t_1])[:dims]
         self.lo, self.hi = box[:, 0], box[:, 1]
@@ -555,7 +643,9 @@ def _ascent(u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
     to the maximum of a quadratic fit until the score rises by the Armijo
     share 1e-4 of the projected slope, and doubles it while the slope at
     the new point stays above 0.9 of the first, so each accepted step
-    keeps the BFGS update positive. The run ends when the free gradient
+    keeps the BFGS update positive; a quasi-Newton step that the box
+    clips to one that is not uphill restarts from the projected
+    gradient. The run ends when the free gradient
     is within ``defaults.ASCENT_GTOL``, after ``defaults.ASCENT_MAXITER``
     steps, or when a step rises, or its projected slope promises, no more
     than 1e-13 of the score (at least 1).
@@ -575,6 +665,12 @@ def _ascent(u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
         while True:
             u_new = np.clip(u + alpha * d, lo, hi)
             slope = g @ (u_new - u)
+            if (slope <= floor and best is None and alpha == 1.0
+                    and h_inv is not None and (u_new != u + d).any()):
+                # the box clipped the quasi-Newton step to one that is not
+                # uphill: restart from pg
+                h_inv, d = None, pg / np.abs(pg).max()
+                continue
             if slope <= floor or (best and (u_new == best[0]).all()):
                 break
             f_new, g_new = yield u_new

@@ -15,6 +15,10 @@ than the package:
   prompt optimum exhaustively: dense eigh-diagonalized quadrature
   operators, a full (p_s, t_1) grid and an FFT over t_2, instead of the
   banded kicks, the t_2 scan and the multi-start ascent of the package.
+- brute_force_weak_laser_limit searches the classical laser-first
+  pair's weak-laser limit on a full (c, tau) grid with a cosine per
+  node, polished by Nelder-Mead, instead of the package's first scan,
+  Newton polish and ascent in c.
 """
 
 from __future__ import annotations
@@ -274,3 +278,50 @@ def brute_force_laser_first_prompt(p_a: float, l_max: int
         value, t_2 = at(p_s, t_1)
         best = max(best, (value, p_s, t_1, t_2))
     return best
+
+
+def brute_force_weak_laser_limit(c_box=(-1.2, 0.0), tau_box=(0.0, 10.0),
+                                 n_nodes: int = 256
+                                 ) -> tuple[float, float, float]:
+    """Best |<cos theta>| of the classical laser-first pulse pair in its
+    weak-laser limit, over c in ``c_box`` and tau in ``tau_box``.
+
+    In the unit variables (p_a = 1, tau = p_a t_2) let p_s/p_a -> 0 at
+    fixed c = p_s t_1: the laser kick then only displaces each rotor
+    during the delay, theta1 = theta0 - c sin(2 theta0), and the HCP
+    kick sets it turning at omega = -sin(theta1), so theta(tau) =
+    theta1 + tau omega. The ensemble average is an n-node Gauss-Legendre
+    rule in cos(theta0), one cosine per (c, tau, node). Every point of a
+    grid 0.02 apart in c and 0.01 in tau is scored; the 3 best local
+    maxima of the grid's best-over-tau curve are polished by
+    Nelder-Mead over (c, tau), clipped to the box. Returns
+    (value, c, tau).
+    """
+    u, w = _grid(n_nodes)
+    theta0, w = np.arccos(u), 0.5 * w
+
+    def average(c: float, tau) -> np.ndarray:
+        theta1 = theta0 - c * np.sin(2.0 * theta0)
+        return np.cos(theta1 - np.multiply.outer(tau, np.sin(theta1))) @ w
+
+    cs = np.linspace(*c_box, int(np.ceil(np.ptp(c_box) / 0.02)) + 1)
+    taus = np.linspace(*tau_box, int(np.ceil(np.ptp(tau_box) / 0.01)) + 1)
+    curves = np.abs([average(c, taus) for c in cs])
+    best = curves.max(axis=1)
+    peaks = [i for i in range(cs.size)
+             if best[i] >= best[max(i - 1, 0):i + 2].max()]
+    bounds = [c_box, tau_box]
+
+    def neg(x) -> float:
+        c, tau = np.clip(x, *np.array(bounds).T)
+        return -abs(float(average(c, tau)))
+
+    found = (-1.0, 0.0, 0.0)
+    for i in sorted(peaks, key=lambda i: best[i])[-3:]:
+        x0 = np.array([cs[i], taus[np.argmax(curves[i])]])
+        res = minimize(neg, x0, method="Nelder-Mead", bounds=bounds,
+                       options={"xatol": 1e-10, "fatol": 1e-15,
+                                "maxiter": 4000})
+        c, tau = np.clip(res.x, *np.array(bounds).T)
+        found = max(found, (-neg(res.x), float(c), float(tau)))
+    return found

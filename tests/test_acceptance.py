@@ -5,13 +5,15 @@ they complete. Every check asserts after printing, so a FAIL line is
 always followed by a test failure. The optimizer runs are cached and
 shared between checks.
 """
+import importlib
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
-from oracles import (brute_force_laser_first_prompt, expm_kick,
-                     grid_propagate)
+from oracles import (brute_force_laser_first_prompt,
+                     brute_force_weak_laser_limit, expm_kick, grid_propagate)
 from rotorkick import (KCL, Branch, Engine, HalfCyclePulse, Kick, KickKind,
                        OptimizationProblem, PulseOrder, apply_kick,
                        classical_observable, cos2_phase_coefficients,
@@ -20,7 +22,11 @@ from rotorkick import (KCL, Branch, Engine, HalfCyclePulse, Kick, KickKind,
                        time_from_dimensionless, time_to_dimensionless,
                        two_kick_observable, two_kick_theta, validate_sequence)
 from rotorkick import defaults
+from rotorkick.optimize import BoundsBox, default_bounds
 from rotorkick.quantum import RotorWavefunction
+
+# the package re-exports the function `optimize` under the module's name
+optimize_module = importlib.import_module("rotorkick.optimize")
 
 
 def _report(n, ok, detail):
@@ -250,3 +256,45 @@ def test_09_lab_units():
     ok = 8.0 <= p_a <= 12.0 and worst_rt < 1e-12
     _report(9, ok, f"KCl P_a={p_a:.3f}, time round-trip rel err={worst_rt:.1e}")
     assert ok
+
+
+def test_10_weak_laser_limit():
+    """The paper's "about 0.95" for classical laser first is a supremum.
+    The weak-laser limit (p_s/p_a -> 0 at fixed c = p_s t_1, in the unit
+    variables) matches an independent brute-force (c, tau) search within
+    1e-6, the default unit problem's seed sits on it, and the optima at
+    p_a = 10 and 100 lie below it and rise toward it as the box's
+    smallest |p_s|/p_a falls from 0.02 to 0.01 and 0.005, in boxes whose
+    delays reach p_a t_1 = 240, past the ridge p_s t_1 = c (at 0.005,
+    p_a t_1 = 170)."""
+    oracle, oracle_c, _ = brute_force_weak_laser_limit((-1.2, 0.0))
+    limit = optimize_module._WeakLaserLimit(
+        Engine.CLASSICAL, PulseOrder.LASER_FIRST, 1.0,
+        bounds=BoundsBox((-1.2, 0.0), (0.0, 0.0), (0.0, 10.0)))
+    value, c = optimize_module._weak_laser_limit(limit)
+    unit = optimize_module._unit_problem(
+        OptimizationProblem(Engine.CLASSICAL, PulseOrder.LASER_FIRST, 100.0))
+    p_s, t_1 = optimize_module._weak_laser_seed(unit)
+    broken = []
+    if abs(abs(value) - oracle) > 1e-6 or abs(c - oracle_c) > 1e-4:
+        broken.append(f"limit {abs(value):.9f} at c = {c:.6f}, brute force "
+                      f"{oracle:.9f} at c = {oracle_c:.6f}")
+    if p_s != -defaults.PS_RATIO_MIN or abs(p_s * t_1 - c) > 1e-12:
+        broken.append(f"seed (r, T_1) = ({p_s}, {t_1}) is not on c = {c}")
+    rises = {}
+    for p_a in (10.0, 100.0):
+        box = default_bounds(Engine.CLASSICAL, PulseOrder.LASER_FIRST,
+                             Branch.PROMPT, p_a)
+        rises[p_a] = [abs(optimize(OptimizationProblem(
+            Engine.CLASSICAL, PulseOrder.LASER_FIRST, p_a,
+            bounds=replace(box, p_s=(-p_a, -r_min * p_a),
+                           t_1=(0.0, 240.0 / p_a)))).objective)
+            for r_min in (0.02, 0.01, 0.005)]
+        if not rises[p_a][0] < rises[p_a][1] < rises[p_a][2] < oracle:
+            broken.append(f"P={p_a:g}: optima {rises[p_a]} do not rise "
+                          f"toward the limit {oracle:.6f}")
+    _report(10, not broken,
+            f"limit={abs(value):.7f} at c={c:.5f} (brute force "
+            f"{oracle:.7f}), r_min 0.02/0.01/0.005: "
+            + " ".join(f"{v:.6f}" for v in rises[100.0]))
+    assert not broken, "; ".join(broken)

@@ -85,6 +85,33 @@ def test_matches_lbfgsb(name, score, start, lo, hi):
         assert not held.any()
 
 
+def tilted_bowl(u):
+    """A tilted quadratic bowl whose top, (-0.3, 0), lies beyond the bound
+    u_0 = 0 of the unit box: from (0.7, 0.5) a quasi-Newton step runs
+    into that bound, and the box clips it to a step that is not
+    uphill."""
+    d = np.asarray(u) - [-0.3, 0.0]
+    hess = np.array([[2.0, -3.0], [-3.0, 5.0]])
+    return float(-d @ hess @ d), -2.0 * hess @ d
+
+
+def test_a_clipped_quasi_newton_step_restarts_from_the_gradient():
+    """The clipped step restarts from the projected gradient, so the
+    ascent ends stationary on the bound, where L-BFGS-B ends; without
+    the restart it stopped at (0.13, 0.21), its free gradient 0.48."""
+    lo, hi = np.zeros(2), np.ones(2)
+    u, f, calls = run(tilted_bowl, [0.7, 0.5], lo, hi)
+    g = tilted_bowl(u)[1]
+    assert _outward(u, g, lo, hi).tolist() == [True, False]
+    assert abs(g[1]) <= defaults.ASCENT_GTOL
+    ref = minimize(lambda v: tuple(-part for part in tilted_bowl(v)),
+                   np.array([0.7, 0.5]), jac=True, method="L-BFGS-B",
+                   bounds=list(zip(lo, hi)),
+                   options={"ftol": 1e-13, "gtol": 1e-9})
+    assert u == pytest.approx(ref.x, abs=1e-6)
+    assert u[0] == 0.0 and f >= -ref.fun - 1e-12
+
+
 def test_iteration_cap_ends_the_ascent(monkeypatch):
     """Each step makes at least one call, so ``ASCENT_MAXITER`` steps
     end the run below the ridge's top."""

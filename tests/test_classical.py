@@ -7,7 +7,7 @@ import pytest
 
 from oracles import mc_classical_observable
 from rotorkick import classical, defaults
-from rotorkick.classical import (TwoKickScan, _after_kicks,
+from rotorkick.classical import (TwoKickScan, WeakLaserScan, _after_kicks,
                                  _free_flight_average, classical_observable,
                                  make_ensemble, propagate_classical,
                                  roots_legendre, two_kick_observable,
@@ -203,6 +203,24 @@ def test_gradient_doubles_a_disagreeing_rule_pair_up_to_the_cap(monkeypatch):
     with pytest.raises(ConvergenceFailure):
         TwoKickScan(-2.0, 10.0, 0.3, [0.0]).gradient(6.0)
     assert max(rules) == converged
+
+
+def test_weak_laser_scan_is_the_pair_as_the_laser_vanishes():
+    """At fixed c = p_s t_1 the laser-first pair tends to its weak-laser
+    limit as p_s -> 0, its error falling in proportion to p_s (2.5e-3,
+    2.1e-4, 2.0e-5 at c = -0.85), and the limit's gradient is d/dc of
+    its value."""
+    c, ts = -0.85, np.linspace(0.0, 5.0, 41)
+    limit = WeakLaserScan(c, 1.0, ts)
+    for r in (-1e-2, -1e-3, -1e-4):
+        pair = TwoKickScan(r, 1.0, c / r, ts).values
+        assert np.abs(pair - limit.values).max() <= 0.3 * abs(r)
+    h = 1e-5
+    for t in (1.6, 3.0):
+        central = (WeakLaserScan(c + h, 1.0, [t]).jet(t)[0]
+                   - WeakLaserScan(c - h, 1.0, [t]).jet(t)[0]) / (2 * h)
+        assert limit.gradient(t) == pytest.approx([central], rel=1e-6,
+                                                  abs=1e-7)
 
 
 def test_ensemble_nodes_ladder():

@@ -435,6 +435,44 @@ def test_on_boundary_flags_an_optimum_held_by_the_box(laser100, hcp100):
     assert -1.0 < ratio < -defaults.PS_RATIO_MIN and 0.0 < delay < 60.0
 
 
+def test_seeded_laser_first_solves_take_at_most_100_evaluations(prompt10,
+                                                                laser100):
+    """A classical laser-first problem whose p_s box lies below 0 runs
+    one ascent, from the seed its weak-laser limit gives, instead of the
+    eight of a start grid (407 evaluations at p_a = 10 and 100)."""
+    for res in (prompt10, laser100):
+        assert res.evaluations <= 100
+
+
+# (p_a values, p_s box or None for the default): classical laser-first
+# problems whose p_s box lies below 0
+SEEDED = [((1.0,), None), ((3.0,), None), ((10.0, 100.0), None),
+          ((10.0,), (-8.0, -1.0)), ((10.0,), (-5.0, -0.5)),
+          ((10.0,), (-10.0, -3.0)), ((100.0,), (-100.0, -10.0))]
+
+
+@pytest.mark.parametrize(
+    "pas, p_s", SEEDED,
+    ids=["-".join(f"{p:g}" for p in pas)
+         + (f"-ps{p_s[0]:g}to{p_s[1]:g}" if p_s else "")
+         for pas, p_s in SEEDED])
+def test_extra_starts_find_nothing_above_the_weak_laser_seed(pas, p_s):
+    """The seed, (p_s, t_1) on the p_s bound nearest 0 and on the limit's
+    ridge p_s t_1 = c, is the one deterministic start and lies in the
+    box; 32 random starts besides it end within 1e-9 of its optimum."""
+    for p_a in pas:
+        box = default_bounds(Engine.CLASSICAL, PulseOrder.LASER_FIRST,
+                             Branch.PROMPT, p_a)
+        prob = classical_problem(p_a=p_a, bounds=replace(box, p_s=p_s)
+                                 if p_s else None)
+        unit = optimize_module._unit_problem(prob)
+        [(r, t_1)] = _start_points(unit)
+        assert r == unit.bounds.p_s[1]
+        assert unit.bounds.t_1[0] <= t_1 <= unit.bounds.t_1[1]
+        seeded = abs(optimize(prob).objective)
+        assert abs(optimize(prob, 32, 5).objective) <= seeded + 1e-9
+
+
 def test_optimizer_scaling_law(hcp_pair):
     lo, hi = hcp_pair
     assert hi.p_s / lo.p_s == pytest.approx(2.0, rel=1e-3)
@@ -797,10 +835,10 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 # the classical laser-first revival optimum at p_a = 20, to full precision
 REVIVAL20 = OptimizationResult(
-    p_a=20.0, p_s=0.4, t_1=-2.048640682755179,
-    t_2=-0.08047795323880094, objective=-0.9464773094314269,
+    p_a=20.0, p_s=0.4, t_1=-2.048643965422756,
+    t_2=-0.08047795612818676, objective=-0.9464773094309498,
     branch=Branch.REVIVAL, order=PulseOrder.LASER_FIRST,
-    engine=Engine.CLASSICAL, evaluations=407, on_boundary=True)
+    engine=Engine.CLASSICAL, evaluations=78, on_boundary=True)
 
 
 def test_quantum_sweep_strength_guard():
