@@ -81,8 +81,10 @@ class RotorWavefunction:
 def orientation_beats(coeffs: np.ndarray) -> np.ndarray:
     """q_l = conj(a_l) a_{l+1} <l|cos theta|l+1>, beating at rate l + 1,
     of each row of coefficients a."""
-    return (np.conj(coeffs[..., :-1]) * coeffs[..., 1:]
-            * cos_offdiag(coeffs.shape[-1] - 1))
+    beats = np.conj(coeffs[..., :-1])
+    beats *= coeffs[..., 1:]
+    beats *= cos_offdiag(coeffs.shape[-1] - 1)
+    return beats
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,11 @@ def kick_operator(kind: KickKind, l_max: int) -> KickOperator:
     more than importing scipy's tridiagonal solver would.
 
     The cache keeps the 64 operators used last. The optimizer reads
-    every point of a problem on one basis, so a quantum pair problem
-    builds two (cos and cos^2): the laser-first ones of the benchmark at
-    p_a = 3, 5 and 10 build six, at l_max 38, 50 and 80. An operator of
+    every point of a problem on one basis, and its landscape scan each
+    of eight p_s rows on the row's own, so a quantum pair problem builds
+    two operators (cos and cos^2) for each distinct basis: the
+    laser-first ones of the benchmark at p_a = 3, 5 and 10 build 10, 10
+    and 14, on l_max 30-38, 36-50 and 51-80 (38 shared). An operator of
     l_max 4096 holds 134 MB.
     """
     if kind is KickKind.ASYMMETRIC:
@@ -257,17 +261,18 @@ def _kick_group(psi: RotorWavefunction, kicks) -> RotorWavefunction:
 
 def _tangent_group(cols: np.ndarray, kicks, filled: np.ndarray) -> np.ndarray:
     """:func:`_kick_group` of the columns (state, d/dp_s, d/dt_1) of each
-    point of :func:`two_kick_tangents`, ``cols`` (l_max + 1, K, 3), each
-    kick one :meth:`KickOperator.apply` for all K points, marking in
-    ``filled`` the points whose tail a kick fills. A symmetric kick,
-    whose strength is p_s, adds d/dp_s exp(i p_s M) a = i M a' of the
-    kicked state a' to the second column, M the banded cos^2 matrix."""
+    point of :func:`two_kick_tangents`, ``cols`` (l_max + 1, K, 3), or of
+    the states alone, (l_max + 1, K): each kick one
+    :meth:`KickOperator.apply` for all K points, marking in ``filled`` the
+    points whose tail a kick fills. A symmetric kick, whose strength is
+    p_s, adds d/dp_s exp(i p_s M) a = i M a' of the kicked state a' to the
+    second column, M the banded cos^2 matrix."""
     l_max = cols.shape[0] - 1
     for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
         cols = kick_operator(kk.kind, l_max).apply(cols, kk.strength)
-        filled |= ~(_tail_population(cols[:, :, 0]) < defaults.TAIL_TOL)
-        if kk.kind is KickKind.SYMMETRIC:
-            a = cols[:, :, 0]
+        a = cols if cols.ndim == 2 else cols[:, :, 0]
+        filled |= ~(_tail_population(a) < defaults.TAIL_TOL)
+        if kk.kind is KickKind.SYMMETRIC and cols.ndim == 3:
             diag, off2 = cos2_bands(l_max)
             m_a = diag[:, None] * a
             m_a[:-2] += off2[:, None] * a[2:]
@@ -319,7 +324,9 @@ def orientation_samples(psi, n: int) -> np.ndarray:
     trigonometric polynomial of period 2 pi, so one real-output transform
     (``np.fft.hfft``) of the beats q samples it exactly on the uniform
     grid once n > l_max: a rate m above n/2 is the rate n - m of the
-    conjugate beat, and the rate n/2 counts twice.
+    conjugate beat, and the rate n/2 counts twice. The transform is taken
+    as ``hfft`` takes it, an unscaled ``irfft`` of the conjugate
+    spectrum, which is filled in directly.
     """
     coeffs = getattr(psi, "coeffs", psi)
     beats, l_max = orientation_beats(coeffs), coeffs.shape[-1] - 1
@@ -329,11 +336,11 @@ def orientation_samples(psi, n: int) -> np.ndarray:
     half = n // 2
     low = min(l_max, half)
     spectrum = np.zeros(beats.shape[:-1] + (half + 1,), dtype=complex)
-    spectrum[..., 1:low + 1] = beats[..., :low]
-    spectrum[..., n - l_max:n - low] += np.conj(beats[..., low:][..., ::-1])
+    spectrum[..., 1:low + 1] = np.conj(beats[..., :low])
+    spectrum[..., n - l_max:n - low] += beats[..., low:][..., ::-1]
     if n % 2 == 0:
         spectrum[..., half] *= 2.0
-    return np.fft.hfft(spectrum, n)
+    return np.fft.irfft(spectrum, n, norm="forward")
 
 
 def run_sequence(
@@ -405,6 +412,31 @@ def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
     cols[:, :, 2] -= 1j * energy[:, None] * cols[:, :, 0]
     cols = _tangent_group(cols, second, filled)
     return np.ascontiguousarray(cols.transpose(1, 2, 0)), filled
+
+
+def two_kick_delays(p_s: float, p_a: float, flight: np.ndarray,
+                    order: PulseOrder) -> tuple[np.ndarray, bool]:
+    """:func:`two_kick_state` at one p_s and K delays, as K rows
+    (K, l_max + 1), and whether a kick filled a tail. ``flight`` is the
+    flight to every delay as one array of phases (:func:`flight_phases`),
+    whose l_max + 1 rows set the basis. The first pulse kicks the ground
+    state once and the second is one :meth:`KickOperator.apply` of all K
+    columns, in the kick order of :func:`_tangent_group`."""
+    filled = np.zeros(flight.shape[1], dtype=bool)
+    state = np.zeros((flight.shape[0], 1), dtype=complex)
+    state[0] = 1.0
+    first, second = pulse_pair(p_s, p_a, order)
+    # the first pulse kicks one state, whose tail every delay inherits
+    state = _tangent_group(state, first, filled[:1])
+    cols = _tangent_group(state * flight, second, filled)
+    return cols.T, bool(filled.any())
+
+
+def flight_phases(l_max: int, t: np.ndarray) -> np.ndarray:
+    """exp(-i l(l+1) t / 2) of each free flight t of ``t`` on the basis
+    l_max, (l_max + 1, K); a smaller basis's are its first rows."""
+    energy = 0.5 * np.arange(l_max + 1) * np.arange(1.0, l_max + 2)
+    return np.exp(-1j * np.multiply.outer(energy, t))
 
 
 def orientation_tangents(psi: RotorWavefunction, dpsi: np.ndarray,

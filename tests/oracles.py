@@ -11,10 +11,11 @@ than the package:
   expm_kick exponentiates them with scipy.linalg.expm.
 - mc_classical_observable replaces Gauss-Legendre ensemble averaging
   with plain Monte Carlo over random initial angles.
-- brute_force_laser_first_prompt searches the quantum laser-first
-  prompt optimum exhaustively: dense eigh-diagonalized quadrature
-  operators, a full (p_s, t_1) grid and an FFT over t_2, instead of the
-  banded kicks, the t_2 scan and the multi-start ascent of the package.
+- brute_force_prompt searches the quantum prompt optimum of a
+  laser-first or HCP-first pair exhaustively: dense eigh-diagonalized
+  quadrature operators, a full (p_s, t_1) grid and an FFT over t_2,
+  instead of the banded kicks, the landscape scan, the t_2 scan and the
+  multi-start ascent of the package.
 - brute_force_weak_laser_limit searches the classical laser-first
   pair's weak-laser limit on a full (c, tau) grid with a cosine per
   node, polished by Nelder-Mead, instead of the package's first scan,
@@ -30,7 +31,8 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import roots_legendre
 
 from rotorkick import defaults
-from rotorkick.core import KickKind, PulseSequence, validate_sequence
+from rotorkick.core import (KickKind, PulseOrder, PulseSequence,
+                            validate_sequence)
 
 TWO_PI = 2.0 * np.pi
 
@@ -170,13 +172,15 @@ def mc_classical_observable(seq: PulseSequence, k: int, t: float,
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n_samples))
 
 
-def brute_force_laser_first_prompt(p_a: float, l_max: int
-                                   ) -> tuple[float, float, float, float]:
-    """Best |<cos theta>| of the quantum laser-first prompt pulse pair.
+def brute_force_prompt(p_a: float, l_max: int,
+                       order: PulseOrder = PulseOrder.LASER_FIRST
+                       ) -> tuple[float, float, float, float]:
+    """Best |<cos theta>| of the quantum prompt pulse pair of ``order``,
+    laser first or HCP first.
 
     The search box is the optimizer's: p_s in
-    [-PS_RATIO_MAX * p_a, -PS_RATIO_MIN * p_a] (anti-aligning laser kick
-    first), and t_1, t_2 over one revival period. Both delays enter only
+    [-PS_RATIO_MAX * p_a, -PS_RATIO_MIN * p_a] (an anti-aligning laser
+    kick), and t_1, t_2 over one revival period. Both delays enter only
     through the integer phase rates l(l+1)/2, so [0, 2 pi) covers every
     delay. Kicks are exp(i P M) with M the quadrature-built cos / cos^2
     matrix, diagonalized densely by eigh. After the second kick every
@@ -189,6 +193,8 @@ def brute_force_laser_first_prompt(p_a: float, l_max: int
     (p_s, t_1); each evaluation there refines t_2 by bounded Brent
     around the two highest sampled lobes. Returns (value, p_s, t_1, t_2).
     """
+    if order not in (PulseOrder.LASER_FIRST, PulseOrder.HCP_FIRST):
+        raise ValueError(f"no delay to search for {order}")
     n_ps, n_t1, n_t2, n_polish = 40, 256, 1024, 4
     ps_lo = -defaults.PS_RATIO_MAX * p_a
     ps_hi = -defaults.PS_RATIO_MIN * p_a
@@ -204,8 +210,8 @@ def brute_force_laser_first_prompt(p_a: float, l_max: int
     # would alias every beat frequency up to E_l_max into the t_2 FFT
     rows, cols = np.nonzero(np.abs(cos_mat) > 1e-9)
     beat = np.rint(energy[cols] - energy[rows]).astype(int)
-    order = np.argsort(beat, kind="stable")
-    rows, cols, beat = rows[order], cols[order], beat[order]
+    by_beat = np.argsort(beat, kind="stable")
+    rows, cols, beat = rows[by_beat], cols[by_beat], beat[by_beat]
     elems = cos_mat[rows, cols]
     freqs, first = np.unique(beat, return_index=True)
     if np.max(np.abs(freqs)) >= n_t2 // 2:
@@ -213,7 +219,12 @@ def brute_force_laser_first_prompt(p_a: float, l_max: int
     dt2 = TWO_PI / n_t2
 
     def final_states(p_s: np.ndarray, t_1: np.ndarray) -> np.ndarray:
-        """(len(p_s), len(t_1), l_max + 1) coefficients after both kicks."""
+        """(len(p_s), len(t_1), l_max + 1) coefficients after both kicks,
+        in the pulse order."""
+        if order is PulseOrder.HCP_FIRST:
+            flown = (hcp[:, 0] * np.exp(-1j * t_1[:, None] * energy)) @ sym_vecs
+            return (flown * np.exp(1j * p_s[:, None, None] * sym_vals)) \
+                @ sym_vecs.T
         kicked = (np.exp(1j * p_s[:, None] * sym_vals) * sym_vecs[0]) @ sym_vecs.T
         flown = kicked[:, None, :] * np.exp(-1j * t_1[:, None] * energy)
         return flown @ hcp.T

@@ -12,8 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from oracles import (brute_force_laser_first_prompt,
-                     brute_force_weak_laser_limit, expm_kick, grid_propagate)
+from oracles import (brute_force_prompt, brute_force_weak_laser_limit,
+                     expm_kick, grid_propagate)
 from rotorkick import (KCL, Branch, Engine, HalfCyclePulse, Kick, KickKind,
                        OptimizationProblem, PulseOrder, apply_kick,
                        classical_observable, cos2_phase_coefficients,
@@ -114,7 +114,7 @@ def test_06_quantum_classical_agreement():
         delta[p_a] = abs(classical[p_a] - quantum[p_a])
     for p_a in (3.0, 5.0):
         # two basis sizes: the optimum must not be a truncation effect
-        oracle[p_a] = tuple(brute_force_laser_first_prompt(p_a, l_max)[0]
+        oracle[p_a] = tuple(brute_force_prompt(p_a, l_max)[0]
                             for l_max in (48, 64))
 
     broken = []
@@ -297,4 +297,24 @@ def test_10_weak_laser_limit():
             f"limit={abs(value):.7f} at c={c:.5f} (brute force "
             f"{oracle:.7f}), r_min 0.02/0.01/0.005: "
             + " ".join(f"{v:.6f}" for v in rises[100.0]))
+    assert not broken, "; ".join(broken)
+
+
+def test_11_quantum_hcp_first_oracle():
+    """Quantum HCP-first prompt at p_a = 10, whose optimum sits near the
+    half revival (t_1 about pi - 0.054), matches the brute-force oracle
+    within 1e-4 at two basis sizes, which agree within 1e-10, as check 6
+    holds laser first at p_a = 3 and 5."""
+    quantum = abs(_opt(Engine.QUANTUM, PulseOrder.HCP_FIRST, 10.0).objective)
+    small, large = (brute_force_prompt(10.0, l_max, PulseOrder.HCP_FIRST)[0]
+                    for l_max in (80, 96))
+    broken = []
+    if abs(small - large) > 1e-10:
+        broken.append(f"brute force changes with the basis, {small:.12f} "
+                      f"(l_max 80) vs {large:.12f} (l_max 96)")
+    if abs(quantum - small) > 1e-4:
+        broken.append(f"quantum optimize {quantum:.6f} misses the "
+                      f"brute-force optimum {small:.6f} by more than 1e-4")
+    _report(11, not broken, f"P=10 HCP first: quantum={quantum:.10f} "
+            f"oracle={small:.10f} (l_max 80), {large:.10f} (l_max 96)")
     assert not broken, "; ".join(broken)

@@ -971,3 +971,116 @@ def test_a_tail_overflow_in_a_batch_leaves_the_other_points_alone(
         assert value == pytest.approx(ref[0], abs=1e-10)
         assert t_2 == pytest.approx(ref[1], abs=defaults.TIME_REFINE_TOL)
         assert grad == pytest.approx(ref[2], abs=1e-7)
+
+
+# (engine, order, branch, p_a): a laser-first or HCP-first box holds the
+# simultaneous pair on its edge t_1 = 0, in the same t_2 window
+DELAYED = [(engine, order, branch, p_a) for engine in Engine
+           for order in (PulseOrder.LASER_FIRST, PulseOrder.HCP_FIRST)
+           for branch in Branch for p_a in (3.0, 10.0)]
+
+
+@pytest.mark.parametrize(
+    "engine, order, branch, p_a", DELAYED,
+    ids=[f"{e.value}-{o.value}-{b.value}-{p:g}" for e, o, b, p in DELAYED])
+def test_an_optimum_with_a_delay_is_not_below_the_simultaneous_one(
+        engine, order, branch, p_a):
+    delayed = optimize(OptimizationProblem(engine, order, p_a, branch))
+    simultaneous = optimize(OptimizationProblem(
+        engine, PulseOrder.SIMULTANEOUS, p_a, branch))
+    assert abs(delayed.objective) >= abs(simultaneous.objective) - 1e-9
+
+
+# every default problem of each engine, as given and as solved
+DEFAULT_PROBLEMS = [
+    OptimizationProblem(engine, order, p_a, branch)
+    for engine in Engine for order in PulseOrder for branch in Branch
+    for p_a in (0.5, 1.0, 3.0, 5.0, 10.0)
+    + ((100.0,) if engine is Engine.CLASSICAL else ())]
+
+
+@pytest.mark.parametrize(
+    "prob", DEFAULT_PROBLEMS,
+    ids=[f"{p.engine.value}-{p.order.value}-{p.branch.value}-{p.p_a:g}"
+         for p in DEFAULT_PROBLEMS])
+def test_starts_are_distinct(prob):
+    for p in (prob, optimize_module._unit_problem(prob)):
+        starts = _start_points(p)
+        assert len(set(starts)) == len(starts), (p, starts)
+
+
+def quantum_problem(order=PulseOrder.LASER_FIRST, p_a=10.0,
+                    branch=Branch.PROMPT, **kw):
+    return OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a,
+                               branch=branch, **kw)
+
+
+# quantum problems whose t_1 box is one period, and custom boxes: p_s
+# boxes that span 0 and one that does not reach the default magnitudes,
+# and t_1 boxes short of a period
+SCANNED = [quantum_problem(order, p_a, branch)
+           for order in PulseOrder for branch in Branch
+           for p_a in (0.5, 3.0, 10.0)] + [
+    quantum_problem(PulseOrder.HCP_FIRST, 5.0,
+                    bounds=BoundsBox((-1.0, 4.0), (0.0, TWO_PI), (0.0, TWO_PI))),
+    quantum_problem(bounds=BoundsBox((-8.0, 1.0), (0.5, 3.0), (0.0, TWO_PI))),
+    quantum_problem(bounds=BoundsBox((-3.0, -2.5), (4.0, 5.0), (0.0, 1.0))),
+    quantum_problem(branch=Branch.REVIVAL,
+                    bounds=BoundsBox((-4.0, -1.0), (0.0, 1.0), (0.0, TWO_PI))),
+]
+
+
+@pytest.mark.parametrize("prob", SCANNED, ids=[
+    f"{p.order.value}-{p.branch.value}-{p.p_a:g}-ps{p.bounds.p_s[0]:g}"
+    f"to{p.bounds.p_s[1]:g}-t1to{p.bounds.t_1[1]:.3g}" for p in SCANNED])
+def test_scan_starts_lie_in_the_box_one_per_delay(prob):
+    """The landscape scan keeps its best maxima, topped up to four: each
+    lies in the box, and on a t_1 box of one period no two are one delay
+    mod 2 pi, which is one state."""
+    (lo, hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
+    starts = _start_points(prob)
+    assert len(starts) == optimize_module._SCAN_PEAKS
+    assert all(lo <= ps <= hi and t1_lo <= t1 <= t1_hi
+               for ps, t1 in starts), (prob.bounds, starts)
+    if t1_hi - t1_lo == TWO_PI:
+        delays = {(ps, t1 % TWO_PI) for ps, t1 in starts}
+        assert len(delays) == len(starts), starts
+
+
+def test_the_scan_reads_a_filled_row_on_a_grown_basis(monkeypatch):
+    """A scan row whose tail a kick fills is read again on the grown
+    basis: its scores are those of a basis large enough from the start."""
+    prob = quantum_problem(p_a=2.0, bounds=BoundsBox(
+        (-20.0, -0.04), (0.0, TWO_PI), (0.0, TWO_PI)))
+    t1 = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+    flights = partial(quantum.flight_phases, t=t1)
+    windows = {(0.0, TWO_PI): list(range(16))}
+    wide = optimize_module._scan_row(prob, -20.0, flights, windows, 120)
+    delays, bases = quantum.two_kick_delays, []
+
+    def spy(p_s, p_a, flight, order):
+        bases.append(flight.shape[0] - 1)
+        return delays(p_s, p_a, flight, order)
+
+    monkeypatch.setattr(quantum, "two_kick_delays", spy)
+    grown = optimize_module._scan_row(prob, -20.0, flights, windows, 24)
+    assert bases == [24, 49, 99]
+    assert grown == pytest.approx(wide, abs=1e-9)
+
+
+# (order, branch, p_a) of the quantum optima held against 32 extra starts
+ROBUST = [(PulseOrder.LASER_FIRST, Branch.PROMPT, p_a) for p_a in (3.0, 5.0, 10.0)] \
+    + [(PulseOrder.HCP_FIRST, Branch.PROMPT, p_a) for p_a in (5.0, 10.0)] \
+    + [(PulseOrder.LASER_FIRST, Branch.REVIVAL, p_a) for p_a in (5.0, 10.0)] \
+    + [(PulseOrder.SIMULTANEOUS, Branch.PROMPT, 10.0)]
+
+
+@pytest.mark.parametrize("order, branch, p_a", ROBUST, ids=[
+    f"{o.value}-{b.value}-{p:g}" for o, b, p in ROBUST])
+def test_extra_starts_find_nothing_above_the_scan(order, branch, p_a):
+    """32 seeded random starts beside the scan's move the quantum optimum
+    by at most 1e-6."""
+    prob = quantum_problem(order, p_a, branch)
+    default = optimize(prob).objective
+    extra = optimize(prob, extra_starts=32, seed=1).objective
+    assert abs(abs(extra) - abs(default)) <= 1e-6

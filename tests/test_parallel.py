@@ -30,8 +30,10 @@ PROBLEMS = {
     # ascents on a laser-first problem
     "classical-revival-20": (classical_problem(p_a=20.0, branch=Branch.REVIVAL),
                              {"extra_starts": 8, "seed": 1}),
+    # the four maxima of the landscape scan and eight random starts
     "quantum-laser-first-3": (OptimizationProblem(
-        engine=Engine.QUANTUM, order=PulseOrder.LASER_FIRST, p_a=3.0), {}),
+        engine=Engine.QUANTUM, order=PulseOrder.LASER_FIRST, p_a=3.0),
+        {"extra_starts": 8, "seed": 1}),
     "classical-hcp-first-extra-starts": (
         classical_problem(order=PulseOrder.HCP_FIRST, p_a=10.0),
         {"extra_starts": 4, "seed": 1}),

@@ -333,3 +333,20 @@ def test_check6_optimum_converged_in_basis_size():
         two_kick_state(p_s, p_a, t_1, l_max=2 * l_max), 1, dts)
     assert np.max(np.abs(doubled - base)) < 1e-10
     assert base[-1] == pytest.approx(-0.86405, abs=1e-4)
+
+
+@pytest.mark.parametrize("order", list(PulseOrder))
+def test_two_kick_delays_are_the_pair_states_at_each_delay(order):
+    """One first kick, one flight array and one second kick of all the
+    delays give the state after the pair at each delay, as the state
+    column of the optimizer's kernel does."""
+    t_1 = np.array([0.0, 0.3, 2.9, 5.5])
+    rows, filled = quantum.two_kick_delays(
+        -3.0, 6.0, quantum.flight_phases(60, t_1), order)
+    assert rows.shape == (4, 61) and not filled
+    tangents, _ = quantum.two_kick_tangents(np.full(4, -3.0), 6.0, t_1,
+                                            order, 60)
+    for row, t, cols in zip(rows, t_1, tangents):
+        state = quantum.two_kick_state(-3.0, 6.0, t, order, 60).coeffs
+        assert np.abs(row - state).max() < 1e-13
+        assert np.abs(row - cols[0]).max() < 1e-13
