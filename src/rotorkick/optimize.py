@@ -343,13 +343,25 @@ def _p_s_side(box: BoundsBox) -> tuple[float, float, float]:
 
 #: the landscape scan of a quantum problem (:func:`_scan_starts`): p_s
 #: rows, the widest spacing of its t_1 columns times the box's strength
-#: P and their fewest, and the maxima it keeps as starts. Measured on 15
-#: problems (laser first, HCP first and laser-first revival, p_a = 3-20)
-#: by where the winning basin ranked among the scan's maxima: at 2/P it
-#: was the best maximum 14 times and third once (HCP first, p_a = 3); at
-#: 1/P second once (laser first, p_a = 10); at 3/P none of the 5 maxima
-#: reached the optimum at laser first, p_a = 5
+#: P and their fewest, and the maxima it keeps as starts, which is also
+#: the most deterministic starts any solve climbs (:func:`_best_starts`).
+#: Measured on 15 quantum problems (laser first, HCP first and
+#: laser-first revival, p_a = 3-20) by where the winning basin ranked
+#: among the scan's maxima: at 2/P it was the best maximum 14 times and
+#: third once (HCP first, p_a = 3); at 1/P second once (laser first,
+#: p_a = 10); at 3/P none of the 5 maxima reached the optimum at laser
+#: first, p_a = 5. Classically, among the scored grid starts of HCP first
+#: and simultaneous pulses at p_a = 0.5, 1, 3, 10 and 100, the best
+#: scored climbed to the optimum every time; at HCP first the ranks 0-2
+#: did and the others walked to T_1 = 43-60 on rules of 2048-4096 nodes
 _SCAN_ROWS, _SCAN_STEP, _SCAN_COLUMNS, _SCAN_PEAKS = 8, 2.0, 16, 4
+
+
+def _best_starts(scores: list, among) -> list[int]:
+    """The indices of ``among`` whose ``scores`` are the ``_SCAN_PEAKS``
+    best, ties to the earlier, in their order: the starts a solve climbs
+    (:func:`_solve`, :func:`_weak_laser_limit`)."""
+    return sorted(sorted(among, key=lambda i: -scores[i])[:_SCAN_PEAKS])
 
 
 def _scan_starts(prob: OptimizationProblem) -> list[tuple[float, float]]:
@@ -489,9 +501,10 @@ def _weak_laser_limit(limit: _WeakLaserLimit) -> tuple[float, float]:
 
     The c box is sampled evenly, edges included, at most
     ``_LIMIT_STEP`` apart, and the samples are scored as one batch of
-    :func:`_points`. Each sample that no neighbour beats starts one 1-D
-    :func:`_ascent`, all in lockstep (:func:`_lockstep`) as in
-    :func:`_solve`; the best end wins, ties to the smaller |c|.
+    :func:`_points`. Of the samples that no neighbour beats, the best
+    (:func:`_best_starts`) each start one 1-D :func:`_ascent`, all in
+    lockstep (:func:`_lockstep`) as in :func:`_solve`; the best end wins,
+    ties to the smaller |c|.
     """
     evaluate, box = _Objective(limit), _ScaledBox(limit)
     lo, hi = limit.bounds.p_s
@@ -509,10 +522,10 @@ def _weak_laser_limit(limit: _WeakLaserLimit) -> tuple[float, float]:
         return [reply(p) for p in points]
 
     f = [reply(p)[0] for p in samples]
-    ends = _lockstep(score, [_ascent(box.scaled(p), *reply(p), box.u_lo,
-                                     box.u_hi)
-                             for i, p in enumerate(samples)
-                             if f[i] >= max(f[max(i - 1, 0):i + 2])])
+    peaks = [i for i in range(len(f)) if f[i] >= max(f[max(i - 1, 0):i + 2])]
+    ends = _lockstep(score, [_ascent(box.scaled(samples[i]),
+                                     *reply(samples[i]), box.u_lo, box.u_hi)
+                             for i in _best_starts(f, peaks)])
     u, _ = max(ends, key=lambda end: (end[1], -abs(end[0][0])))
     c = box.point(u)[0]
     return evaluate[c, 0.0][0], c
@@ -578,11 +591,13 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
 
     The starts are those of :func:`_start_points` and
     ``extra_starts`` seeded random points of the box, scored as one
-    batch; each runs one :func:`_ascent` in the scaled box, all in
-    lockstep (:func:`_lockstep`), each round's points one batch of the
-    memo. A point's numbers do not depend on its batch, so each ascent
-    visits the points it visits alone. An ascent that never left its
-    start ends on the start itself.
+    batch. The best-scored of the former (:func:`_best_starts`) and
+    every one of the latter each run one
+    :func:`_ascent` in the scaled box, all in lockstep
+    (:func:`_lockstep`), each round's points one batch of the memo; the
+    other starts stay candidates. A point's numbers do not depend on its
+    batch, so each ascent visits the points it visits alone. An ascent
+    that never left its start ends on the start itself.
     """
     evaluate = _Objective(prob)
     (ps_lo, ps_hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
@@ -596,6 +611,9 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
 
     evaluate.score(starts)
     scored = [(prob.transform(evaluate[s][0]), *s) for s in starts]
+    fixed = len(starts) - extra_starts
+    climbed = [starts[i] for i in _best_starts([c[0] for c in scored],
+                                               range(fixed))] + starts[fixed:]
     box = _ScaledBox(prob)
 
     def reply(point):
@@ -607,11 +625,11 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
         evaluate.score(points)
         return [reply(p) for p in points]
 
-    u0s = [box.scaled(s) for s in starts]
+    u0s = [box.scaled(s) for s in climbed]
     ends = _lockstep(score, [_ascent(u0, *reply(s), box.u_lo, box.u_hi)
-                             for u0, s in zip(u0s, starts)])
+                             for u0, s in zip(u0s, climbed)])
     ends = [(f, *(s if u is u0 else box.point(u)))
-            for (u, f), u0, s in zip(ends, u0s, starts)]
+            for (u, f), u0, s in zip(ends, u0s, climbed)]
     best, ps, t1 = max(ends + scored, key=lambda c: (c[0], -abs(c[1])))
     value, t2, grad = evaluate[ps, t1]
     return OptimizationResult(
@@ -737,7 +755,8 @@ def _ascent(u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
     point and its score.
 
     BFGS on the inverse Hessian, started as the identity and scaled at
-    the first update. Coordinates on a bound whose gradient points out
+    the first update, each update on the gradient change of the
+    coordinates free at that step. Coordinates on a bound whose gradient points out
     (:func:`_outward`) are frozen; the step along the rest is projected
     into the box. The line search takes the quasi-Newton step, shrinks it
     to the maximum of a quadratic fit until the score rises by the Armijo
@@ -788,7 +807,9 @@ def _ascent(u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
         if best is None:
             break
         u_new, f_new, g_new = best
-        s, y = u_new - u, g - g_new  # y: the gradient change of -score
+        # y: the gradient change of -score along the coordinates free at
+        # this step; a held one's change would skew the curvature
+        s, y = u_new - u, np.where(free, g - g_new, 0.0)
         sy = s @ y
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             if h_inv is None:

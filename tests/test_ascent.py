@@ -112,6 +112,35 @@ def test_a_clipped_quasi_newton_step_restarts_from_the_gradient():
     assert u[0] == 0.0 and f >= -ref.fun - 1e-12
 
 
+def held_ridge(u):
+    """A quadratic whose top, (-0.01, 0.7), lies past the bound u_0 = 0,
+    its u_0 gradient 30 times as sensitive to u_1 as its u_1 gradient:
+    the shape of the classical laser-first ridge, where p_s/p_a is held
+    on its bound while p_a t_1 climbs. On the bound the score peaks at
+    u_1 = 0.4, and the gradient points out of it all over the unit box."""
+    d = np.asarray(u) - [-0.01, 0.7]
+    hess = np.array([[1e4, 30.0], [30.0, 1.0]])
+    return float(-d @ hess @ d), -2.0 * hess @ d
+
+
+@pytest.mark.parametrize("start, most", [([0.0, 0.9], 3), ([0.5, 0.9], 16)],
+                         ids=["on the bound", "inside"])
+def test_a_held_coordinate_leaves_the_curvature_alone(start, most):
+    """The BFGS update reads the gradient change of the free u_1 alone,
+    so a step along the bound lands on the peak. With the held u_0's
+    change in it, the update halved the curvature estimate: each step
+    overshot twofold and the ascent zig-zagged, from the bound across
+    u_1 = 0 to 0.8 for all its 200 steps (free gradient 0.64), and from
+    inside until its rise floor (free gradient 4.3e-8) in 20 points."""
+    lo, hi = np.zeros(2), np.ones(2)
+    u, f, calls = run(held_ridge, start, lo, hi)
+    g = held_ridge(u)[1]
+    assert _outward(u, g, lo, hi).tolist() == [True, False]
+    assert abs(g[1]) <= defaults.ASCENT_GTOL
+    assert u[0] == 0.0 and u[1] == pytest.approx(0.4, abs=1e-9)
+    assert calls <= most
+
+
 def test_iteration_cap_ends_the_ascent(monkeypatch):
     """Each step makes at least one call, so ``ASCENT_MAXITER`` steps
     end the run below the ridge's top."""

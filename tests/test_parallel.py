@@ -72,9 +72,10 @@ def alone(prob, start):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_parallel_equals_serial(name, monkeypatch):
-    """The lockstep solve is each start's ascent run alone, merged: the
-    same optimum bit for bit and the same evaluation count, the union of
-    the points the starts evaluate."""
+    """The lockstep solve is each climbed start's ascent run alone, merged
+    with the scored starts: the same optimum bit for bit and the same
+    evaluation count, the union of the starts and the points the ascents
+    evaluate."""
     prob, kwargs = PROBLEMS[name]
     unit = optimize_module._unit_problem(prob)
     # a laser-first seed comes from the memoized weak-laser limit, solved
@@ -94,18 +95,27 @@ def test_parallel_equals_serial(name, monkeypatch):
     monkeypatch.setattr(optimize_module, "_ascent", ascent)
     res = optimize_module._solve(unit, kwargs.get("extra_starts", 0),
                                  kwargs.get("seed"))
-    starts = batches[0]  # the starts are the first batch, one ascent each
+    starts = batches[0]  # the starts are the first batch
     box = optimize_module._ScaledBox(unit)
-    assert [u.tolist() for u in ascents] == [box.scaled(s).tolist()
-                                             for s in starts]
     assert len(starts) >= 8
-    runs = [alone(unit, start) for start in starts]
     scored = [(unit.transform(evaluate_objective(unit, *s)[0]), *s)
               for s in starts]
+    # one ascent from each of the 4 best-scored deterministic starts, in
+    # start order, then one from each extra start
+    fixed = len(_start_points(unit))
+    scaled = [box.scaled(s).tolist() for s in starts]
+    climbed = [scaled.index(u.tolist()) for u in ascents]
+    kept = climbed[:min(4, fixed)]
+    assert kept == sorted(kept) and kept[-1] < fixed
+    assert climbed == kept + list(range(fixed, len(starts)))
+    assert all(scored[i][0] < scored[j][0] for i in range(fixed)
+               if i not in kept for j in kept)
+    runs = [alone(unit, starts[i]) for i in climbed]
     best = max([end for end, _ in runs] + scored,
                key=lambda c: (c[0], -abs(c[1])))
     assert (unit.transform(res.objective), res.p_s, res.t_1) == best
-    assert res.evaluations == len(set().union(*(seen for _, seen in runs)))
+    assert res.evaluations == len(set(starts).union(
+        *(seen for _, seen in runs)))
     if name == "classical-revival-20":
         assert optimize(prob) == REVIVAL20
     assert_no_children()
