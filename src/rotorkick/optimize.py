@@ -296,23 +296,33 @@ def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
 
 
 def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
-    """Deterministic ascent starts, all in the box and distinct, in order.
-
-    A quantum problem starts from the best maxima of its landscape scan
-    (:func:`_scan_starts`). A classical laser-first problem whose p_s box
-    lies below 0 starts from one point alone, :func:`_weak_laser_seed`.
-    Every other problem starts from a coarse grid: four magnitudes of
-    :func:`_p_s_side`, each at two delays (at t_1 = 0 for simultaneous
-    pulses, with p_a / 2.34 added where it lies in the box).
-    """
+    """Deterministic ascent starts, all in the box and distinct, in order:
+    a quantum problem's are the peaks of its landscape scan
+    (:func:`_scan_starts`), a classical one's the points of its start
+    lattice (:func:`_start_grid`), row by row."""
     if prob.engine is Engine.QUANTUM:
         return _scan_starts(prob)
+    return list(dict.fromkeys(sum(_start_grid(prob), [])))
+
+
+def _start_grid(prob: OptimizationProblem) -> list[list[tuple[float, float]]]:
+    """The start lattice of a classical problem, as rows: a weak-laser
+    limit's c samples, one column, at most ``_LIMIT_STEP`` apart, edges
+    included; a laser-first problem's seed (:func:`_weak_laser_seed`)
+    where its p_s box lies below 0; else four magnitudes of
+    :func:`_p_s_side`, ascending, each a row of two delays, or for
+    simultaneous pulses one column of them and p_a / 2.34 where it lies
+    in the box, sorted by |p_s|."""
+    if isinstance(prob, _WeakLaserLimit):
+        lo, hi = prob.bounds.p_s
+        return [[(c, 0.0)] for c in np.linspace(lo, hi, max(
+            2, math.ceil((hi - lo) / _LIMIT_STEP) + 1)).tolist()]
     if prob.order is PulseOrder.LASER_FIRST and prob.bounds.p_s[1] < 0.0:
-        return [_weak_laser_seed(prob)]
+        return [[_weak_laser_seed(prob)]]
     (t1_lo, t1_hi) = prob.bounds.t_1
     sign, mag_lo, mag_hi = _p_s_side(prob.bounds)
     mags = np.clip(np.geomspace(1.05 * mag_lo, 0.95 * mag_hi, 4),
-                   mag_lo, mag_hi)
+                   mag_lo, mag_hi).tolist()
 
     def clamp_t1(t: float) -> float:
         eps = 1e-9 + 1e-6 * (t1_hi - t1_lo)
@@ -320,14 +330,11 @@ def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
 
     if prob.order is PulseOrder.SIMULTANEOUS:
         extra = abs(prob.p_a) / 2.34
-        out = [(sign * m, 0.0) for m in mags]
-        if mag_lo <= extra <= mag_hi:
-            out.append((sign * extra, 0.0))
-    else:
-        scale = 0.8 if prob.order is PulseOrder.LASER_FIRST else 0.36
-        out = [(sign * m, clamp_t1(f * scale / m)) for m in mags
-               for f in (1.0, 2.5)]
-    return list(dict.fromkeys(out))
+        return [[(sign * m, 0.0)] for m in sorted(
+            mags + [extra] * (mag_lo <= extra <= mag_hi))]
+    scale = 0.8 if prob.order is PulseOrder.LASER_FIRST else 0.36
+    return [[(sign * m, clamp_t1(f * scale / m)) for f in (1.0, 2.5)]
+            for m in mags]
 
 
 def _p_s_side(box: BoundsBox) -> tuple[float, float, float]:
@@ -343,31 +350,43 @@ def _p_s_side(box: BoundsBox) -> tuple[float, float, float]:
 
 #: the landscape scan of a quantum problem (:func:`_scan_starts`): p_s
 #: rows, the widest spacing of its t_1 columns times the box's strength
-#: P and their fewest, and the maxima it keeps as starts, which is also
-#: the most deterministic starts any solve climbs (:func:`_best_starts`).
-#: Measured on 15 quantum problems (laser first, HCP first and
-#: laser-first revival, p_a = 3-20) by where the winning basin ranked
-#: among the scan's maxima: at 2/P it was the best maximum 14 times and
-#: third once (HCP first, p_a = 3); at 1/P second once (laser first,
-#: p_a = 10); at 3/P none of the 5 maxima reached the optimum at laser
-#: first, p_a = 5. Classically, among the scored grid starts of HCP first
-#: and simultaneous pulses at p_a = 0.5, 1, 3, 10 and 100, the best
-#: scored climbed to the optimum every time; at HCP first the ranks 0-2
-#: did and the others walked to T_1 = 43-60 on rules of 2048-4096 nodes
-_SCAN_ROWS, _SCAN_STEP, _SCAN_COLUMNS, _SCAN_PEAKS = 8, 2.0, 16, 4
+#: P and their fewest, the most peaks of any start lattice that a solve
+#: climbs (:func:`_lattice_peaks`), and the most columns a row reads at
+#: once (:func:`_scan_row`; it bounds the row's memory). Measured on 15
+#: quantum problems (laser first, HCP first and laser-first revival,
+#: p_a = 3-20) by where the winning basin ranked among the scan's peaks:
+#: at 2/P it was the best peak 14 times and third once (HCP first,
+#: p_a = 3); at 1/P second once (laser first, p_a = 10); at 3/P none of
+#: the 5 peaks reached the optimum at laser first, p_a = 5. Classically,
+#: the scored grids of HCP first and simultaneous pulses at p_a = 0.5-100
+#: rise to one peak, whose ascent reaches the optimum; the other HCP-first
+#: starts' ascents walked to T_1 = 43-60 on rules of 2048-4096 nodes
+_SCAN_ROWS, _SCAN_STEP, _SCAN_COLUMNS, _SCAN_PEAKS, _SCAN_BLOCK = \
+    8, 2.0, 16, 4, 128
 
 
-def _best_starts(scores: list, among) -> list[int]:
-    """The indices of ``among`` whose ``scores`` are the ``_SCAN_PEAKS``
-    best, ties to the earlier, in their order: the starts a solve climbs
-    (:func:`_solve`, :func:`_weak_laser_limit`)."""
-    return sorted(sorted(among, key=lambda i: -scores[i])[:_SCAN_PEAKS])
+def _lattice_peaks(scores: np.ndarray, periodic: bool = False) -> list[int]:
+    """The flat indices of the ``_SCAN_PEAKS`` best points of the 2-D
+    ``scores`` that none of their 8 neighbours beats, best first, ties to
+    the earlier: the starts a solve climbs. Rows are walled; columns are
+    walled, or periodic where ``periodic``."""
+    (rows, cols), flat = scores.shape, scores.ravel().tolist()
+    padded = np.full((rows + 2, cols + 2), -np.inf)
+    padded[1:-1, 1:-1] = scores
+    if periodic:
+        padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
+    peak = np.ones(scores.shape, dtype=bool)
+    for di in range(3):
+        for dj in range(3):
+            if (di, dj) != (1, 1):
+                peak &= scores >= padded[di:di + rows, dj:dj + cols]
+    return sorted(np.flatnonzero(peak).tolist(),
+                  key=lambda k: -flat[k])[:_SCAN_PEAKS]
 
 
 def _scan_starts(prob: OptimizationProblem) -> list[tuple[float, float]]:
-    """The starts of a quantum problem: the ``_SCAN_PEAKS`` best
-    8-neighbour local maxima of one scan of its (p_s, t_1) box, best
-    first, topped up with the scan's best other points if it has fewer.
+    """The starts of a quantum problem: the peaks of one scan of its
+    (p_s, t_1) box (:func:`_lattice_peaks`), best first, however few.
 
     The scan has ``_SCAN_ROWS`` p_s rows, geometric in |p_s| over the
     magnitudes of :func:`_p_s_side`, and t_1 columns at most
@@ -375,9 +394,9 @@ def _scan_starts(prob: OptimizationProblem) -> list[tuple[float, float]]:
     least ``_SCAN_COLUMNS`` of them (one for simultaneous pulses). A box
     of one period in t_1 is scanned as periodic: its delays 0 and 2 pi
     are one state, so its columns leave out the upper edge and wrap for
-    the maxima. Each row is one :func:`quantum.two_kick_delays` on its
-    own basis, ``quantum._basis`` of its |p_s| plus |p_a|, and one FFT of
-    all its columns at the power of two n >= 4(l_max + 1); a column's
+    the peaks. Each row is read by :func:`_scan_row` on its own basis,
+    ``quantum._basis`` of its |p_s| plus |p_a|, with FFTs at the power of
+    two n >= 4(l_max + 1); a column's
     score is its best transformed sample in its t_2 window
     (:func:`_t2_window`, read mod n as :func:`_quantum_scans` reads it).
     """
@@ -408,21 +427,9 @@ def _scan_starts(prob: OptimizationProblem) -> list[tuple[float, float]]:
     score = np.array([_scan_row(prob, sign * m, flights, windows,
                                 quantum._basis(m + abs(prob.p_a)))
                       for m in mags])
-    # 8-neighbour local maxima: walled in p_s, periodic or walled in t_1
-    padded = np.pad(score, 1, constant_values=-np.inf)
-    if periodic:
-        padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
-    peak = np.ones(score.shape, dtype=bool)
-    for di in range(3):
-        for dj in range(3):
-            if (di, dj) != (1, 1):
-                peak &= score >= padded[di:di + score.shape[0],
-                                        dj:dj + score.shape[1]]
-    ranked = np.argsort(-score, axis=None, kind="stable").tolist()
-    peaks = [k for k in ranked if peak.flat[k]][:_SCAN_PEAKS]
-    chosen = (peaks + [k for k in ranked if k not in peaks])[:_SCAN_PEAKS]
     ps = [sign * m for m in mags]
-    return [(ps[k // t1.size], t1[k % t1.size].item()) for k in chosen]
+    return [(ps[k // t1.size], t1[k % t1.size].item())
+            for k in _lattice_peaks(score, periodic)]
 
 
 def _scan_row(prob: OptimizationProblem, p_s: float, flights,
@@ -430,26 +437,35 @@ def _scan_row(prob: OptimizationProblem, p_s: float, flights,
     """The scores of one row of :func:`_scan_starts` at p_s, each column
     its best transformed sample in its window, ``windows`` the columns of
     each (lo, hi) and ``flights(l_max)`` the flights to the columns'
-    delays; read on a grown basis where a kick filled a tail."""
+    delays, read in near-equal blocks of at most ``_SCAN_BLOCK`` columns
+    (:func:`quantum.two_kick_delays`), each one kick product and one
+    FFT; where a kick fills a tail, the row is read again on a grown
+    basis."""
     while True:
-        rows, filled = quantum.two_kick_delays(p_s, prob.p_a, flights(l_max),
-                                               prob.order)
-        if not filled:
-            break
+        flight, j = flights(l_max), 0
+        out = np.empty(flight.shape[1])
+        n = 1 << (4 * (l_max + 1) - 1).bit_length()
+        for rows, filled in quantum.two_kick_delays(
+                p_s, prob.p_a, flight, prob.order, _SCAN_BLOCK):
+            if filled:
+                break
+            samples = quantum.orientation_samples(rows, n)
+            for (lo, hi), cols in windows.items():
+                cols = [c - j for c in cols if j <= c < j + len(rows)]
+                if not cols:  # a window of other blocks' columns
+                    continue
+                idx = _window_samples(lo, hi, REVIVAL_PERIOD / n, n)
+                part = samples[cols] if len(windows) > 1 else samples
+                if idx.size < n:  # a window shorter than one period
+                    part = part[:, idx % n]
+                best = part.max(axis=1, initial=-np.inf)
+                if prob.objective_sign is ObjectiveSign.MAXIMIZE_ABS:
+                    best = np.maximum(best, -part.min(axis=1, initial=np.inf))
+                out[j:][cols] = best
+            j += len(rows)
+        else:
+            return out
         l_max = quantum.grown_l_max(l_max, "a kick of the landscape scan")
-    n = 1 << (4 * (l_max + 1) - 1).bit_length()
-    samples = quantum.orientation_samples(rows, n)
-    out = np.empty(len(rows))
-    for (lo, hi), cols in windows.items():
-        idx = _window_samples(lo, hi, REVIVAL_PERIOD / n, n)
-        part = samples[cols] if len(windows) > 1 else samples
-        if idx.size < n:  # a window shorter than one period
-            part = part[:, idx % n]
-        best = part.max(axis=1, initial=-np.inf)
-        if prob.objective_sign is ObjectiveSign.MAXIMIZE_ABS:  # max |value|
-            best = np.maximum(best, -part.min(axis=1, initial=np.inf))
-        out[cols] = best
-    return out
 
 
 def _window_samples(lo: float, hi: float, h: float, n: int) -> np.ndarray:
@@ -495,40 +511,11 @@ _LIMIT_STEP = 0.5
 
 @lru_cache(maxsize=64)
 def _weak_laser_limit(limit: _WeakLaserLimit) -> tuple[float, float]:
-    """(value, c) at the best c of the weak-laser limit ``limit``,
-    memoized in a bounded LRU cache keyed on the limit's box, p_a and
-    objective sign.
-
-    The c box is sampled evenly, edges included, at most
-    ``_LIMIT_STEP`` apart, and the samples are scored as one batch of
-    :func:`_points`. Of the samples that no neighbour beats, the best
-    (:func:`_best_starts`) each start one 1-D :func:`_ascent`, all in
-    lockstep (:func:`_lockstep`) as in :func:`_solve`; the best end wins,
-    ties to the smaller |c|.
-    """
-    evaluate, box = _Objective(limit), _ScaledBox(limit)
-    lo, hi = limit.bounds.p_s
-    cs = np.linspace(lo, hi, max(2, math.ceil((hi - lo) / _LIMIT_STEP) + 1))
-    samples = [(c, 0.0) for c in dict.fromkeys(cs.tolist())]
-    evaluate.score(samples)
-
-    def reply(point):
-        value, _, grad = evaluate[point]
-        return limit.transform(value), box.ascent(value, grad)
-
-    def score(us):
-        points = [box.point(u) for u in us]
-        evaluate.score(points)
-        return [reply(p) for p in points]
-
-    f = [reply(p)[0] for p in samples]
-    peaks = [i for i in range(len(f)) if f[i] >= max(f[max(i - 1, 0):i + 2])]
-    ends = _lockstep(score, [_ascent(box.scaled(samples[i]),
-                                     *reply(samples[i]), box.u_lo, box.u_hi)
-                             for i in _best_starts(f, peaks)])
-    u, _ = max(ends, key=lambda end: (end[1], -abs(end[0][0])))
-    c = box.point(u)[0]
-    return evaluate[c, 0.0][0], c
+    """(value, c) at the best c of the weak-laser limit ``limit``: its
+    :func:`_solve`, memoized apart from the solves in a bounded LRU cache
+    keyed on the limit's box, p_a and objective sign."""
+    res = _solve(limit, 0, None)
+    return res.objective, res.p_s
 
 
 def optimize(
@@ -591,8 +578,9 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
 
     The starts are those of :func:`_start_points` and
     ``extra_starts`` seeded random points of the box, scored as one
-    batch. The best-scored of the former (:func:`_best_starts`) and
-    every one of the latter each run one
+    batch. The peaks of a classical start lattice (:func:`_start_grid`,
+    :func:`_lattice_peaks` of those scores), every quantum start (the
+    peaks of its scan already) and every extra start each run one
     :func:`_ascent` in the scaled box, all in lockstep
     (:func:`_lockstep`), each round's points one batch of the memo; the
     other starts stay candidates. A point's numbers do not depend on its
@@ -612,8 +600,14 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
     evaluate.score(starts)
     scored = [(prob.transform(evaluate[s][0]), *s) for s in starts]
     fixed = len(starts) - extra_starts
-    climbed = [starts[i] for i in _best_starts([c[0] for c in scored],
-                                               range(fixed))] + starts[fixed:]
+    climbed = starts[:fixed]
+    if prob.engine is Engine.CLASSICAL:
+        grid = _start_grid(prob)
+        flat = sum(grid, [])
+        peaks = {flat[k] for k in _lattice_peaks(np.array(
+            [[prob.transform(evaluate[s][0]) for s in row] for row in grid]))}
+        climbed = [s for s in climbed if s in peaks]
+    climbed += starts[fixed:]
     box = _ScaledBox(prob)
 
     def reply(point):

@@ -415,21 +415,27 @@ def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
 
 
 def two_kick_delays(p_s: float, p_a: float, flight: np.ndarray,
-                    order: PulseOrder) -> tuple[np.ndarray, bool]:
-    """:func:`two_kick_state` at one p_s and K delays, as K rows
-    (K, l_max + 1), and whether a kick filled a tail. ``flight`` is the
-    flight to every delay as one array of phases (:func:`flight_phases`),
-    whose l_max + 1 rows set the basis. The first pulse kicks the ground
-    state once and the second is one :meth:`KickOperator.apply` of all K
-    columns, in the kick order of :func:`_tangent_group`."""
-    filled = np.zeros(flight.shape[1], dtype=bool)
+                    order: PulseOrder, block: int):
+    """:func:`two_kick_state` at one p_s and K delays, in near-equal
+    blocks of at most ``block`` delays: yields each block's states as
+    rows (k, l_max + 1) and whether a kick filled a tail. ``flight`` is
+    the flight to every delay (:func:`flight_phases`), whose l_max + 1
+    rows set the basis. The first pulse kicks the ground state once; each
+    block's second pulse is one :meth:`KickOperator.apply`, in the kick
+    order of :func:`_tangent_group`, and rounds as one block does unless
+    it holds one delay of many (a matrix-vector product), which
+    near-equal blocks never do."""
+    kicked = np.zeros(1, dtype=bool)
     state = np.zeros((flight.shape[0], 1), dtype=complex)
     state[0] = 1.0
     first, second = pulse_pair(p_s, p_a, order)
     # the first pulse kicks one state, whose tail every delay inherits
-    state = _tangent_group(state, first, filled[:1])
-    cols = _tangent_group(state * flight, second, filled)
-    return cols.T, bool(filled.any())
+    state = _tangent_group(state, first, kicked)
+    blocks = max(1, -(-flight.shape[1] // block))
+    for part in np.array_split(flight, blocks, axis=1):
+        filled = np.zeros(part.shape[1], dtype=bool)
+        cols = _tangent_group(state * part, second, filled)
+        yield cols.T, bool(kicked[0] or filled.any())
 
 
 def flight_phases(l_max: int, t: np.ndarray) -> np.ndarray:

@@ -816,15 +816,22 @@ def spanning_problem(engine, order, branch, p_a, ratios):
 
 
 @pytest.mark.parametrize("engine", list(Engine))
-def test_starts_of_a_box_spanning_zero_lie_in_the_box(engine):
+def test_starts_of_a_box_spanning_zero_lie_in_the_box(engine, monkeypatch):
+    """A classical grid has at least 4 starts; a quantum scan's starts are
+    exactly its best peaks, at most 4."""
     for order in PulseOrder:
         for branch in Branch:
             for ratios in SPANNING:
                 prob = spanning_problem(engine, order, branch, 10.0, ratios)
                 for p in (prob, optimize_module._unit_problem(prob)):
                     (lo, hi), (t1_lo, t1_hi) = p.bounds.p_s, p.bounds.t_1
-                    starts = _start_points(p)
-                    assert len(starts) >= 4
+                    if engine is Engine.QUANTUM:
+                        starts, expected = scan_starts_and_peaks(monkeypatch,
+                                                                 p)
+                        assert starts == expected
+                    else:
+                        starts = _start_points(p)
+                        assert len(starts) >= 4
                     assert all(lo <= ps <= hi and t1_lo <= t1 <= t1_hi
                                for ps, t1 in starts), (p.bounds, starts)
 
@@ -1101,18 +1108,103 @@ SCANNED = [quantum_problem(order, p_a, branch)
 @pytest.mark.parametrize("prob", SCANNED, ids=[
     f"{p.order.value}-{p.branch.value}-{p.p_a:g}-ps{p.bounds.p_s[0]:g}"
     f"to{p.bounds.p_s[1]:g}-t1to{p.bounds.t_1[1]:.3g}" for p in SCANNED])
-def test_scan_starts_lie_in_the_box_one_per_delay(prob):
-    """The landscape scan keeps its best maxima, topped up to four: each
-    lies in the box, and on a t_1 box of one period no two are one delay
-    mod 2 pi, which is one state."""
+def test_scan_starts_lie_in_the_box_one_per_delay(prob, monkeypatch):
+    """The landscape scan's starts are exactly its min(4, #peaks) best
+    peaks, best first: each lies in the box, and on a t_1 box of one
+    period no two are one delay mod 2 pi, which is one state."""
     (lo, hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
-    starts = _start_points(prob)
-    assert len(starts) == optimize_module._SCAN_PEAKS
+    starts, expected = scan_starts_and_peaks(monkeypatch, prob)
+    assert starts == expected
+    assert 1 <= len(starts) <= optimize_module._SCAN_PEAKS
     assert all(lo <= ps <= hi and t1_lo <= t1 <= t1_hi
                for ps, t1 in starts), (prob.bounds, starts)
     if t1_hi - t1_lo == TWO_PI:
         delays = {(ps, t1 % TWO_PI) for ps, t1 in starts}
         assert len(delays) == len(starts), starts
+
+
+def brute_force_peaks(scores, periodic=False) -> list[int]:
+    """The flat indices of the points of the 2-D ``scores`` that none of
+    their 8 neighbours beats, each checked against every neighbour in
+    turn (rows walled, columns walled or wrapped), best first, ties to
+    the earlier."""
+    rows, cols = len(scores), len(scores[0])
+    peaks = []
+    for i in range(rows):
+        for j in range(cols):
+            around = [(i + di, (j + dj) % cols if periodic else j + dj)
+                      for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                      if (di, dj) != (0, 0)]
+            if all(scores[i][j] >= scores[a][b] for a, b in around
+                   if 0 <= a < rows and 0 <= b < cols):
+                peaks.append(i * cols + j)
+    return sorted(peaks, key=lambda k: -scores[k // cols][k % cols])
+
+
+def scan_starts_and_peaks(monkeypatch, prob):
+    """The starts of the quantum problem ``prob`` and the points its
+    landscape scan should give: the min(4, #peaks) best peaks of the
+    scan's scores (:func:`brute_force_peaks`), best first, read off the
+    rows' p_s and the columns' delays the scan used."""
+    rows, seen = [], {}
+    scan_row, phases = optimize_module._scan_row, quantum.flight_phases
+
+    def row(prob, p_s, *args):
+        rows.append(p_s)
+        return scan_row(prob, p_s, *args)
+
+    def flights(l_max, t):
+        seen.setdefault("t1", t.tolist())
+        return phases(l_max, t)
+
+    def peaks(scores, periodic=False):
+        seen.update(scores=scores.tolist(), periodic=periodic)
+        return lattice_peaks(scores, periodic)
+
+    lattice_peaks = optimize_module._lattice_peaks
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize_module, "_scan_row", row)
+        patch.setattr(quantum, "flight_phases", flights)
+        patch.setattr(optimize_module, "_lattice_peaks", peaks)
+        starts = _start_points(prob)
+    t1 = seen["t1"]
+    best = brute_force_peaks(seen["scores"], seen["periodic"])
+    return starts, [(rows[k // len(t1)], t1[k % len(t1)])
+                    for k in best[:optimize_module._SCAN_PEAKS]]
+
+
+# (scores, periodic) of the peak rule's cases: 1-D walled, 2-D walled,
+# 2-D periodic in the columns, ties and a plateau
+_rng = np.random.default_rng(7)
+PEAK_CASES = [
+    ([[0.1], [0.5], [0.3], [0.7], [0.2], [0.9], [0.4], [0.6], [0.0], [0.8],
+      [0.3]], False),
+    ([[0.3, 0.1, 0.4, 0.2, 0.8, 0.0, 0.5]], False),
+    (_rng.random((6, 5)).tolist(), False),
+    (_rng.random((5, 7)).tolist(), True),
+    # the column-0 point 0.8 is beaten only across the wrap
+    ([[0.8, 0.1, 0.2, 0.9], [0.0, 0.1, 0.3, 0.1]], True),
+    ([[1.0, 1.0], [0.0, 0.5]], False),
+    (_rng.integers(0, 3, (4, 6)).astype(float).tolist(), True),
+    ([[2.0] * 3] * 3, False),
+    ([[2.0] * 4] * 3, True),
+]
+
+
+@pytest.mark.parametrize("scores, periodic", PEAK_CASES, ids=[
+    "1d-column", "1d-row", "2d-walled", "2d-periodic", "2d-wrap-beaten",
+    "ties", "ties-periodic", "plateau", "plateau-periodic"])
+def test_lattice_peaks_are_the_best_points_no_neighbour_beats(scores,
+                                                              periodic):
+    """The peak rule of every start lattice against a brute-force check
+    of each point's 8 neighbours: the ``_SCAN_PEAKS`` best peaks, best
+    first, ties to the earlier."""
+    found = optimize_module._lattice_peaks(np.array(scores), periodic)
+    assert found == brute_force_peaks(scores, periodic)[
+        :optimize_module._SCAN_PEAKS]
+    if scores == PEAK_CASES[4][0]:
+        assert 0 not in found
+        assert 0 in optimize_module._lattice_peaks(np.array(scores), False)
 
 
 def test_the_scan_reads_a_filled_row_on_a_grown_basis(monkeypatch):
@@ -1126,9 +1218,9 @@ def test_the_scan_reads_a_filled_row_on_a_grown_basis(monkeypatch):
     wide = optimize_module._scan_row(prob, -20.0, flights, windows, 120)
     delays, bases = quantum.two_kick_delays, []
 
-    def spy(p_s, p_a, flight, order):
+    def spy(p_s, p_a, flight, *args):
         bases.append(flight.shape[0] - 1)
-        return delays(p_s, p_a, flight, order)
+        return delays(p_s, p_a, flight, *args)
 
     monkeypatch.setattr(quantum, "two_kick_delays", spy)
     grown = optimize_module._scan_row(prob, -20.0, flights, windows, 24)
@@ -1152,3 +1244,61 @@ def test_extra_starts_find_nothing_above_the_scan(order, branch, p_a):
     default = optimize(prob).objective
     extra = optimize(prob, extra_starts=32, seed=1).objective
     assert abs(abs(extra) - abs(default)) <= 1e-6
+
+
+# (order, branch, p_a) of the quantum problems whose scans have fewer
+# peaks than ``_SCAN_PEAKS``, so that their solves climb fewer starts
+FEW_PEAKS = [(PulseOrder.SIMULTANEOUS, branch, p_a)
+             for branch in Branch for p_a in (3.0, 10.0)] + [
+    (order, Branch.REVIVAL, 1.0)
+    for order in (PulseOrder.LASER_FIRST, PulseOrder.HCP_FIRST)]
+
+
+@pytest.mark.parametrize("order, branch, p_a", FEW_PEAKS, ids=[
+    f"{o.value}-{b.value}-{p:g}" for o, b, p in FEW_PEAKS])
+def test_extra_starts_find_nothing_above_the_scan_peaks(order, branch, p_a):
+    """A quantum solve climbs only its scan's peaks, with no top-up: 32
+    seeded random starts besides them, under two seeds, find nothing
+    above the default optimum by more than 1e-9."""
+    prob = quantum_problem(order, p_a, branch)
+    default = abs(optimize(prob).objective)
+    for seed in (1, 2):
+        assert abs(optimize(prob, extra_starts=32, seed=seed).objective) \
+            <= default + 1e-9
+
+
+# (branch, p_s, p_a, l_max) of scan rows: the default prompt and revival
+# boxes at p_a = 10 (one t_2 window, and one per delay), and a row whose
+# tail a kick fills, read again on grown bases
+BLOCKED = [(Branch.PROMPT, -7.0, 10.0, 40), (Branch.REVIVAL, 7.0, 10.0, 40),
+           (Branch.PROMPT, -20.0, 2.0, 24)]
+
+
+@pytest.mark.parametrize("branch, p_s, p_a, l_max", BLOCKED,
+                         ids=["prompt", "revival", "grown"])
+def test_a_scan_row_read_in_blocks_equals_one_block(monkeypatch, branch, p_s,
+                                                    p_a, l_max):
+    """A scan row read 5 delay columns at a time, each block one kick
+    product and one FFT, scores every column bit for bit as the row read
+    in one block: the kick product rounds each column as a batch of one
+    does, and each row of samples is its own FFT."""
+    prob = quantum_problem(p_a=p_a, branch=branch)
+    t1 = np.linspace(0.0, TWO_PI, 63, endpoint=False)
+    windows = {}
+    for j, t in enumerate(t1.tolist()):
+        lo, hi = optimize_module._t2_window(prob, t)
+        windows.setdefault((min(lo, hi), hi), []).append(j)
+    assert (len(windows) > 1) == (branch is Branch.REVIVAL)
+    flights = partial(quantum.flight_phases, t=t1)
+    whole = optimize_module._scan_row(prob, p_s, flights, windows, l_max)
+    samples, widths = quantum.orientation_samples, []
+
+    def spy(rows, n):
+        widths.append(len(rows))
+        return samples(rows, n)
+
+    monkeypatch.setattr(quantum, "orientation_samples", spy)
+    monkeypatch.setattr(optimize_module, "_SCAN_BLOCK", 5)
+    blocked = optimize_module._scan_row(prob, p_s, flights, windows, l_max)
+    assert widths == [5] * 11 + [4] * 2
+    assert blocked.tobytes() == whole.tobytes()

@@ -17,10 +17,10 @@ import pytest
 from rotorkick.core import Branch, Engine, PulseOrder
 from rotorkick.errors import ConvergenceFailure
 from rotorkick.optimize import (OptimizationProblem, _ascent, _lockstep,
-                                _start_points, evaluate_objective, optimize,
-                                sweep)
+                                _start_grid, _start_points,
+                                evaluate_objective, optimize, sweep)
 
-from test_optimize import REVIVAL20, classical_problem
+from test_optimize import REVIVAL20, brute_force_peaks, classical_problem
 
 # the package re-exports the function `optimize` under the module's name
 optimize_module = importlib.import_module("rotorkick.optimize")
@@ -44,6 +44,20 @@ def assert_no_children():
     """optimize left no child process behind: this process has none."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def lattice_climbed(unit):
+    """The deterministic starts the classical solve of ``unit`` climbs,
+    by brute force: the points of its start lattice that no neighbour
+    beats (:func:`brute_force_peaks`), the 4 best, in start order; and
+    the lattice's scores by point."""
+    grid = _start_grid(unit)
+    score = {s: unit.transform(evaluate_objective(unit, *s)[0])
+             for row in grid for s in row}
+    flat = sum(grid, [])
+    best = {flat[k] for k in brute_force_peaks(
+        [[score[s] for s in row] for row in grid])[:4]}
+    return [s for s in _start_points(unit) if s in best], score
 
 
 def alone(prob, start):
@@ -100,16 +114,27 @@ def test_parallel_equals_serial(name, monkeypatch):
     assert len(starts) >= 8
     scored = [(unit.transform(evaluate_objective(unit, *s)[0]), *s)
               for s in starts]
-    # one ascent from each of the 4 best-scored deterministic starts, in
-    # start order, then one from each extra start
+    # one ascent from each deterministic start a solve climbs, in start
+    # order, then one from each extra start: every start of the scan's
+    # peaks, and of a classical lattice its best 4 peaks
     fixed = len(_start_points(unit))
     scaled = [box.scaled(s).tolist() for s in starts]
     climbed = [scaled.index(u.tolist()) for u in ascents]
-    kept = climbed[:min(4, fixed)]
-    assert kept == sorted(kept) and kept[-1] < fixed
+    kept = climbed[:len(climbed) - (len(starts) - fixed)]
     assert climbed == kept + list(range(fixed, len(starts)))
-    assert all(scored[i][0] < scored[j][0] for i in range(fixed)
-               if i not in kept for j in kept)
+    if unit.engine is Engine.QUANTUM:
+        assert kept == list(range(fixed))
+    else:
+        peaks, height = lattice_climbed(unit)
+        assert [starts[i] for i in kept] == peaks
+        # a dropped grid start has a lattice neighbour as high as it
+        grid = _start_grid(unit)
+        for i, row in enumerate(grid):
+            for j, s in enumerate(row):
+                if s not in peaks:
+                    assert any(height[t] >= height[s]
+                               for near in grid[max(i - 1, 0):i + 2]
+                               for t in near[max(j - 1, 0):j + 2] if t != s)
     runs = [alone(unit, starts[i]) for i in climbed]
     best = max([end for end, _ in runs] + scored,
                key=lambda c: (c[0], -abs(c[1])))
@@ -158,16 +183,16 @@ def failing_away_from_the_starts(monkeypatch, prob):
 
 def test_worker_failure_reaches_the_caller_as_in_a_serial_run(monkeypatch):
     """An exception raised inside an ascent reaches the caller with its
-    type and message: that of the first start's first step, which the
-    first batch after the starts scores first, as that start alone
-    raises it."""
+    type and message: that of the first climbed start's first step,
+    which the first batch after the starts scores first, as that start
+    alone raises it."""
     prob = classical_problem(order=PulseOrder.SIMULTANEOUS, p_a=10.0)
     failing_away_from_the_starts(monkeypatch, prob)
     with pytest.raises(ConvergenceFailure) as info:
         optimize(prob)
     unit = optimize_module._unit_problem(prob)
     with pytest.raises(ConvergenceFailure) as first:
-        alone(unit, _start_points(unit)[0])
+        alone(unit, lattice_climbed(unit)[0][0])
     assert type(info.value) is type(first.value)
     assert str(info.value) == str(first.value)
     assert str(info.value).startswith("injected at p_s = ")

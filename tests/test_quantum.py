@@ -339,12 +339,19 @@ def test_check6_optimum_converged_in_basis_size():
 def test_two_kick_delays_are_the_pair_states_at_each_delay(order):
     """One first kick, one flight array and one second kick of all the
     delays give the state after the pair at each delay, as the state
-    column of the optimizer's kernel does."""
-    t_1 = np.array([0.0, 0.3, 2.9, 5.5])
-    rows, filled = quantum.two_kick_delays(
-        -3.0, 6.0, quantum.flight_phases(60, t_1), order)
-    assert rows.shape == (4, 61) and not filled
-    tangents, _ = quantum.two_kick_tangents(np.full(4, -3.0), 6.0, t_1,
+    column of the optimizer's kernel does; taken in blocks of at most 4
+    delays, the same states bit for bit (blocks of 4 and 1 would round
+    the lone delay's product as a matrix-vector product)."""
+    t_1 = np.array([0.0, 0.3, 2.9, 5.5, 6.1])
+    flight = quantum.flight_phases(60, t_1)
+    [(rows, filled)] = quantum.two_kick_delays(-3.0, 6.0, flight, order, 5)
+    assert rows.shape == (5, 61) and not filled
+    blocks = list(quantum.two_kick_delays(-3.0, 6.0, flight, order, 4))
+    assert [(len(part), full) for part, full in blocks] == [(3, False),
+                                                           (2, False)]
+    assert np.concatenate([part for part, _ in blocks]).tobytes() \
+        == rows.tobytes()
+    tangents, _ = quantum.two_kick_tangents(np.full(5, -3.0), 6.0, t_1,
                                             order, 60)
     for row, t, cols in zip(rows, t_1, tangents):
         state = quantum.two_kick_state(-3.0, 6.0, t, order, 60).coeffs
