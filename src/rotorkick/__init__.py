@@ -17,7 +17,7 @@ from .core import (REVIVAL_PERIOD, Branch, Engine, Kick, KickKind,
                    validate_sequence)
 from .errors import (BasisOverflow, ConfigError, ConvergenceFailure,
                      InvalidNodeCount, NonFiniteValue, RotorkickError,
-                     SeriesTruncationFailure, TooManyKicksAtSameTime)
+                     TooManyKicksAtSameTime)
 from .labunits import (KCL, HalfCyclePulse, LaserPulse, MoleculeParams,
                        kick_strength, time_from_dimensionless,
                        time_to_dimensionless)
@@ -28,9 +28,6 @@ from .quantum import (KickOperator, RotorWavefunction, apply_kick,
                       expectation, free_propagate, ground_state,
                       kick_operator, observable_scan, run_sequence,
                       two_kick_state)
-from .series import (cg000_squared, cos2_phase_coefficients,
-                     cos_phase_coefficients, hybrid_coefficients, hyp1f1,
-                     spherical_jn_all)
 
 __version__ = "0.1.0"
 
@@ -46,7 +43,7 @@ __all__ = [
     # errors
     "RotorkickError", "ConfigError", "NonFiniteValue",
     "TooManyKicksAtSameTime", "InvalidNodeCount", "ConvergenceFailure",
-    "BasisOverflow", "SeriesTruncationFailure",
+    "BasisOverflow",
     # classical engine
     "ClassicalEnsemble", "make_ensemble", "propagate_classical",
     "classical_observable", "two_kick_theta", "two_kick_observable",
@@ -54,10 +51,6 @@ __all__ = [
     "RotorWavefunction", "KickOperator", "kick_operator", "ground_state",
     "apply_kick", "free_propagate", "expectation", "observable_scan",
     "run_sequence", "two_kick_state",
-    # analytic expansions
-    "spherical_jn_all", "hyp1f1", "cg000_squared",
-    "cos2_phase_coefficients", "cos_phase_coefficients",
-    "hybrid_coefficients",
     # optimizer
     "BoundsBox", "OptimizationProblem", "SweepRow", "default_bounds",
     "evaluate_objective", "optimize", "sweep",

@@ -30,7 +30,7 @@ from . import classical, quantum
 from .core import (Branch, Engine, ObjectiveSign, PulseOrder, parse_sequence,
                    two_pulse_sequence)
 from .errors import (BasisOverflow, ConfigError, ConvergenceFailure,
-                     RotorkickError, SeriesTruncationFailure)
+                     RotorkickError)
 from .labunits import (KCL, HalfCyclePulse, LaserPulse, MoleculeParams,
                        kick_strength, time_from_dimensionless,
                        time_to_dimensionless)
@@ -38,8 +38,7 @@ from .optimize import (CSV_HEADER, CSV_NUM, BoundsBox,
                        OptimizationProblem, default_bounds, optimize,
                        result_csv_row, sweep)
 
-_NUMERICAL_ERRORS = (ConvergenceFailure, BasisOverflow,
-                     SeriesTruncationFailure)
+_NUMERICAL_ERRORS = (ConvergenceFailure, BasisOverflow)
 
 
 def _write(chunks: Iterable[bytes], out: str | None) -> None:

@@ -27,7 +27,3 @@ class ConvergenceFailure(RotorkickError):
 
 class BasisOverflow(RotorkickError):
     """Angular-momentum basis would exceed the hard l_max cap."""
-
-
-class SeriesTruncationFailure(RotorkickError):
-    """An analytic series failed to converge within the term cap."""

@@ -127,10 +127,16 @@ class OptimizationProblem:
             object.__setattr__(self, "bounds",
                                replace(self.bounds, t_1=(0.0, 0.0)))
         if self.engine is Engine.QUANTUM and self.branch is Branch.REVIVAL:
-            # keep the delays whose revival window meets the t_2 box, if any
+            # keep the delays whose revival window meets the t_2 box
             (t1_lo, t1_hi), (t2_lo, t2_hi) = self.bounds.t_1, self.bounds.t_2
-            t_1 = (max(t1_lo, REVIVAL_PERIOD - defaults.REVIVAL_WINDOW - t2_hi),
-                   min(t1_hi, REVIVAL_PERIOD - t2_lo))
+            lo, hi = REVIVAL_PERIOD - defaults.REVIVAL_WINDOW, REVIVAL_PERIOD
+            t_1 = (max(t1_lo, lo - t2_hi), min(t1_hi, hi - t2_lo))
+            if t_1[0] > t_1[1]:
+                raise NonFiniteValue(
+                    f"no t_1 in [{t1_lo:g}, {t1_hi:g}] puts t_1 + t_2 in the "
+                    f"revival window [2 pi - {defaults.REVIVAL_WINDOW:g}, "
+                    f"2 pi] = [{lo:g}, {hi:g}] for t_2 in the box "
+                    f"[{t2_lo:g}, {t2_hi:g}]")
             object.__setattr__(self, "bounds", replace(self.bounds, t_1=t_1))
 
     def transform(self, value):

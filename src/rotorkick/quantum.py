@@ -105,8 +105,9 @@ class KickOperator:
         one state (l_max + 1,) or the columns (l_max + 1, K, ...) of K
         points, s_k one strength each (or one for all): one complex
         eigenbasis product for all K points, which rounds each column as
-        a batch of one does. A state is one column; real input is taken
-        as complex."""
+        any other batch of two or more columns does; a lone column is a
+        matrix-vector product, which rounds differently. A state is one
+        column; real input is taken as complex."""
         cols = np.asarray(coeffs, dtype=complex)
         out = np.empty_like(cols)
         for idx, vals, vecs in self.blocks:
@@ -118,23 +119,6 @@ class KickOperator:
             out[idx] = (vecs @ part.reshape(idx.size, -1)).reshape(
                 (idx.size,) + cols.shape[1:])
         return out
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense analytic operator matrix (tests and diagnostics)."""
-        if self.kind is KickKind.ASYMMETRIC:
-            c = cos_offdiag(self.l_max)
-            return np.diag(c, 1) + np.diag(c, -1)
-        diag, off2 = cos2_bands(self.l_max)
-        return np.diag(diag) + np.diag(off2, 2) + np.diag(off2, -2)
-
-    def reconstructed(self) -> np.ndarray:
-        """V diag(lambda) V^T assembled over blocks; equals ``matrix``."""
-        n = self.l_max + 1
-        m = np.zeros((n, n))
-        for idx, vals, vecs in self.blocks:
-            m[np.ix_(idx, idx)] = (vecs * vals) @ vecs.T
-        return m
 
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray):

@@ -9,6 +9,12 @@ than the package:
 - quadrature_operator_matrix builds cos/cos^2 matrix elements by
   numerical quadrature instead of the analytic band formulas, and
   expm_kick exponentiates them with scipy.linalg.expm.
+- cos_phase_coefficients, cos2_phase_coefficients and
+  hybrid_coefficients expand a kicked state in closed form: scipy's
+  spherical Bessel functions (Rayleigh), mpmath's confluent
+  hypergeometric 1F1, and a double sum over zero-projection
+  Clebsch-Gordan coefficients (cg000_squared), instead of
+  exponentiating any operator.
 - mc_classical_observable replaces Gauss-Legendre ensemble averaging
   with plain Monte Carlo over random initial angles.
 - brute_force_prompt searches the quantum prompt optimum of a
@@ -20,21 +26,30 @@ than the package:
   pair's weak-laser limit on a full (c, tau) grid with a cosine per
   node, polished by Nelder-Mead, instead of the package's first scan,
   Newton polish and ascent in c.
+
+operator_matrix and reconstructed are diagnostics, not oracles: the
+dense matrix of a kick operator's band formulas, and the same matrix
+assembled back from its eigen-decomposition.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 from functools import lru_cache
+
+import mpmath
+import numpy as np
 from scipy.linalg import eigh, expm
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import roots_legendre
+from scipy.special import roots_legendre, spherical_jn
 
 from rotorkick import defaults
 from rotorkick.core import (KickKind, PulseOrder, PulseSequence,
                             validate_sequence)
+from rotorkick.quantum import KickOperator, cos2_bands, cos_offdiag
 
 TWO_PI = 2.0 * np.pi
+SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
 def _legendre(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,6 +155,128 @@ def expm_kick(kind: KickKind, strength: float, l_max: int) -> np.ndarray:
     e0 = np.zeros(l_max + 1, dtype=complex)
     e0[0] = 1.0
     return expm(1j * strength * mat) @ e0
+
+
+def operator_matrix(op: KickOperator) -> np.ndarray:
+    """Dense cos (asymmetric) or cos^2 (symmetric) matrix of ``op``'s
+    kind and basis, from the package's band formulas."""
+    if op.kind is KickKind.ASYMMETRIC:
+        c = cos_offdiag(op.l_max)
+        return np.diag(c, 1) + np.diag(c, -1)
+    diag, off2 = cos2_bands(op.l_max)
+    return np.diag(diag) + np.diag(off2, 2) + np.diag(off2, -2)
+
+
+def reconstructed(op: KickOperator) -> np.ndarray:
+    """V diag(lambda) V^T assembled over ``op.blocks``; equals
+    :func:`operator_matrix` of ``op``."""
+    n = op.l_max + 1
+    m = np.zeros((n, n))
+    for idx, vals, vecs in op.blocks:
+        m[np.ix_(idx, idx)] = (vecs * vals) @ vecs.T
+    return m
+
+
+def cg000_squared(j1: int, j2: int, j3: int) -> float:
+    """Squared Clebsch-Gordan coefficient C(j1, j2, j3 | 0, 0, 0)^2.
+
+    Closed form for zero projections: vanishes unless the triangle rule
+    holds and J = j1+j2+j3 is even. Factorials in log space.
+    """
+    if j1 < 0 or j2 < 0 or j3 < 0:
+        return 0.0
+    if j3 < abs(j1 - j2) or j3 > j1 + j2:
+        return 0.0
+    J = j1 + j2 + j3
+    if J % 2 == 1:
+        return 0.0
+    g = J // 2
+    log3j = 0.5 * (
+        math.lgamma(J - 2 * j1 + 1)
+        + math.lgamma(J - 2 * j2 + 1)
+        + math.lgamma(J - 2 * j3 + 1)
+        - math.lgamma(J + 2)
+    ) + (
+        math.lgamma(g + 1)
+        - math.lgamma(g - j1 + 1)
+        - math.lgamma(g - j2 + 1)
+        - math.lgamma(g - j3 + 1)
+    )
+    # C^2 = (2*j3 + 1) * (3j symbol)^2
+    return (2 * j3 + 1) * math.exp(2.0 * log3j)
+
+
+def cos2_phase_coefficients(p_s: float, l_max: int) -> np.ndarray:
+    """Expansion of exp(i*p_s*cos^2 theta) Y_0^0 over Y_l^0, l = 0..l_max.
+
+    Only even l are populated. The closed form per even l = 2J is
+    sqrt(pi(4J+1)) (i p_s)^J Gamma(J+1/2)/Gamma(2J+3/2)
+    * 1F1(J+1/2; 2J+3/2; i p_s), divided by sqrt(4 pi) to give unit-norm
+    amplitudes. 1F1 is mpmath's: scipy's, at an imaginary argument, is
+    off by 7.8e-5 relative at J = 20 and p_s = -20, and by orders of
+    magnitude from J = 30 on.
+    """
+    out = np.zeros(l_max + 1, dtype=complex)
+    for J in range(l_max // 2 + 1):
+        pref = math.sqrt(math.pi * (4 * J + 1)) * math.exp(
+            math.lgamma(J + 0.5) - math.lgamma(2 * J + 1.5)
+        )
+        f = complex(mpmath.hyp1f1(J + 0.5, 2 * J + 1.5, 1j * p_s))
+        out[2 * J] = pref * (1j * p_s) ** J * f / SQRT_4PI
+    return out
+
+
+def cos_phase_coefficients(p_a: float, l_max: int) -> np.ndarray:
+    """Expansion of exp(i*p_a*cos theta) Y_0^0 over Y_l^0 (Rayleigh form):
+    a_l = i^l sqrt(2l+1) j_l(p_a)."""
+    l = np.arange(l_max + 1)
+    return (1j**l) * np.sqrt(2 * l + 1) * spherical_jn(l, p_a)
+
+
+def hybrid_coefficients(p_s: float, p_a: float, t_1: float,
+                        l_max: int) -> np.ndarray:
+    """State after sym kick, free flight t_1, then asym kick, by series.
+
+    Returns unit-norm amplitudes d_l over Y_l^0. The double sum runs over
+    the symmetric-expansion order l' and the Rayleigh (Bessel) order j,
+    coupled through squared zero-projection Clebsch-Gordan coefficients:
+
+        d_l ~ sum_{l', j} i^j sqrt(2j+1) j_j(p_a) c
+              * exp(-i l'(2l'+1) t_1)
+              * sqrt((2j+1)(4l'+1)/(2l+1)) C(j, 2l', l | 0,0,0)^2
+
+    where c = c_{l'} is the symmetric-kick coefficient of order l'.
+    """
+    # symmetric-kick amplitudes, generous order so the tail is negligible
+    lp_max = int(1.5 * abs(p_s)) + 25
+    a_sym = cos2_phase_coefficients(p_s, 2 * lp_max)
+    c_even = a_sym[::2] * SQRT_4PI  # c_J in the analytic normalization
+    assert abs(c_even[-1]) <= 1e-10, "symmetric-kick series tail too large"
+    j_max = l_max + 2 * lp_max
+    bessel = spherical_jn(np.arange(j_max + 1), p_a)
+    assert abs(bessel[-1]) <= 1e-10 or j_max <= abs(p_a) + 30, \
+        "Rayleigh series tail too large"
+
+    d = np.zeros(l_max + 1, dtype=complex)
+    for lp in range(lp_max + 1):
+        c_coeff = c_even[lp] * np.exp(-1j * lp * (2 * lp + 1) * t_1)
+        if abs(c_coeff) < 1e-16:
+            continue
+        for l in range(l_max + 1):
+            j_lo, j_hi = abs(l - 2 * lp), l + 2 * lp
+            acc = 0.0j
+            for j in range(j_lo, min(j_hi, j_max) + 1):
+                if (j + 2 * lp + l) % 2:
+                    continue
+                cg2 = cg000_squared(j, 2 * lp, l)
+                if cg2 == 0.0:
+                    continue
+                amp = (1j**j) * math.sqrt(2 * j + 1) * bessel[j] * c_coeff
+                acc += amp * math.sqrt(
+                    (2 * j + 1) * (4 * lp + 1) / (2 * l + 1)
+                ) * cg2
+            d[l] += acc
+    return d / SQRT_4PI
 
 
 def mc_classical_observable(seq: PulseSequence, k: int, t: float,

@@ -13,11 +13,11 @@ from functools import lru_cache
 import numpy as np
 
 from oracles import (brute_force_prompt, brute_force_weak_laser_limit,
+                     cos2_phase_coefficients, cos_phase_coefficients,
                      expm_kick, grid_propagate)
 from rotorkick import (KCL, Branch, Engine, HalfCyclePulse, Kick, KickKind,
                        OptimizationProblem, PulseOrder, apply_kick,
-                       classical_observable, cos2_phase_coefficients,
-                       cos_phase_coefficients, expectation, free_propagate,
+                       classical_observable, expectation, free_propagate,
                        ground_state, kick_strength, optimize, run_sequence,
                        time_from_dimensionless, time_to_dimensionless,
                        two_kick_observable, two_kick_theta, validate_sequence)
@@ -176,21 +176,23 @@ def test_07_independent_propagation_routes():
         worst_state = max(worst_state,
                           float(np.max(np.abs(psi.coeffs[:m] - ref[:m]))))
 
-    worst_coeff = 0.0
+    worst_coeff = worst_kick = 0.0
     for p in rng.uniform(-5.0, 5.0, 8):
-        sym = cos2_phase_coefficients(float(p), 16)
-        asym = cos_phase_coefficients(float(p), 16)
-        # the expm reference needs basis margin: truncating the matrix at
-        # exactly l = 16 perturbs its own edge entries at the 1e-6 level
-        worst_coeff = max(
-            worst_coeff,
-            float(np.max(np.abs(sym - expm_kick(KickKind.SYMMETRIC,
-                                                float(p), 32)[:17]))),
-            float(np.max(np.abs(asym - expm_kick(KickKind.ASYMMETRIC,
-                                                 float(p), 32)[:17]))))
-    ok = worst_state < 1e-8 and worst_coeff < 1e-8
+        for kind, series in ((KickKind.SYMMETRIC, cos2_phase_coefficients),
+                             (KickKind.ASYMMETRIC, cos_phase_coefficients)):
+            coeffs = series(float(p), 16)
+            # the expm reference needs basis margin: truncating the matrix
+            # at exactly l = 16 perturbs its own edge entries at the 1e-6
+            # level, so it and the package's kick run on l_max = 32
+            worst_coeff = max(worst_coeff, float(np.max(np.abs(
+                coeffs - expm_kick(kind, float(p), 32)[:17]))))
+            kicked = apply_kick(ground_state(32), Kick(kind, float(p), 0.0))
+            worst_kick = max(worst_kick, float(np.max(np.abs(
+                coeffs - kicked.coeffs[:17]))))
+    ok = worst_state < 1e-8 and worst_coeff < 1e-8 and worst_kick < 1e-8
     _report(7, ok, f"grid-vs-basis max dev={worst_state:.2e}, "
-                   f"series-vs-expm max dev={worst_coeff:.2e}")
+                   f"series-vs-expm max dev={worst_coeff:.2e}, "
+                   f"series-vs-kick max dev={worst_kick:.2e}")
     assert ok
 
 

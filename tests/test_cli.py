@@ -171,7 +171,21 @@ def test_optimize_revival_box_without_a_delay_is_rejected(capsys):
                        "--branch", "revival", "--pa", "5",
                        "--t1-min", "0", "--t1-max", "1",
                        "--t2-min", "0", "--t2-max", "1")
-    assert code == 2 and "bad bounds for t_1" in err
+    assert code == 2
+    assert ("no t_1 in [0, 1] puts t_1 + t_2 in the revival window "
+            "[2 pi - 0.5, 2 pi] = [5.78319, 6.28319] for t_2 in the box "
+            "[0, 1]") in err
+
+
+def test_optimize_revival_t2_box_short_of_the_window_blames_t2(capsys):
+    """A simultaneous pair has no delay to set: a t_2 box that ends
+    before the revival window is named, not the t_1 range."""
+    code, _, err = run(capsys, "optimize", "--engine", "quantum",
+                       "--order", "simultaneous", "--branch", "revival",
+                       "--pa", "5", "--t2-max", "5")
+    assert code == 2 and "bad bounds" not in err
+    assert ("revival window [2 pi - 0.5, 2 pi] = [5.78319, 6.28319] for "
+            "t_2 in the box [0, 5]") in err
 
 
 def test_sweep_classical(capsys):

@@ -1,55 +1,19 @@
-"""Analytic expansion coefficients against independent references:
-scipy for Bessel functions, mpmath for the confluent hypergeometric
-series, sympy for Clebsch-Gordan coefficients, and matrix exponentials
-of quadrature-built operators for the kick expansions."""
+"""The analytic expansion oracles of tests/oracles.py against
+independent references: sympy for Clebsch-Gordan coefficients, matrix
+exponentials of quadrature-built operators for the kick expansions, and
+the package's pair propagation for the hybrid double sum; and the
+package's single kick against the kick expansions."""
 
 import numpy as np
 import pytest
 
-mpmath = pytest.importorskip("mpmath")
+pytest.importorskip("mpmath")  # the cos^2 oracle's 1F1
 sympy_cg = pytest.importorskip("sympy.physics.quantum.cg")
 
-from scipy.special import spherical_jn
-
-from oracles import expm_kick
-from rotorkick.core import KickKind, PulseOrder
-from rotorkick.errors import SeriesTruncationFailure
-from rotorkick.quantum import two_kick_state
-from rotorkick.series import (cg000_squared, cos2_phase_coefficients,
-                              cos_phase_coefficients, hybrid_coefficients,
-                              hyp1f1, spherical_jn_all)
-
-
-@pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 2.0, 5.0, 12.7, 20.0, 40.0])
-def test_spherical_bessel_against_scipy(x):
-    n_max = 60
-    got = spherical_jn_all(n_max, x)
-    ref = spherical_jn(np.arange(n_max + 1), x)
-    assert np.allclose(got, ref, rtol=1e-11, atol=1e-14)
-
-
-def test_spherical_bessel_negative_argument():
-    # j_l(-x) = (-1)^l j_l(x)
-    got = spherical_jn_all(10, -3.7)
-    ref = spherical_jn(np.arange(11), 3.7) * (-1.0) ** np.arange(11)
-    assert np.allclose(got, ref, rtol=1e-11, atol=1e-15)
-
-
-def test_hyp1f1_against_mpmath():
-    # direct power series: rounding grows with the largest term, so the
-    # tolerance widens with |z| (the peak term is ~ |z|^k/k! at k ~ |z|)
-    for J in (0, 1, 2, 5, 10, 20):
-        for ps in (-20.0, -5.0, -1.0, 0.3, 5.0, 10.0):
-            a, b = J + 0.5, 2 * J + 1.5
-            got = hyp1f1(a, b, 1j * ps)
-            ref = complex(mpmath.hyp1f1(a, b, 1j * ps))
-            tol = 1e-12 if abs(ps) <= 5 else 3e-9
-            assert got == pytest.approx(ref, rel=tol, abs=tol / 10)
-
-
-def test_hyp1f1_term_cap():
-    with pytest.raises(SeriesTruncationFailure):
-        hyp1f1(0.5, 1.5, 1e5j)
+from oracles import (cg000_squared, cos2_phase_coefficients,
+                     cos_phase_coefficients, expm_kick, hybrid_coefficients)
+from rotorkick.core import Kick, KickKind, PulseOrder
+from rotorkick.quantum import apply_kick, ground_state, two_kick_state
 
 
 def test_cg000_squared_against_sympy():
@@ -84,6 +48,21 @@ def test_cos_phase_coefficients_vs_matrix_exponential(p):
     ref = expm_kick(KickKind.ASYMMETRIC, p, l_max)
     assert np.sum(np.abs(got) ** 2) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(got - ref)) < 1e-8
+
+
+@pytest.mark.parametrize("kind", [KickKind.SYMMETRIC, KickKind.ASYMMETRIC])
+@pytest.mark.parametrize("p", [-20.0, -8.0, -1.3, 0.4, 3.0, 12.0])
+def test_package_kick_matches_series(kind, p):
+    """The package's eigendecomposed kick on the ground state against the
+    closed-form series, up to strong kicks that the expm comparisons and
+    acceptance check 7 (|p| <= 5) do not reach."""
+    l_max = 80
+    series = (cos2_phase_coefficients if kind is KickKind.SYMMETRIC
+              else cos_phase_coefficients)
+    ref = series(p, l_max)
+    got = apply_kick(ground_state(l_max), Kick(kind, p, 0.0)).coeffs
+    assert got.shape == ref.shape  # no basis growth at l_max = 80
+    assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_hybrid_coefficients_match_propagation():
