@@ -25,9 +25,8 @@ from .optimize import (CSV_HEADER, BoundsBox, OptimizationProblem, SweepRow,
                        default_bounds, evaluate_objective, optimize,
                        result_csv_row, sweep)
 from .quantum import (KickOperator, RotorWavefunction, apply_kick,
-                      expectation, free_propagate, ground_state,
-                      kick_operator, observable_scan, run_sequence,
-                      two_kick_state)
+                      free_propagate, ground_state, kick_operator,
+                      observable_scan, run_sequence, two_kick_state)
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,7 @@ __all__ = [
     "classical_observable", "two_kick_theta", "two_kick_observable",
     # quantum engine
     "RotorWavefunction", "KickOperator", "kick_operator", "ground_state",
-    "apply_kick", "free_propagate", "expectation", "observable_scan",
+    "apply_kick", "free_propagate", "observable_scan",
     "run_sequence", "two_kick_state",
     # optimizer
     "BoundsBox", "OptimizationProblem", "SweepRow", "default_bounds",

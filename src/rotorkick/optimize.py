@@ -301,14 +301,18 @@ def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
     return float(best), float(t_best)
 
 
-def _start_points(prob: OptimizationProblem) -> list[tuple[float, float]]:
-    """Deterministic ascent starts, all in the box and distinct, in order:
-    a quantum problem's are the peaks of its landscape scan
-    (:func:`_scan_starts`), a classical one's the points of its start
-    lattice (:func:`_start_grid`), row by row."""
+def _start_lattice(prob: OptimizationProblem, evaluate) -> tuple:
+    """(rows, scores, periodic): the deterministic start lattice of a
+    problem, its rows of points in the box, their scores and whether its
+    columns wrap. A quantum problem's is its landscape scan
+    (:func:`_scan_starts`); a classical one's is :func:`_start_grid`,
+    scored as one batch of the memo ``evaluate``."""
     if prob.engine is Engine.QUANTUM:
         return _scan_starts(prob)
-    return list(dict.fromkeys(sum(_start_grid(prob), [])))
+    rows = _start_grid(prob)
+    evaluate.score(sum(rows, []))
+    return rows, np.array([[prob.transform(evaluate[s][0]) for s in row]
+                           for row in rows]), False
 
 
 def _start_grid(prob: OptimizationProblem) -> list[list[tuple[float, float]]]:
@@ -390,17 +394,17 @@ def _lattice_peaks(scores: np.ndarray, periodic: bool = False) -> list[int]:
                   key=lambda k: -flat[k])[:_SCAN_PEAKS]
 
 
-def _scan_starts(prob: OptimizationProblem) -> list[tuple[float, float]]:
-    """The starts of a quantum problem: the peaks of one scan of its
-    (p_s, t_1) box (:func:`_lattice_peaks`), best first, however few.
+def _scan_starts(prob: OptimizationProblem) -> tuple:
+    """The start lattice of a quantum problem, as :func:`_start_lattice`
+    returns it: one scan of its (p_s, t_1) box.
 
     The scan has ``_SCAN_ROWS`` p_s rows, geometric in |p_s| over the
     magnitudes of :func:`_p_s_side`, and t_1 columns at most
     ``_SCAN_STEP`` / P apart, P the box's largest |p_s| plus |p_a|, at
     least ``_SCAN_COLUMNS`` of them (one for simultaneous pulses). A box
     of one period in t_1 is scanned as periodic: its delays 0 and 2 pi
-    are one state, so its columns leave out the upper edge and wrap for
-    the peaks. Each row is read by :func:`_scan_row` on its own basis,
+    are one state, so its columns leave out the upper edge and wrap.
+    Each row is read by :func:`_scan_row` on its own basis,
     ``quantum._basis`` of its |p_s| plus |p_a|, with FFTs at the power of
     two n >= 4(l_max + 1); a column's
     score is its best transformed sample in its t_2 window
@@ -433,9 +437,8 @@ def _scan_starts(prob: OptimizationProblem) -> list[tuple[float, float]]:
     score = np.array([_scan_row(prob, sign * m, flights, windows,
                                 quantum._basis(m + abs(prob.p_a)))
                       for m in mags])
-    ps = [sign * m for m in mags]
-    return [(ps[k // t1.size], t1[k % t1.size].item())
-            for k in _lattice_peaks(score, periodic)]
+    return ([[(sign * m, t) for t in t1.tolist()] for m in mags], score,
+            periodic)
 
 
 def _scan_row(prob: OptimizationProblem, p_s: float, flights,
@@ -494,10 +497,10 @@ def _weak_laser_seed(prob: OptimizationProblem) -> tuple[float, float]:
     """The one start of a classical laser-first problem whose p_s box
     lies below 0: (p_s, t_1) = (ps_hi, c / ps_hi), ps_hi the box's p_s
     bound nearest 0 and c the best c = p_s t_1 of the problem's
-    weak-laser limit (:func:`_weak_laser_limit`) over [ps_hi t1_hi,
-    ps_hi t1_lo], which holds the seed in the box. The optimum sits on
-    the p_s bound nearest 0, where the objective is nearest its limit,
-    along the ridge p_s t_1 ~ c."""
+    weak-laser limit over [ps_hi t1_hi, ps_hi t1_lo], which holds the
+    seed in the box: the limit's :func:`_solve`, in the one memo of
+    solves. The optimum sits on the p_s bound nearest 0, where the
+    objective is nearest its limit, along the ridge p_s t_1 ~ c."""
     (_, ps_hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
     pa = abs(prob.p_a)
     limit = _WeakLaserLimit(
@@ -505,7 +508,7 @@ def _weak_laser_seed(prob: OptimizationProblem) -> tuple[float, float]:
         bounds=BoundsBox((ps_hi * t1_hi, ps_hi * t1_lo + 0.0), (0.0, 0.0),
                          tuple(pa * t for t in prob.bounds.t_2)),
         objective_sign=prob.objective_sign)
-    _, c = _weak_laser_limit(limit)
+    c = _solve(limit, 0, None).p_s
     return ps_hi, min(max(c / ps_hi, t1_lo), t1_hi)
 
 
@@ -513,15 +516,6 @@ def _weak_laser_seed(prob: OptimizationProblem) -> tuple[float, float]:
 #: maxima lie about pi apart (0.947 at c = -0.85, 0.725 at -4.4, 0.688
 #: at -7.5, ...)
 _LIMIT_STEP = 0.5
-
-
-@lru_cache(maxsize=64)
-def _weak_laser_limit(limit: _WeakLaserLimit) -> tuple[float, float]:
-    """(value, c) at the best c of the weak-laser limit ``limit``: its
-    :func:`_solve`, memoized apart from the solves in a bounded LRU cache
-    keyed on the limit's box, p_a and objective sign."""
-    res = _solve(limit, 0, None)
-    return res.objective, res.p_s
 
 
 def optimize(
@@ -533,8 +527,8 @@ def optimize(
     the inner t_2 scan, on the envelope gradient of :func:`_points`.
 
     ``extra_starts`` adds seeded uniform-random starts on top of the
-    deterministic ones (:func:`_start_points`; the only use of
-    randomness). Results from all
+    deterministic ones, the peaks of the problem's start lattice
+    (:func:`_start_lattice`; the only use of randomness). Results from all
     starts are merged deterministically: best transformed objective,
     ties broken by smaller |p_s|. ``evaluations`` counts value and
     gradient calls. ``stagnated`` is set when no ascent ended above the
@@ -581,39 +575,35 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
     """The one driver of :func:`optimize`, memoized in a bounded LRU
     cache keyed on all its arguments (``defaults`` are constants, and the
     seed of no extra starts is None), so a hit is the cold solve's result.
+    A classical laser-first solve holds its weak-laser limit's solve in
+    the same cache (:func:`_weak_laser_seed`).
 
-    The starts are those of :func:`_start_points` and
-    ``extra_starts`` seeded random points of the box, scored as one
-    batch. The peaks of a classical start lattice (:func:`_start_grid`,
-    :func:`_lattice_peaks` of those scores), every quantum start (the
-    peaks of its scan already) and every extra start each run one
+    The peaks of the problem's start lattice (:func:`_start_lattice`,
+    :func:`_lattice_peaks`), best first, and ``extra_starts`` seeded
+    random points of the box are scored as one batch, and each runs one
     :func:`_ascent` in the scaled box, all in lockstep
-    (:func:`_lockstep`), each round's points one batch of the memo; the
-    other starts stay candidates. A point's numbers do not depend on its
-    batch, so each ascent visits the points it visits alone. An ascent
-    that never left its start ends on the start itself.
+    (:func:`_lockstep`), each round's points one batch of the memo; every
+    lattice point the memo holds stays a candidate. A point's numbers do
+    not depend on its batch, so each ascent visits the points it visits
+    alone. An ascent that never left its start ends on the start itself.
     """
     evaluate = _Objective(prob)
     (ps_lo, ps_hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
-    starts = _start_points(prob)
+    rows, scores, periodic = _start_lattice(prob, evaluate)
+    lattice = sum(rows, [])
+    climbed = list(dict.fromkeys(
+        lattice[k] for k in _lattice_peaks(scores, periodic)))
+    extras = []
     if extra_starts > 0:
         rng = np.random.default_rng(seed)
         for _ in range(extra_starts):
             ps = rng.uniform(ps_lo, ps_hi)
             t1 = rng.uniform(t1_lo, t1_hi) if t1_hi > t1_lo else t1_lo
-            starts.append((ps, t1))
-
-    evaluate.score(starts)
-    scored = [(prob.transform(evaluate[s][0]), *s) for s in starts]
-    fixed = len(starts) - extra_starts
-    climbed = starts[:fixed]
-    if prob.engine is Engine.CLASSICAL:
-        grid = _start_grid(prob)
-        flat = sum(grid, [])
-        peaks = {flat[k] for k in _lattice_peaks(np.array(
-            [[prob.transform(evaluate[s][0]) for s in row] for row in grid]))}
-        climbed = [s for s in climbed if s in peaks]
-    climbed += starts[fixed:]
+            extras.append((ps, t1))
+    climbed += extras
+    evaluate.score(climbed)
+    scored = [(prob.transform(evaluate[s][0]), *s)
+              for s in dict.fromkeys(lattice + extras) if s in evaluate]
     box = _ScaledBox(prob)
 
     def reply(point):
@@ -836,9 +826,10 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
     """One :func:`optimize` per p_a: each row is that call's result, so
     classical rows that share a unit problem (every p_a whose windows'
     caps do not bind) are one memoized solve. p_a values must be positive,
-    in any order, and ``extra_starts`` not negative. Failures are
-    captured per point so a sweep always returns one row per input, in
-    input order.
+    in any order, at most ``defaults.QUANTUM_SWEEP_PA_MAX`` on the quantum
+    engine, and ``extra_starts`` not negative; else ValueError, before any
+    solve. Failures are captured per point so a sweep always returns one
+    row per input, in input order.
     """
     _check_extra_starts(extra_starts)
     p_a_values = list(p_a_values)
@@ -848,7 +839,7 @@ def sweep(prob_template: OptimizationProblem, p_a_values,
             and any(p > defaults.QUANTUM_SWEEP_PA_MAX for p in p_a_values)):
         raise ValueError(
             f"quantum sweeps are limited to p_a <= {defaults.QUANTUM_SWEEP_PA_MAX}"
-            " by default (override by sweeping manually)")
+            "; run optimize for each larger p_a")
 
     rows: list[SweepRow] = []
     for pa in p_a_values:

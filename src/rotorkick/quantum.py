@@ -265,11 +265,6 @@ def _tangent_group(cols: np.ndarray, kicks, filled: np.ndarray) -> np.ndarray:
     return cols
 
 
-def expectation(psi: RotorWavefunction, k: int) -> float:
-    """<cos^k theta> of the state, k = 1 or 2."""
-    return float(observable_scan(psi, k, 0.0)[0])
-
-
 def observable_scan(psi: RotorWavefunction, k: int, dts,
                     jet: bool = False) -> np.ndarray:
     """<cos^k theta> after freely evolving ``psi`` by each time in ``dts``;
@@ -279,8 +274,9 @@ def observable_scan(psi: RotorWavefunction, k: int, dts,
 
     The one home of the band formulas, each band one :func:`core.phase_sum`:
     orientation couples l, l+1 coherences at phase rates l+1, alignment
-    l, l+2 at rates 2l+3 (:func:`expectation` is the dt = 0 sample,
-    :func:`orientation_samples` the FFT of the k = 1 band).
+    l, l+2 at rates 2l+3 (a ``dts`` of 0.0 reads the state's own
+    <cos^k theta>; :func:`orientation_samples` is the FFT of the k = 1
+    band).
     """
     observable_kind(k)
     dts = np.asarray(dts, dtype=float)

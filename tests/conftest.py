@@ -8,8 +8,7 @@ optimize_module = importlib.import_module("rotorkick.optimize")
 
 @pytest.fixture(autouse=True)
 def cold_solves():
-    """Every test starts with an empty memo of solves and of weak-laser
-    limits, so a test that spies on or patches the solver sees a cold
+    """Every test starts with an empty memo of solves, weak-laser limits
+    included, so a test that spies on or patches the solver sees a cold
     solve whatever ran before it."""
     optimize_module._solve.cache_clear()
-    optimize_module._weak_laser_limit.cache_clear()

@@ -17,10 +17,11 @@ from oracles import (brute_force_prompt, brute_force_weak_laser_limit,
                      expm_kick, grid_propagate)
 from rotorkick import (KCL, Branch, Engine, HalfCyclePulse, Kick, KickKind,
                        OptimizationProblem, PulseOrder, apply_kick,
-                       classical_observable, expectation, free_propagate,
-                       ground_state, kick_strength, optimize, run_sequence,
-                       time_from_dimensionless, time_to_dimensionless,
-                       two_kick_observable, two_kick_theta, validate_sequence)
+                       classical_observable, free_propagate, ground_state,
+                       kick_strength, observable_scan, optimize,
+                       run_sequence, time_from_dimensionless,
+                       time_to_dimensionless, two_kick_observable,
+                       two_kick_theta, validate_sequence)
 from rotorkick import defaults
 from rotorkick.optimize import BoundsBox, default_bounds
 from rotorkick.quantum import RotorWavefunction
@@ -234,7 +235,7 @@ def test_08_structural_invariants():
                               Kick(KickKind.SYMMETRIC,
                                    float(rng.uniform(-15, 15)), 0.0))
         sym_only = free_propagate(sym_only, float(rng.uniform(0, 2)))
-        parity_q_exact &= expectation(sym_only, 1) == 0.0
+        parity_q_exact &= observable_scan(sym_only, 1, 0.0)[0] == 0.0
         worst_parity_c = max(worst_parity_c, abs(
             two_kick_observable(float(rng.uniform(-15, 15)), 0.0, 0.3,
                                 [float(rng.uniform(0.1, 2))], k=1)[0]))
@@ -273,7 +274,8 @@ def test_10_weak_laser_limit():
     limit = optimize_module._WeakLaserLimit(
         Engine.CLASSICAL, PulseOrder.LASER_FIRST, 1.0,
         bounds=BoundsBox((-1.2, 0.0), (0.0, 0.0), (0.0, 10.0)))
-    value, c = optimize_module._weak_laser_limit(limit)
+    res = optimize_module._solve(limit, 0, None)
+    value, c = res.objective, res.p_s
     unit = optimize_module._unit_problem(
         OptimizationProblem(Engine.CLASSICAL, PulseOrder.LASER_FIRST, 100.0))
     p_s, t_1 = optimize_module._weak_laser_seed(unit)

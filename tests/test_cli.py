@@ -220,14 +220,42 @@ def test_sweep_annotates_a_bad_pa_first_or_last(capsys, bad):
 
 
 def test_sweep_quantum_rejects_large_pa(capsys):
-    code, _, err = run(capsys, "sweep", "--engine", "quantum",
-                       "--pa-list", "40")
-    assert code == 2 and "quantum sweeps" in err
+    """The cap refuses the whole list, small p_a included: no row."""
+    for pas in ("40", "3,40"):
+        code, out, err = run(capsys, "sweep", "--engine", "quantum",
+                             "--pa-list", pas)
+        assert code == 2 and out == ""
+        assert err == ("rotorkick: error: quantum sweeps are limited to "
+                       "p_a <= 30.0; run optimize for each larger p_a\n")
+
+
+def test_sweep_range_rows_are_the_pa_list_rows(capsys):
+    """``--pa-min/--pa-max/--pa-count`` sweeps the np.linspace values:
+    the same bytes as ``--pa-list`` of those values."""
+    pas = np.linspace(2.0, 3.0, 4).tolist()
+    args = ("sweep", "--engine", "classical", "--order", "simultaneous")
+    code, ranged, _ = run(capsys, *args, "--pa-min", "2", "--pa-max", "3",
+                          "--pa-count", "4")
+    assert code == 0
+    code, listed, _ = run(capsys, *args,
+                          "--pa-list", ",".join(map(repr, pas)))
+    assert code == 0
+    assert ranged == listed
+    assert [line.split(",")[0] for line in ranged.splitlines()[1:]] == [
+        CSV_NUM(p) for p in pas]
 
 
 def test_sweep_needs_a_grid(capsys):
     code, _, err = run(capsys, "sweep", "--engine", "classical")
     assert code == 2 and "rotorkick: error:" in err
+    # a range needs two positive points
+    for bounds in (("--pa-min", "2", "--pa-max", "3", "--pa-count", "1"),
+                   ("--pa-min", "0", "--pa-max", "3")):
+        code, out, err = run(capsys, "sweep", "--engine", "classical",
+                             *bounds)
+        assert code == 2 and out == ""
+        assert err == ("rotorkick: error: need 0 < --pa-min < --pa-max and "
+                       "--pa-count >= 2\n")
 
 
 def test_convert_kcl_hcp(capsys):

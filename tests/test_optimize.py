@@ -12,9 +12,8 @@ from rotorkick.core import (Branch, Engine, ObjectiveSign, OptimizationResult,
                             PulseOrder)
 from rotorkick.errors import NonFiniteValue
 from rotorkick.optimize import (CSV_HEADER, BoundsBox, OptimizationProblem,
-                                _start_points, default_bounds,
-                                evaluate_objective, optimize, result_csv_row,
-                                sweep)
+                                default_bounds, evaluate_objective, optimize,
+                                result_csv_row, sweep)
 
 TWO_PI = 2.0 * math.pi
 # the package re-exports the function `optimize` under the module's name
@@ -25,6 +24,15 @@ def classical_problem(order=PulseOrder.LASER_FIRST, p_a=10.0,
                       branch=Branch.PROMPT, **kw):
     return OptimizationProblem(engine=Engine.CLASSICAL, order=order,
                                p_a=p_a, branch=branch, **kw)
+
+
+def start_points(prob):
+    """The distinct points of the start lattice of ``prob``
+    (``_start_lattice``, a classical one scored on a memo of its own),
+    row by row: the points a solve takes its deterministic starts from."""
+    rows, _, _ = optimize_module._start_lattice(
+        prob, optimize_module._Objective(prob))
+    return list(dict.fromkeys(sum(rows, [])))
 
 
 def in_box(box, res):
@@ -139,7 +147,7 @@ def test_orientation_flips_with_pa_sign(simul10):
 def test_optimizer_not_worse_than_any_start(simul10):
     prob = classical_problem(order=PulseOrder.SIMULTANEOUS)
     best_start = max(prob.transform(evaluate_objective(prob, ps, t1)[0])
-                     for ps, t1 in _start_points(prob))
+                     for ps, t1 in start_points(prob))
     assert prob.transform(simul10.objective) >= best_start - 1e-12
 
 
@@ -503,9 +511,9 @@ def test_classical_solves_climb_at_most_4_deterministic_starts(monkeypatch,
             unit = optimize_module._unit_problem(
                 classical_problem(order=order, p_a=p_a, branch=branch))
             # solved first, the weak-laser limit's ascents go uncounted
-            starts = _start_points(unit)
-            ascents.clear()
             optimize_module._solve.cache_clear()
+            starts = start_points(unit)
+            ascents.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(optimize_module, "_ascent", counted)
                 optimize_module._solve(unit, 0, None)
@@ -534,7 +542,7 @@ def test_extra_starts_find_nothing_above_the_weak_laser_seed(pas, p_s):
         prob = classical_problem(p_a=p_a, bounds=replace(box, p_s=p_s)
                                  if p_s else None)
         unit = optimize_module._unit_problem(prob)
-        [(r, t_1)] = _start_points(unit)
+        [(r, t_1)] = start_points(unit)
         assert r == unit.bounds.p_s[1]
         assert unit.bounds.t_1[0] <= t_1 <= unit.bounds.t_1[1]
         seeded = abs(optimize(prob).objective)
@@ -683,14 +691,14 @@ def test_a_second_identical_optimize_evaluates_nothing(monkeypatch):
 def test_a_sweep_of_one_unit_problem_makes_one_solve(monkeypatch):
     """The README HCP-first sweep: every p_a shares the unit problem, so
     the starts are built once, and each row is its ``optimize`` row."""
-    start_points = optimize_module._start_points
+    lattice = optimize_module._start_lattice
     calls = []
 
-    def spy(prob):
+    def spy(prob, evaluate):
         calls.append(prob)
-        return start_points(prob)
+        return lattice(prob, evaluate)
 
-    monkeypatch.setattr(optimize_module, "_start_points", spy)
+    monkeypatch.setattr(optimize_module, "_start_lattice", spy)
     pas = [10.0, 20.0, 50.0, 100.0]
     rows = sweep(classical_problem(order=PulseOrder.HCP_FIRST), pas)
     assert len(calls) == 1
@@ -698,6 +706,31 @@ def test_a_sweep_of_one_unit_problem_makes_one_solve(monkeypatch):
     for p_a, row in zip(pas, rows):
         alone = optimize(classical_problem(order=PulseOrder.HCP_FIRST, p_a=p_a))
         assert result_csv_row(row.result) == result_csv_row(alone)
+
+
+def test_a_cold_laser_first_solve_builds_each_start_grid_once(monkeypatch):
+    """A cold classical laser-first solve builds the start grid of its
+    unit problem and of its weak-laser limit once each, and the limit is
+    a solve in the one memo of solves: a miss there, and gone when that
+    memo is cleared."""
+    start_grid, calls = optimize_module._start_grid, []
+
+    def spy(prob):
+        calls.append(prob)
+        return start_grid(prob)
+
+    monkeypatch.setattr(optimize_module, "_start_grid", spy)
+    unit = optimize_module._unit_problem(classical_problem(p_a=100.0))
+    optimize(classical_problem(p_a=100.0))
+    assert len(calls) == 2 and calls[0] == unit
+    limit = calls[1]
+    assert isinstance(limit, optimize_module._WeakLaserLimit)
+    info = optimize_module._solve.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    optimize_module._solve.cache_clear()
+    optimize_module._weak_laser_seed(unit)
+    assert optimize_module._solve.cache_info().misses == 1
+    assert calls[2:] == [limit]
 
 
 def test_the_solve_memo_is_bounded():
@@ -830,7 +863,7 @@ def test_starts_of_a_box_spanning_zero_lie_in_the_box(engine, monkeypatch):
                                                                  p)
                         assert starts == expected
                     else:
-                        starts = _start_points(p)
+                        starts = start_points(p)
                         assert len(starts) >= 4
                     assert all(lo <= ps <= hi and t1_lo <= t1 <= t1_hi
                                for ps, t1 in starts), (p.bounds, starts)
@@ -916,11 +949,29 @@ REVIVAL20 = OptimizationResult(
     engine=Engine.CLASSICAL, evaluations=4, on_boundary=True)
 
 
-def test_quantum_sweep_strength_guard():
+def test_quantum_sweep_strength_guard(monkeypatch):
+    """A quantum sweep takes p_a up to ``defaults.QUANTUM_SWEEP_PA_MAX``
+    and refuses a list holding a larger one as a whole, before any
+    solve, naming the way round it; a classical sweep has no cap."""
+    solved = []
+
+    def stub(prob, extra_starts=0, seed=None):
+        solved.append(prob.p_a)
+
     template = OptimizationProblem(engine=Engine.QUANTUM,
                                    order=PulseOrder.LASER_FIRST, p_a=5.0)
     with pytest.raises(ValueError, match="quantum sweeps"):
         sweep(template, [40.0])
+    monkeypatch.setattr(optimize_module, "optimize", stub)
+    cap = defaults.QUANTUM_SWEEP_PA_MAX
+    with pytest.raises(ValueError, match=(
+            rf"quantum sweeps are limited to p_a <= {cap}; "
+            r"run optimize for each larger p_a$")):
+        sweep(template, [3.0, math.nextafter(cap, math.inf)])
+    assert solved == []
+    assert [row.p_a for row in sweep(template, [3.0, cap])] == [3.0, cap]
+    sweep(replace(template, engine=Engine.CLASSICAL), [40.0])
+    assert solved == [3.0, cap, 40.0]
 
 
 def test_csv_row_format(simul10):
@@ -1078,10 +1129,21 @@ DEFAULT_PROBLEMS = [
     "prob", DEFAULT_PROBLEMS,
     ids=[f"{p.engine.value}-{p.order.value}-{p.branch.value}-{p.p_a:g}"
          for p in DEFAULT_PROBLEMS])
-def test_starts_are_distinct(prob):
+def test_starts_are_distinct(prob, monkeypatch):
+    """A solve climbs distinct starts: a start lattice may repeat a point
+    (a classical grid whose delays the box clamps together), and the
+    solve climbs it once."""
+    ascents, ascent = [], optimize_module._ascent
+
+    def counted(*args):
+        ascents.append(tuple(args[0].tolist()))
+        return ascent(*args)
+
+    monkeypatch.setattr(optimize_module, "_ascent", counted)
     for p in (prob, optimize_module._unit_problem(prob)):
-        starts = _start_points(p)
-        assert len(set(starts)) == len(starts), (p, starts)
+        ascents.clear()
+        optimize_module._solve(p, 0, None)
+        assert len(set(ascents)) == len(ascents), (p, ascents)
 
 
 def quantum_problem(order=PulseOrder.LASER_FIRST, p_a=10.0,
@@ -1141,17 +1203,24 @@ def brute_force_peaks(scores, periodic=False) -> list[int]:
     return sorted(peaks, key=lambda k: -scores[k // cols][k % cols])
 
 
+class _StartsScored(Exception):
+    """Raised by a spy on the memo's first batch to end a solve there."""
+
+
 def scan_starts_and_peaks(monkeypatch, prob):
-    """The starts of the quantum problem ``prob`` and the points its
-    landscape scan should give: the min(4, #peaks) best peaks of the
-    scan's scores (:func:`brute_force_peaks`), best first, read off the
-    rows' p_s and the columns' delays the scan used."""
-    rows, seen = [], {}
+    """The starts a solve of the quantum problem ``prob`` scores as its
+    first batch and the points its landscape scan should give: the
+    min(4, #peaks) best peaks of the scan's scores
+    (:func:`brute_force_peaks`), best first, read off the rows' p_s and
+    the columns' delays the scan used."""
+    rows, scored, seen = [], [], {}
     scan_row, phases = optimize_module._scan_row, quantum.flight_phases
 
     def row(prob, p_s, *args):
         rows.append(p_s)
-        return scan_row(prob, p_s, *args)
+        out = scan_row(prob, p_s, *args)
+        scored.append(out.tolist())
+        return out
 
     def flights(l_max, t):
         seen.setdefault("t1", t.tolist())
@@ -1161,16 +1230,23 @@ def scan_starts_and_peaks(monkeypatch, prob):
         seen.update(scores=scores.tolist(), periodic=periodic)
         return lattice_peaks(scores, periodic)
 
+    def first_batch(evaluate, points):
+        seen["starts"] = list(points)
+        raise _StartsScored
+
     lattice_peaks = optimize_module._lattice_peaks
     with monkeypatch.context() as patch:
         patch.setattr(optimize_module, "_scan_row", row)
         patch.setattr(quantum, "flight_phases", flights)
         patch.setattr(optimize_module, "_lattice_peaks", peaks)
-        starts = _start_points(prob)
+        patch.setattr(optimize_module._Objective, "score", first_batch)
+        with pytest.raises(_StartsScored):
+            optimize_module._solve(prob, 0, None)
     t1 = seen["t1"]
+    assert seen["scores"] == scored
     best = brute_force_peaks(seen["scores"], seen["periodic"])
-    return starts, [(rows[k // len(t1)], t1[k % len(t1)])
-                    for k in best[:optimize_module._SCAN_PEAKS]]
+    return seen["starts"], [(rows[k // len(t1)], t1[k % len(t1)])
+                            for k in best[:optimize_module._SCAN_PEAKS]]
 
 
 # (scores, periodic) of the peak rule's cases: 1-D walled, 2-D walled,

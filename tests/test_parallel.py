@@ -17,10 +17,11 @@ import pytest
 from rotorkick.core import Branch, Engine, PulseOrder
 from rotorkick.errors import ConvergenceFailure
 from rotorkick.optimize import (OptimizationProblem, _ascent, _lockstep,
-                                _start_grid, _start_points,
-                                evaluate_objective, optimize, sweep)
+                                _start_grid, evaluate_objective, optimize,
+                                sweep)
 
-from test_optimize import REVIVAL20, brute_force_peaks, classical_problem
+from test_optimize import (REVIVAL20, brute_force_peaks, classical_problem,
+                           start_points)
 
 # the package re-exports the function `optimize` under the module's name
 optimize_module = importlib.import_module("rotorkick.optimize")
@@ -49,15 +50,14 @@ def assert_no_children():
 def lattice_climbed(unit):
     """The deterministic starts the classical solve of ``unit`` climbs,
     by brute force: the points of its start lattice that no neighbour
-    beats (:func:`brute_force_peaks`), the 4 best, in start order; and
-    the lattice's scores by point."""
+    beats (:func:`brute_force_peaks`), the 4 best, best first; and the
+    lattice's scores by point."""
     grid = _start_grid(unit)
     score = {s: unit.transform(evaluate_objective(unit, *s)[0])
              for row in grid for s in row}
     flat = sum(grid, [])
-    best = {flat[k] for k in brute_force_peaks(
-        [[score[s] for s in row] for row in grid])[:4]}
-    return [s for s in _start_points(unit) if s in best], score
+    return list(dict.fromkeys(flat[k] for k in brute_force_peaks(
+        [[score[s] for s in row] for row in grid])[:4])), score
 
 
 def alone(prob, start):
@@ -91,10 +91,12 @@ def test_parallel_equals_serial(name, monkeypatch):
     evaluation count, the union of the starts and the points the ascents
     evaluate."""
     prob, kwargs = PROBLEMS[name]
+    extra = kwargs.get("extra_starts", 0)
     unit = optimize_module._unit_problem(prob)
-    # a laser-first seed comes from the memoized weak-laser limit, solved
-    # here first, so the spies see the solve's own batches and ascents
-    _start_points(unit)
+    # a laser-first seed comes from the weak-laser limit's solve, in the
+    # memo of solves, solved here first, so the spies see the solve's own
+    # batches and ascents
+    lattice = start_points(unit)
     score, batches, ascents = optimize_module._Objective.score, [], []
 
     def spy(evaluate, points):
@@ -107,26 +109,28 @@ def test_parallel_equals_serial(name, monkeypatch):
 
     monkeypatch.setattr(optimize_module._Objective, "score", spy)
     monkeypatch.setattr(optimize_module, "_ascent", ascent)
-    res = optimize_module._solve(unit, kwargs.get("extra_starts", 0),
-                                 kwargs.get("seed"))
-    starts = batches[0]  # the starts are the first batch
+    res = optimize_module._solve(unit, extra, kwargs.get("seed"))
+    classical = unit.engine is Engine.CLASSICAL
+    if classical:  # its start lattice is scored first, as one batch
+        assert batches.pop(0) == lattice
+    starts = batches[0]  # then the climbed starts and the extra ones
+    # the candidates: every start, and every point of a classical lattice
+    held = list(dict.fromkeys((lattice if classical else []) + starts))
     box = optimize_module._ScaledBox(unit)
-    assert len(starts) >= 8
+    assert len(held) >= 8
     scored = [(unit.transform(evaluate_objective(unit, *s)[0]), *s)
-              for s in starts]
-    # one ascent from each deterministic start a solve climbs, in start
-    # order, then one from each extra start: every start of the scan's
-    # peaks, and of a classical lattice its best 4 peaks
-    fixed = len(_start_points(unit))
+              for s in held]
+    # one ascent from each start, in order: the peaks of the start
+    # lattice a solve climbs, best first, then each extra start; of a
+    # quantum scan its best peaks, of a classical lattice its best 4
+    fixed = len(starts) - extra
     scaled = [box.scaled(s).tolist() for s in starts]
     climbed = [scaled.index(u.tolist()) for u in ascents]
-    kept = climbed[:len(climbed) - (len(starts) - fixed)]
-    assert climbed == kept + list(range(fixed, len(starts)))
-    if unit.engine is Engine.QUANTUM:
-        assert kept == list(range(fixed))
-    else:
+    assert climbed == list(range(len(starts)))
+    assert 1 <= fixed <= optimize_module._SCAN_PEAKS
+    if classical:
         peaks, height = lattice_climbed(unit)
-        assert [starts[i] for i in kept] == peaks
+        assert starts[:fixed] == peaks
         # a dropped grid start has a lattice neighbour as high as it
         grid = _start_grid(unit)
         for i, row in enumerate(grid):
@@ -135,11 +139,11 @@ def test_parallel_equals_serial(name, monkeypatch):
                     assert any(height[t] >= height[s]
                                for near in grid[max(i - 1, 0):i + 2]
                                for t in near[max(j - 1, 0):j + 2] if t != s)
-    runs = [alone(unit, starts[i]) for i in climbed]
+    runs = [alone(unit, s) for s in starts]
     best = max([end for end, _ in runs] + scored,
                key=lambda c: (c[0], -abs(c[1])))
     assert (unit.transform(res.objective), res.p_s, res.t_1) == best
-    assert res.evaluations == len(set(starts).union(
+    assert res.evaluations == len(set(held).union(
         *(seen for _, seen in runs)))
     if name == "classical-revival-20":
         assert optimize(prob) == REVIVAL20
@@ -169,7 +173,7 @@ def failing_away_from_the_starts(monkeypatch, prob):
     first point of a batch that is not a start point the solver uses,
     those of the scale-free problem, so it raises only inside the
     ascents."""
-    starts = set(_start_points(optimize_module._unit_problem(prob)))
+    starts = set(start_points(optimize_module._unit_problem(prob)))
     points = optimize_module._points
 
     def failing(prob, batch, l_max=None):

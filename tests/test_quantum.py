@@ -10,10 +10,10 @@ from rotorkick.core import (Kick, KickKind, PulseOrder, two_pulse_sequence,
                             validate_sequence)
 from rotorkick.errors import BasisOverflow, NonFiniteValue
 from rotorkick.quantum import (RotorWavefunction, apply_kick, cos2_bands,
-                               cos_offdiag, expectation, free_propagate,
-                               ground_state, kick_operator, observable_scan,
-                               orientation_samples,
-                               run_sequence, two_kick_state)
+                               cos_offdiag, free_propagate, ground_state,
+                               kick_operator, observable_scan,
+                               orientation_samples, run_sequence,
+                               two_kick_state)
 
 
 def normalized(coeffs) -> RotorWavefunction:
@@ -121,8 +121,8 @@ def test_basis_overflow_raises(monkeypatch):
 def test_known_expectations():
     y1 = np.zeros(7, dtype=complex)
     y1[1] = 1.0
-    assert expectation(RotorWavefunction(y1), 2) == pytest.approx(3.0 / 5.0)
-    assert expectation(RotorWavefunction(y1), 1) == 0.0
+    assert observable_scan(RotorWavefunction(y1), 2, 0.0)[0] == pytest.approx(3.0 / 5.0)
+    assert observable_scan(RotorWavefunction(y1), 1, 0.0)[0] == 0.0
 
     mix = np.zeros(7, dtype=complex)
     mix[0] = mix[1] = 1.0 / math.sqrt(2.0)
@@ -137,7 +137,7 @@ def test_observable_scan_matches_pointwise_evolution():
     ts = np.linspace(0.0, 2.0, 17)
     for k in (1, 2):
         scanned = observable_scan(psi, k, ts)
-        stepped = [expectation(free_propagate(psi, t), k) for t in ts]
+        stepped = [observable_scan(free_propagate(psi, t), k, 0.0)[0] for t in ts]
         assert scanned == pytest.approx(stepped, abs=1e-12)
 
 
@@ -270,7 +270,7 @@ def test_pipeline_matches_grid_oracle():
         psi = apply_kick(psi, kick)
     n = min(psi.coeffs.size, ref.size)
     assert np.max(np.abs(psi.coeffs[:n] - ref[:n])) < 1e-8
-    assert grid_expectation(ref, 1) == pytest.approx(expectation(psi, 1),
+    assert grid_expectation(ref, 1) == pytest.approx(observable_scan(psi, 1, 0.0)[0],
                                                      abs=1e-8)
 
 
@@ -319,7 +319,7 @@ def test_sampling_at_kick_time_sees_the_kick():
     seq = validate_sequence([Kick(KickKind.ASYMMETRIC, 3.0, 0.0)])
     series = run_sequence(seq, [0.0, 0.1], k=2)
     psi = apply_kick(ground_state(30), seq.kicks[0])
-    assert series.values[0] == pytest.approx(expectation(psi, 2), abs=1e-12)
+    assert series.values[0] == pytest.approx(observable_scan(psi, 2, 0.0)[0], abs=1e-12)
 
 
 def test_check6_optimum_converged_in_basis_size():
