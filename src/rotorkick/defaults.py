@@ -7,9 +7,10 @@ overridden. Everything else is fixed here, and the engines read it at
 call time: the caps ``QUADRATURE_TOL``, ``NODE_CAP`` and ``L_MAX_CAP``,
 the power-of-two node ladder of :func:`ensemble_nodes`, ``TAIL_TOL``,
 ``TAIL_MARGIN``, ``TIME_REFINE_TOL``, ``REVIVAL_WINDOW``, ``ASCENT_*``,
-``QUANTUM_SWEEP_PA_MAX``, the ``PS_RATIO_*`` defaults and ``scan_step``.
-The rules are functions of the kick strengths so that classical results
-respect the exact scaling invariance
+``QUANTUM_SWEEP_PA_MAX``, the ``PS_RATIO_*`` defaults and ``scan_step``,
+the classical t_2 grid's step (the quantum FFT takes its length from
+the basis). The rules are functions of the kick strengths so that
+classical results respect the exact scaling invariance
 (p_s, p_a, t_1, t_2) -> (lam*p_s, lam*p_a, t_1/lam, t_2/lam).
 """
 
@@ -80,12 +81,12 @@ def quantum_l_max(total_strength: float) -> int:
 
 
 def scan_step(total_strength: float) -> float:
-    """Largest first-scan step of the optimizer's t_2 finder: 0.05 / P,
-    P the total kick strength (at least 1), as the fastest beats of both
-    engines scale with P.
+    """Largest step of the classical t_2 finder's first scan, an even
+    grid from edge to edge of the window: 0.05 / P, P the total kick
+    strength (at least 1), as the fastest classical beats scale with P.
 
-    The classical grid uses this step; the quantum FFT uses the smallest
-    power-of-two length whose sample spacing 2 pi / n is within it.
+    The quantum first scan is an FFT whose length the basis sets
+    (``quantum.orientation_samples``), so it does not read this step.
     """
     return 0.05 / max(total_strength, 1.0)
 

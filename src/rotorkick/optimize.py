@@ -171,11 +171,11 @@ def _points(prob: OptimizationProblem, points,
 
     Each point's window (:func:`_t2_window`; an empty one, lo > hi, is
     scored at hi) gets the engine's first scan (:func:`_classical_scan`,
-    :func:`_quantum_scans`), then :func:`_polish` from its best sample
-    within one sample spacing each side, clipped to the window, or from
-    the midpoint of a window holding no sample. The gradient is the
-    envelope's: the partial derivative at the returned t_2, read off the
-    tangents the engine carried through the kicks, plus the slope times
+    :func:`_quantum_scans`), which samples its edges, then
+    :func:`_polish` from its best sample within one sample spacing each
+    side, clipped to the window. The gradient is the envelope's: the
+    partial derivative at the returned t_2, read off the tangents the
+    engine carried through the kicks, plus the slope times
     dt_2/dt_1 = -1 where t_2 sits on an edge of the quantum revival
     window, which moves with t_1. A point's numbers do not depend on its
     batch; quantum points whose tail a kick fills are read again on a
@@ -194,13 +194,10 @@ def _points(prob: OptimizationProblem, points,
         lo, hi = _t2_window(prob, t_1)
         lo = min(lo, hi)
         ts, values, h, jet, tangents = scan(lo, hi)
-        if ts.size:
-            j = int(np.argmax(prob.transform(values)))
-            t = min(max(ts[j], lo), hi)
-            value, t_2 = _polish(prob, jet, max(lo, t - h), t,
-                                 min(hi, t + h), values[j])
-        else:
-            value, t_2 = _polish(prob, jet, lo, 0.5 * (lo + hi), hi, None)
+        j = int(np.argmax(prob.transform(values)))
+        t = min(max(ts[j], lo), hi)
+        value, t_2 = _polish(prob, jet, max(lo, t - h), t, min(hi, t + h),
+                             values[j])
         grad = tangents(t_2)
         if t_2 in (lo, hi) and t_2 not in prob.bounds.t_2:
             grad[1] -= jet(t_2)[1]  # on the edge 2 pi - t_1 (- Delta)
@@ -237,25 +234,31 @@ def _quantum_scans(prob: OptimizationProblem, ps, t1,
     where a kick filled its tail), and the basis they are read on.
 
     The basis is ``l_max``, by default that of the box's largest |p_s|
-    plus |p_a|, and the FFT length n the smallest power of two with
-    n >= 4(l_max + 1) and 2 pi / n <= ``scan_step`` of that strength. The
-    points take their kicks together (:func:`quantum.two_kick_tangents`)
-    and their first scans from one FFT of K rows; orientation has period
-    2 pi, so a window's samples are read mod n.
+    plus |p_a|. The points take their kicks together
+    (:func:`quantum.two_kick_tangents`) and their first scans from one
+    FFT of K rows (:func:`quantum.orientation_samples`, of the length n
+    its basis sets, as in the landscape scan); orientation has period
+    2 pi, so a window's samples are read mod n. A window shorter than one
+    period adds its two edges, read by one :func:`quantum.observable_scan`,
+    as the classical grid samples its edges.
     """
     strength = max(map(abs, prob.bounds.p_s)) + abs(prob.p_a)
     l_max = quantum._basis(strength, l_max)
     cols, filled = quantum.two_kick_tangents(ps, prob.p_a, t1, prob.order,
                                              l_max)
-    n = 1 << (max(4 * (l_max + 1), math.ceil(
-        REVIVAL_PERIOD / defaults.scan_step(strength))) - 1).bit_length()
+    samples = quantum.orientation_samples(cols[:, 0])
+    n = samples.shape[-1]
     h = REVIVAL_PERIOD / n
-    samples = quantum.orientation_samples(cols[:, 0], n)
 
     def scan(rows, values, lo, hi):
         psi = quantum.RotorWavefunction(rows[0])
         idx = _window_samples(lo, hi, h, n)
-        return (idx * h, values[idx % n], h,
+        ts, values = idx * h, values[idx % n]
+        if idx.size < n:  # a window shorter than one period: its edges
+            ts = np.append(ts, [lo, hi])
+            values = np.append(values,
+                               quantum.observable_scan(psi, 1, [lo, hi]))
+        return (ts, values, h,
                 partial(quantum.observable_scan, psi, 1, jet=True),
                 partial(quantum.orientation_tangents, psi, rows[1:]))
 
@@ -264,24 +267,24 @@ def _quantum_scans(prob: OptimizationProblem, ps, t1,
 
 
 def _polish(prob: OptimizationProblem, jet, a: float, t: float, b: float,
-            value: float | None) -> tuple[float, float]:
+            value: float) -> tuple[float, float]:
     """Safeguarded Newton ascent of the score from the sample t in [a, b].
 
     ``jet(t)`` is (f, f', f'') of the signed orientation, ``value`` the
-    first scan's f at t (None if there is no sample). Each iterate keeps
-    the side of [a, b] that the score rises to, then steps to the Newton
-    point t - f'/f'' (clipped to [a, b]) if that moves uphill by at most
-    half the last step, else to the midpoint of [a, b], as rtsafe of
-    Numerical Recipes does; the steps shrink at least geometrically. The
-    polish ends on the iterate after a step of at most
-    ``defaults.TIME_REFINE_TOL``, or when [a, b] has shrunk to t, so a
-    peak cut by the window's edge ends on the edge. Returns the best
+    first scan's f at t. Each iterate keeps the side of [a, b] that the
+    score rises to, then steps to the Newton point t - f'/f'' (clipped to
+    [a, b]) if that moves uphill by at most half the last step, else to
+    the midpoint of [a, b], as rtsafe of Numerical Recipes does; the
+    steps shrink at least geometrically. The polish ends on the iterate
+    after a step of at most ``defaults.TIME_REFINE_TOL``, or when [a, b]
+    has shrunk to t, so a peak cut by the window's edge, whose first
+    scan's best sample is that edge, ends on the edge. Returns the best
     (f, t) scored, the start included.
     """
     best, t_best, last_step, done = value, t, b - a, False
     while True:
         f, slope, curve = map(float, jet(t))
-        if best is None or prob.transform(f) > prob.transform(best):
+        if prob.transform(f) > prob.transform(best):
             best, t_best = f, t
         if done:
             break
@@ -405,10 +408,10 @@ def _scan_starts(prob: OptimizationProblem) -> tuple:
     of one period in t_1 is scanned as periodic: its delays 0 and 2 pi
     are one state, so its columns leave out the upper edge and wrap.
     Each row is read by :func:`_scan_row` on its own basis,
-    ``quantum._basis`` of its |p_s| plus |p_a|, with FFTs at the power of
-    two n >= 4(l_max + 1); a column's
-    score is its best transformed sample in its t_2 window
-    (:func:`_t2_window`, read mod n as :func:`_quantum_scans` reads it).
+    ``quantum._basis`` of its |p_s| plus |p_a|, with FFTs of
+    :func:`quantum.orientation_samples`; a column's score is its best
+    transformed sample in its t_2 window (:func:`_t2_window`, read mod n
+    as :func:`_quantum_scans` reads it, without the edges).
     """
     (t1_lo, t1_hi) = prob.bounds.t_1
     sign, mag_lo, mag_hi = _p_s_side(prob.bounds)
@@ -453,12 +456,12 @@ def _scan_row(prob: OptimizationProblem, p_s: float, flights,
     while True:
         flight, j = flights(l_max), 0
         out = np.empty(flight.shape[1])
-        n = 1 << (4 * (l_max + 1) - 1).bit_length()
         for rows, filled in quantum.two_kick_delays(
                 p_s, prob.p_a, flight, prob.order, _SCAN_BLOCK):
             if filled:
                 break
-            samples = quantum.orientation_samples(rows, n)
+            samples = quantum.orientation_samples(rows)
+            n = samples.shape[-1]
             for (lo, hi), cols in windows.items():
                 cols = [c - j for c in cols if j <= c < j + len(rows)]
                 if not cols:  # a window of other blocks' columns
@@ -467,10 +470,8 @@ def _scan_row(prob: OptimizationProblem, p_s: float, flights,
                 part = samples[cols] if len(windows) > 1 else samples
                 if idx.size < n:  # a window shorter than one period
                     part = part[:, idx % n]
-                best = part.max(axis=1, initial=-np.inf)
-                if prob.objective_sign is ObjectiveSign.MAXIMIZE_ABS:
-                    best = np.maximum(best, -part.min(axis=1, initial=np.inf))
-                out[j:][cols] = best
+                out[j:][cols] = prob.transform(part).max(axis=1,
+                                                         initial=-np.inf)
             j += len(rows)
         else:
             return out

@@ -295,31 +295,24 @@ def observable_scan(psi: RotorWavefunction, k: int, dts,
     return mean + phase_sum(weights, 0.0, rates, np.atleast_1d(dts))
 
 
-def orientation_samples(psi, n: int) -> np.ndarray:
+def orientation_samples(psi) -> np.ndarray:
     """<cos theta> after freely evolving ``psi`` by dt = 2 pi j / n,
     j = 0..n-1, from one FFT; ``psi`` is a state, or an array of K rows
-    of coefficients, which gives K rows of samples.
+    of coefficients, which gives K rows of samples. n, the last axis of
+    the result, is the power of two n >= 4(l_max + 1).
 
     Orientation is 2 Re sum_{m=1..l_max} q_{m-1} exp(-i m dt), a real
     trigonometric polynomial of period 2 pi, so one real-output transform
     (``np.fft.hfft``) of the beats q samples it exactly on the uniform
-    grid once n > l_max: a rate m above n/2 is the rate n - m of the
-    conjugate beat, and the rate n/2 counts twice. The transform is taken
-    as ``hfft`` takes it, an unscaled ``irfft`` of the conjugate
+    grid, whose n/2 > l_max holds every rate unaliased. The transform is
+    taken as ``hfft`` takes it, an unscaled ``irfft`` of the conjugate
     spectrum, which is filled in directly.
     """
     coeffs = getattr(psi, "coeffs", psi)
     beats, l_max = orientation_beats(coeffs), coeffs.shape[-1] - 1
-    if n <= l_max:
-        raise ValueError(f"n = {n} must exceed l_max = {l_max}: "
-                         "beat frequencies would alias")
-    half = n // 2
-    low = min(l_max, half)
-    spectrum = np.zeros(beats.shape[:-1] + (half + 1,), dtype=complex)
-    spectrum[..., 1:low + 1] = np.conj(beats[..., :low])
-    spectrum[..., n - l_max:n - low] += beats[..., low:][..., ::-1]
-    if n % 2 == 0:
-        spectrum[..., half] *= 2.0
+    n = 1 << (4 * (l_max + 1) - 1).bit_length()
+    spectrum = np.zeros(beats.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spectrum[..., 1:l_max + 1] = np.conj(beats)
     return np.fft.irfft(spectrum, n, norm="forward")
 
 

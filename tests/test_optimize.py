@@ -215,13 +215,13 @@ CHECK6 = FINDER_PAIRS[1]
 
 
 def _fft_step(prob):
-    """The quantum finder's FFT sample spacing for a problem: its basis
-    and its scan step are those of the box's largest |p_s| plus p_a."""
+    """The quantum finder's FFT sample spacing for a problem: 2 pi / n, n
+    the power of two n >= 4(l_max + 1) on the basis of the box's largest
+    |p_s| plus p_a."""
     strength = max(map(abs, prob.bounds.p_s)) + abs(prob.p_a)
     l_max = defaults.quantum_l_max(strength)
-    step = defaults.scan_step(strength)
     n = 1
-    while n < 4 * (l_max + 1) or TWO_PI / n > step:
+    while n < 4 * (l_max + 1):
         n *= 2
     return TWO_PI / n
 
@@ -277,12 +277,13 @@ def test_quantum_t2_finder_makes_one_fft(monkeypatch):
         real = getattr(quantum, name)
 
         def counted(*args, **kwargs):
-            calls.append((name, size(*args), kwargs, args[0]))
-            return real(*args, **kwargs)
+            out = real(*args, **kwargs)
+            calls.append((name, size(*args, out), kwargs, args[0]))
+            return out
         monkeypatch.setattr(quantum, name, counted)
 
-    spy("observable_scan", lambda psi, k, dts: np.size(dts))
-    spy("orientation_samples", lambda rows, n: (len(rows), n))
+    spy("observable_scan", lambda psi, k, dts, out: np.size(dts))
+    spy("orientation_samples", lambda rows, out: out.shape)
     points = [(p_s, t_1), (p_s - 0.3, t_1 + 0.2), (-2.5, 1.0)]
     optimize_module._points(prob, points)
     (first, size, _, _), *reads = calls
@@ -316,14 +317,13 @@ def test_t2_finder_returns_the_edge_that_cuts_a_peak(pair):
 
 def test_quantum_plus_sign_finds_the_signed_maximum():
     """The check 6 pair dips to -0.864; maximizing the signed value finds
-    the positive peak instead, at least as high as a 2^16-point FFT sees
+    the positive peak instead, at least as high as a 2^16-point scan sees
     it and resolved as a dense scan around it resolves it."""
     _, order, p_a, p_s, t_1 = CHECK6
     prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a,
                                objective_sign=ObjectiveSign.MAXIMIZE_PLUS)
     value, t2 = evaluate_objective(prob, p_s, t_1)
-    fine = quantum.orientation_samples(quantum.two_kick_state(p_s, p_a, t_1),
-                                       1 << 16)
+    fine = _pair_sampler(*CHECK6)(TWO_PI * np.arange(1 << 16) / (1 << 16))
     assert 0.0 < fine.max() <= value
     ts = np.linspace(t2 - 1e-4, t2 + 1e-4, 2001)
     dense = _pair_sampler(*CHECK6)(ts)
@@ -360,6 +360,61 @@ def test_polished_value_never_falls_below_the_first_scan(monkeypatch):
     assert len(starts) == 30
     assert all(found >= first for first, found in starts)
     assert sum(found > first for first, found in starts) >= 20
+
+
+# (p_a, points per order and branch) of the dense-window check
+DENSE_DRAWS = [(3.0, 40), (10.0, 12), (30.0, 4), (100.0, 1)]
+
+
+def test_t2_finder_meets_the_dense_window_maximum():
+    """At random (p_s, t_1) of the default quantum boxes, every order on
+    both branches, the finder's score reaches the window's maximum on a
+    dense grid, the samples of a 2^16-point grid of the period in the
+    window and its two edges, within 1e-12. While the FFT sampled no
+    edge, 30 of 200 laser-first and 15 of 200 HCP-first revival points at
+    p_a = 3 stopped about 1e-6 inside an edge that cut a peak, up to
+    8.1e-7 short, and one laser-first revival point at p_a = 30 ended on
+    an inner peak 1.1e-3 below the window's upper edge.
+
+    Two laser-first revival points at p_a = 3 have their best t_2 on an
+    edge of the window [2 pi - Delta - t_1, 2 pi - t_1]: t_2 is that
+    edge, and the gradient carries the edge's slope term, as central
+    differences in t_1 see it. Before, the polish stopped about 1e-6
+    inside, and the t_1 derivative lacked the term (0.357 against
+    -0.469 at t_1 = 2.94)."""
+    n = 1 << 16
+    grid = TWO_PI * np.arange(n) / n
+    rng = np.random.default_rng(39)
+    for p_a, k in DENSE_DRAWS:
+        for order in PulseOrder:
+            for branch in Branch:
+                prob = OptimizationProblem(engine=Engine.QUANTUM,
+                                           order=order, p_a=p_a,
+                                           branch=branch)
+                l_max = quantum._basis(max(map(abs, prob.bounds.p_s)) + p_a)
+                points = [(rng.uniform(*prob.bounds.p_s),
+                           rng.uniform(*prob.bounds.t_1)) for _ in range(k)]
+                found = optimize_module._points(prob, points)
+                for (p_s, t_1), (value, _, _) in zip(points, found):
+                    lo, hi = optimize_module._t2_window(prob, t_1)
+                    lo = min(lo, hi)
+                    psi = quantum.two_kick_state(p_s, p_a, t_1, order,
+                                                 l_max)
+                    dense = np.append(quantum.observable_scan(
+                        psi, 1, grid[(lo <= grid) & (grid <= hi)]),
+                        quantum.observable_scan(psi, 1, [lo, hi]))
+                    assert abs(value) >= np.abs(dense).max() - 1e-12, \
+                        (p_a, order, branch, p_s, t_1)
+    prob = OptimizationProblem(engine=Engine.QUANTUM,
+                               order=PulseOrder.LASER_FIRST, p_a=3.0,
+                               branch=Branch.REVIVAL)
+    for p_s, t_1, edge in ((2.4, 2.94, 0), (0.8, 2.8, 1)):
+        value, t_2, grad = evaluate_objective(prob, p_s, t_1, gradient=True)
+        assert t_2 == optimize_module._t2_window(prob, t_1)[edge]
+        h = 1e-6
+        central = (evaluate_objective(prob, p_s, t_1 + h)[0]
+                   - evaluate_objective(prob, p_s, t_1 - h)[0]) / (2 * h)
+        assert grad[1] == pytest.approx(central, rel=1e-6, abs=1e-7)
 
 
 C, Q = Engine.CLASSICAL, Engine.QUANTUM
@@ -1056,7 +1111,7 @@ def test_batch_rows_equal_batches_of_one(engine, order, branch, special):
 
 def test_batch_rows_with_no_fft_sample_in_the_window():
     """A t_2 box between two FFT samples: every point of the batch is
-    polished from the window's midpoint, as alone."""
+    polished from the better of the window's edges, as alone."""
     _, order, p_a, p_s, t_1 = CHECK6
     prob = OptimizationProblem(engine=Engine.QUANTUM, order=order, p_a=p_a)
     _, peak = evaluate_objective(prob, p_s, t_1)
@@ -1369,9 +1424,9 @@ def test_a_scan_row_read_in_blocks_equals_one_block(monkeypatch, branch, p_s,
     whole = optimize_module._scan_row(prob, p_s, flights, windows, l_max)
     samples, widths = quantum.orientation_samples, []
 
-    def spy(rows, n):
+    def spy(rows):
         widths.append(len(rows))
-        return samples(rows, n)
+        return samples(rows)
 
     monkeypatch.setattr(quantum, "orientation_samples", spy)
     monkeypatch.setattr(optimize_module, "_SCAN_BLOCK", 5)

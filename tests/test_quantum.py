@@ -227,14 +227,18 @@ def test_observable_scan_jet_matches_the_scan():
                                           abs=1e-5)
 
 
-def test_orientation_samples_refuse_aliasing():
-    psi = two_kick_state(-3.0, 6.0, 0.4)
-    ts = 2.0 * math.pi * np.arange(psi.l_max + 1) / (psi.l_max + 1)
-    assert orientation_samples(psi, psi.l_max + 1) == pytest.approx(
-        observable_scan(psi, 1, ts), abs=1e-13)
-    for n in (psi.l_max, 1):
-        with pytest.raises(ValueError, match="alias"):
-            orientation_samples(psi, n)
+@pytest.mark.parametrize("l_max", [4, 63, 64, 200])
+def test_orientation_samples_take_their_length_from_the_basis(l_max):
+    """n is the power of two n >= 4(l_max + 1), which holds every beat
+    rate up to l_max below n/2, and the samples are the scan's there."""
+    rng = np.random.default_rng(l_max)
+    psi = normalized(rng.normal(size=l_max + 1)
+                     + 1j * rng.normal(size=l_max + 1))
+    samples = orientation_samples(psi)
+    n = samples.shape[-1]
+    assert n & (n - 1) == 0 and n // 2 < 4 * (l_max + 1) <= n
+    ts = 2.0 * math.pi * np.arange(n) / n
+    assert samples == pytest.approx(observable_scan(psi, 1, ts), abs=1e-13)
 
 
 def test_band_formulas_match_the_quadrature_oracle():
