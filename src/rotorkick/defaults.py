@@ -46,7 +46,7 @@ ASCENT_GTOL = 1.0e-9
 ASCENT_MAXITER = 200
 
 #: quantum sweeps are capped at this p_a by default (basis size / cost)
-QUANTUM_SWEEP_PA_MAX = 30.0
+QUANTUM_SWEEP_PA_MAX = 100.0
 
 #: default lower/upper bound on |p_s| as a fraction of p_a
 PS_RATIO_MIN = 0.02

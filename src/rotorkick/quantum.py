@@ -9,11 +9,14 @@ l(l+1)/2 phase rates are integers, as are the rates of the beats that
 
 Kicks are pure phase factors in the angle representation,
 exp(i P cos theta) or exp(i P cos^2 theta), realized here as matrix
-exponentials through the eigen-decomposition of the banded cos / cos^2
-operators. The cos^2 operator is defined as the square of the truncated
-cos matrix, which keeps the two exactly consistent within the basis; the
-symmetric kick therefore block-diagonalizes over even/odd l and parity
-conservation is structural, not numerical.
+exponentials of the banded cos / cos^2 operators in one eigenbasis per
+basis size (:class:`ParityBasis`). The cos^2 operator is defined as the
+square of the truncated cos matrix, which keeps the two exactly
+consistent within the basis: it block-diagonalizes over even/odd l, so
+parity conservation of the symmetric kick is structural, not numerical,
+and the eigenvectors of its two parity blocks, paired through the cos
+matrix, diagonalize the asymmetric kick too. Both kicks are real matrix
+products on the float view of the complex coefficients.
 """
 
 from __future__ import annotations
@@ -88,37 +91,89 @@ def orientation_beats(coeffs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KickOperator:
-    """Banded cos/cos^2 operator with its eigen-decomposition.
+class ParityBasis:
+    """The eigenbasis of both kicks on the basis l = 0..l_max.
 
-    For the asymmetric (cos) kind this is one tridiagonal problem; for
-    the symmetric (cos^2) kind, two independent tridiagonal problems on
-    the even- and odd-l sub-lattices.
+    The cos matrix C couples even l to odd l only, so C^2 (the cos^2
+    operator) splits into an even block and an odd block, and the two
+    share their nonzero eigenvalues mu_k: the squared singular values
+    sigma_k^2 of C's even-odd block (Golub and Kahan, SIAM J. Numer.
+    Anal. B 2, 205 (1965)). ``even`` holds the even block's eigenvectors
+    E and ``odd`` the odd block's O, both ascending in mu, with each O_k
+    signed so that C E_k = sigma_k O_k. For even l_max the even block has
+    one more row, and E's first column is its null vector. C's
+    eigenvectors are then (E_k +- O_k)/sqrt(2) at +-sigma_k, plus that
+    null vector at 0, so the cos^2 eigenbasis serves the cos kick too.
+
+    Each matrix is held twice, as E and as E^T, both F-ordered: the
+    kick multiplies it from the left, and with an F-ordered left factor
+    OpenBLAS (0.3.31, x86-64) rounds a column as it does in any batch of
+    columns, on blocks of up to 384 rows (l_max < 768). Past that, its
+    small-matrix path rounds a batch of 1-3 columns differently. With a
+    C-ordered left factor it rounded batches of some column counts
+    differently at every size tried (20-200 rows).
     """
 
-    kind: KickKind
     l_max: int
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (idx, vals, vecs)
+    mu: np.ndarray     # (n_odd,) ascending
+    even: np.ndarray   # E, (n_even, n_even)
+    even_t: np.ndarray
+    odd: np.ndarray    # O, (n_odd, n_odd)
+    odd_t: np.ndarray
+
+
+@dataclass(frozen=True)
+class KickOperator:
+    """exp(i s cos theta) (asymmetric kind) or exp(i s cos^2 theta)
+    (symmetric kind) on the basis l = 0..l_max, applied through the one
+    :class:`ParityBasis` of that basis."""
+
+    kind: KickKind
+    basis: ParityBasis
+
+    @property
+    def l_max(self) -> int:
+        return self.basis.l_max
 
     def apply(self, coeffs: np.ndarray, strengths) -> np.ndarray:
         """exp(i s_k M) @ coeffs[:, k] for every point k of ``coeffs``,
         one state (l_max + 1,) or the columns (l_max + 1, K, ...) of K
-        points, s_k one strength each (or one for all): one complex
-        eigenbasis product for all K points, which rounds each column as
-        any other batch of two or more columns does; a lone column is a
-        matrix-vector product, which rounds differently. A state is one
-        column; real input is taken as complex."""
-        cols = np.asarray(coeffs, dtype=complex)
-        out = np.empty_like(cols)
-        for idx, vals, vecs in self.blocks:
-            phase = np.exp(1j * np.multiply.outer(vals, strengths))
-            part = vecs.T @ cols[idx].reshape(idx.size, -1)
-            # the columns of point k, however many, take the phase of s_k
-            part = part.reshape(idx.size, phase.size // idx.size, -1)
-            part *= phase.reshape(part.shape[:2] + (1,))
-            out[idx] = (vecs @ part.reshape(idx.size, -1)).reshape(
-                (idx.size,) + cols.shape[1:])
-        return out
+        points, s_k one strength each (or one for all).
+
+        Each parity part of the columns goes into the eigenbasis, x =
+        E^T a_even and y = O^T a_odd. The symmetric kick multiplies both
+        by e^{i s mu} (the even null vector by 1). The asymmetric kick
+        rotates each pair, x' = cos(s sigma) x + i sin(s sigma) y and y' =
+        cos(s sigma) y + i sin(s sigma) x, and passes the null vector
+        through. a_even' = E x' and a_odd' = O y'. Every product is one
+        real matrix product on the float view of a parity's rows, read
+        and written in place, for all K points at once; so a column, a
+        lone state included, rounds as in any other batch (see
+        :class:`ParityBasis` for the bound). Real input is taken as
+        complex."""
+        cols = np.ascontiguousarray(coeffs, dtype=complex)
+        basis, s = self.basis, np.ravel(strengths)
+        flat = cols.reshape(cols.shape[0], -1).view(float)
+        # the columns of point k, however many, take the phase of s_k
+        x, y = ((vecs_t @ flat[parity::2]).view(complex)
+                .reshape(len(vecs_t), s.size, -1)
+                for parity, vecs_t in enumerate((basis.even_t, basis.odd_t)))
+        null = len(x) - len(y)
+        if self.kind is KickKind.SYMMETRIC:
+            phase = np.exp(1j * np.multiply.outer(basis.mu, s))[:, :, None]
+            x[null:] *= phase
+            y *= phase
+        else:
+            sigma = np.sqrt(basis.mu)
+            rot = np.exp(1j * np.multiply.outer(sigma, s))[:, :, None]
+            cos, isin = rot.real, 1j * rot.imag
+            x_k = x[null:]
+            x[null:], y = cos * x_k + isin * y, cos * y + isin * x_k
+        out = np.empty_like(flat)
+        for parity, vecs, z in ((0, basis.even, x), (1, basis.odd, y)):
+            np.matmul(vecs, z.reshape(len(z), -1).view(float),
+                      out=out[parity::2])
+        return out.view(complex).reshape(cols.shape)
 
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
@@ -130,38 +185,45 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
     return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
-@lru_cache(maxsize=64)
-def kick_operator(kind: KickKind, l_max: int) -> KickOperator:
-    """Cached eigen-decomposed kick operator for a basis size.
+@lru_cache(maxsize=32)
+def parity_basis(l_max: int) -> ParityBasis:
+    """Cached :class:`ParityBasis` of a basis size: two
+    :func:`eigh_tridiagonal` solves, the even and the odd block of cos^2.
 
-    Each tridiagonal block (the cos matrix, or one parity block of cos^2)
-    is solved densely by :func:`eigh_tridiagonal`, ``numpy.linalg.eigh``:
-    O(n^3) against O(n^2) for a tridiagonal solver, but under 3 ms a
-    block up to l_max 128 (the optimizer's bases stay below 200). Only
-    from about l_max 1000 on does an operator pair (cos and cos^2) cost
-    more than importing scipy's tridiagonal solver would.
+    Each block is solved densely by ``numpy.linalg.eigh``, O(n^3)
+    against O(n^2) for a tridiagonal solver: a basis takes 1.1 ms at
+    l_max 128, 32 ms at 620 and 0.67 s at 2047 (2-core x86-64 host, one
+    BLAS thread). The odd vectors are signed by C E_k, an O(n^2) product
+    on C's even-odd band (:func:`cos_offdiag`).
 
-    The cache keeps the 64 operators used last. The optimizer reads
-    every point of a problem on one basis, and its landscape scan each
-    of eight p_s rows on the row's own, so a quantum pair problem builds
-    two operators (cos and cos^2) for each distinct basis: the
-    laser-first ones of the benchmark at p_a = 3, 5 and 10 build 10, 10
-    and 14, on l_max 30-38, 36-50 and 51-80 (38 shared). An operator of
-    l_max 4096 holds 134 MB.
+    The cache keeps the 32 bases used last, each read by both kick
+    kinds. The optimizer reads every point of a problem on one basis,
+    and its landscape scan each of eight p_s rows on the row's own: the
+    laser-first problems of the benchmark at p_a = 3, 5 and 10 build 5,
+    5 and 7 bases, on l_max 30-38, 36-50 and 51-80. A basis of l_max
+    4096 holds 134 MB.
     """
-    if kind is KickKind.ASYMMETRIC:
-        c = cos_offdiag(l_max)
-        vals, vecs = eigh_tridiagonal(np.zeros(l_max + 1), c)
-        blocks = ((np.arange(l_max + 1), vals, vecs),)
-    else:
-        diag, off2 = cos2_bands(l_max)
-        parts = []
-        for parity in (0, 1):
-            idx = np.arange(parity, l_max + 1, 2)
-            vals, vecs = eigh_tridiagonal(diag[idx], off2[idx[:-1]])
-            parts.append((idx, vals, vecs))
-        blocks = tuple(parts)
-    return KickOperator(kind, l_max, blocks)
+    diag, off2 = cos2_bands(l_max)
+    blocks = []
+    for parity in (0, 1):
+        idx = np.arange(parity, l_max + 1, 2)
+        blocks.append(eigh_tridiagonal(diag[idx], off2[idx[:-1]]))
+    (_, even), (mu, odd) = blocks
+    # C E_k on the odd rows, 2j+1: <2j+1|cos|2j> E[j] + <2j+1|cos|2j+2>
+    # E[j+1], the second term for 2j+2 <= l_max only
+    c, e = cos_offdiag(l_max), even[:, len(even) - len(odd):]
+    c_even = c[0::2, None] * e[:len(odd)]
+    c_even[:l_max // 2] += c[1::2, None] * e[1:l_max // 2 + 1]
+    odd = odd * np.sign(np.sum(odd * c_even, axis=0))
+    return ParityBasis(l_max, mu, np.asfortranarray(even),
+                       np.asfortranarray(even.T), np.asfortranarray(odd),
+                       np.asfortranarray(odd.T))
+
+
+def kick_operator(kind: KickKind, l_max: int) -> KickOperator:
+    """The kick operator of ``kind`` on the basis l_max, reading the
+    cached :func:`parity_basis` that both kinds share."""
+    return KickOperator(kind, parity_basis(l_max))
 
 
 def _basis(strength: float, l_max: int | None = None) -> int:
@@ -395,9 +457,10 @@ def two_kick_delays(p_s: float, p_a: float, flight: np.ndarray,
     the flight to every delay (:func:`flight_phases`), whose l_max + 1
     rows set the basis. The first pulse kicks the ground state once; each
     block's second pulse is one :meth:`KickOperator.apply`, in the kick
-    order of :func:`_tangent_group`, and rounds as one block does unless
-    it holds one delay of many (a matrix-vector product), which
-    near-equal blocks never do."""
+    order of :func:`_tangent_group`, and rounds each delay as one block
+    of all K does, a block of one delay included (within the bound of
+    :class:`ParityBasis`, which near-equal blocks of many delays never
+    reach)."""
     kicked = np.zeros(1, dtype=bool)
     state = np.zeros((flight.shape[0], 1), dtype=complex)
     state[0] = 1.0

@@ -168,12 +168,20 @@ def operator_matrix(op: KickOperator) -> np.ndarray:
 
 
 def reconstructed(op: KickOperator) -> np.ndarray:
-    """V diag(lambda) V^T assembled over ``op.blocks``; equals
-    :func:`operator_matrix` of ``op``."""
-    n = op.l_max + 1
+    """The matrix assembled back from ``op.basis``: E diag(mu) E^T and
+    O diag(mu) O^T on the even and odd rows (symmetric kind), or
+    E diag(sigma) O^T between them and its transpose (asymmetric kind),
+    the even null vector at 0; equals :func:`operator_matrix` of ``op``."""
+    basis, n = op.basis, op.l_max + 1
+    even, odd = np.arange(0, n, 2), np.arange(1, n, 2)
+    e = basis.even[:, even.size - odd.size:]
     m = np.zeros((n, n))
-    for idx, vals, vecs in op.blocks:
-        m[np.ix_(idx, idx)] = (vecs * vals) @ vecs.T
+    if op.kind is KickKind.SYMMETRIC:
+        m[np.ix_(even, even)] = (e * basis.mu) @ e.T
+        m[np.ix_(odd, odd)] = (basis.odd * basis.mu) @ basis.odd.T
+    else:
+        m[np.ix_(even, odd)] = (e * np.sqrt(basis.mu)) @ basis.odd.T
+        m[np.ix_(odd, even)] = m[np.ix_(even, odd)].T
     return m
 
 

@@ -221,12 +221,12 @@ def test_sweep_annotates_a_bad_pa_first_or_last(capsys, bad):
 
 def test_sweep_quantum_rejects_large_pa(capsys):
     """The cap refuses the whole list, small p_a included: no row."""
-    for pas in ("40", "3,40"):
+    for pas in ("150", "3,150"):
         code, out, err = run(capsys, "sweep", "--engine", "quantum",
                              "--pa-list", pas)
         assert code == 2 and out == ""
         assert err == ("rotorkick: error: quantum sweeps are limited to "
-                       "p_a <= 30.0; run optimize for each larger p_a\n")
+                       "p_a <= 100.0; run optimize for each larger p_a\n")
 
 
 def test_sweep_range_rows_are_the_pa_list_rows(capsys):

@@ -1016,7 +1016,7 @@ def test_quantum_sweep_strength_guard(monkeypatch):
     template = OptimizationProblem(engine=Engine.QUANTUM,
                                    order=PulseOrder.LASER_FIRST, p_a=5.0)
     with pytest.raises(ValueError, match="quantum sweeps"):
-        sweep(template, [40.0])
+        sweep(template, [150.0])
     monkeypatch.setattr(optimize_module, "optimize", stub)
     cap = defaults.QUANTUM_SWEEP_PA_MAX
     with pytest.raises(ValueError, match=(
@@ -1025,8 +1025,8 @@ def test_quantum_sweep_strength_guard(monkeypatch):
         sweep(template, [3.0, math.nextafter(cap, math.inf)])
     assert solved == []
     assert [row.p_a for row in sweep(template, [3.0, cap])] == [3.0, cap]
-    sweep(replace(template, engine=Engine.CLASSICAL), [40.0])
-    assert solved == [3.0, cap, 40.0]
+    sweep(replace(template, engine=Engine.CLASSICAL), [150.0])
+    assert solved == [3.0, cap, 150.0]
 
 
 def test_csv_row_format(simul10):

@@ -76,18 +76,76 @@ def test_kick_of_a_real_vector_is_that_of_its_complex_cast(kind):
 
 
 def test_kick_operator_cache_is_bounded():
-    """Every l_max the optimizer visits is a new key; the cache keeps at
-    most its bound, and a rebuilt operator equals the evicted one."""
-    bound = kick_operator.cache_info().maxsize
-    first = kick_operator(KickKind.ASYMMETRIC, 4)
-    for l_max in range(4, 4 + bound):
+    """Every l_max the optimizer visits is a new key; the cache of parity
+    bases keeps at most its bound, and a rebuilt basis equals the
+    evicted one."""
+    bound = quantum.parity_basis.cache_info().maxsize
+    first = kick_operator(KickKind.ASYMMETRIC, 4).basis
+    for l_max in range(5, 5 + bound):
         for kind in KickKind:
             kick_operator(kind, l_max)
-            assert kick_operator.cache_info().currsize <= bound
-    rebuilt = kick_operator(KickKind.ASYMMETRIC, 4)
+            assert quantum.parity_basis.cache_info().currsize <= bound
+    rebuilt = kick_operator(KickKind.ASYMMETRIC, 4).basis
     assert rebuilt is not first
-    for (_, vals, vecs), (_, vals0, vecs0) in zip(rebuilt.blocks, first.blocks):
-        assert np.array_equal(vals, vals0) and np.array_equal(vecs, vecs0)
+    for name in ("mu", "even", "even_t", "odd", "odd_t"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(first, name))
+
+
+@pytest.mark.parametrize("l_max", [620, 2047])
+def test_kicks_match_the_dense_exponential_on_large_bases(l_max):
+    """Both kicks equal V e^{i s w} V^T of the dense ``numpy.linalg.eigh``
+    of the band formulas' matrix within 1e-12, and are unitary within
+    1e-12: in full at 620; at 2047 on 48 random columns, with E and O
+    orthonormal, which makes the product unitary whole."""
+    rng = np.random.default_rng(l_max)
+    n = l_max + 1
+    if l_max < 1000:
+        probes = np.eye(n)
+    else:
+        probes = rng.normal(size=(n, 48)) + 1j * rng.normal(size=(n, 48))
+        probes = np.linalg.qr(probes)[0]
+        basis = quantum.parity_basis(l_max)
+        for vecs in (basis.even, basis.odd):
+            gram = vecs.T @ vecs
+            assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-12
+    for kind, strength in ((KickKind.SYMMETRIC, -7.3),
+                           (KickKind.ASYMMETRIC, 11.0)):
+        op = kick_operator(kind, l_max)
+        w, v = np.linalg.eigh(operator_matrix(op))
+        want = v @ (np.exp(1j * strength * w)[:, None] * (v.T @ probes))
+        got = op.apply(probes, strength)
+        assert np.max(np.abs(got - want)) < 1e-12
+        gram = got.conj().T @ got
+        assert np.max(np.abs(gram - np.eye(probes.shape[1]))) < 1e-12
+
+
+def test_a_cold_basis_size_takes_two_eigensolves(monkeypatch):
+    """Both kick kinds at an l_max not yet built read one parity basis:
+    two tridiagonal solves, the even and the odd block of cos^2."""
+    calls = []
+    solve = quantum.eigh_tridiagonal
+    monkeypatch.setattr(quantum, "eigh_tridiagonal",
+                        lambda d, e: calls.append(d.size) or solve(d, e))
+    quantum.parity_basis.cache_clear()
+    for kind in KickKind:
+        kick_operator(kind, 41).apply(ground_state(41).coeffs, 2.0)
+    assert calls == [21, 21]
+
+
+@pytest.mark.parametrize("l_max", [200, 620])
+@pytest.mark.parametrize("kind", list(KickKind))
+def test_a_lone_column_rounds_as_a_batch_column(kind, l_max):
+    """A state kicked alone equals, bit for bit, its column kicked in a
+    batch of 2 to 17 columns, on parity blocks of 100-311 rows."""
+    op = kick_operator(kind, l_max)
+    rng = np.random.default_rng(3)
+    batch = rng.normal(size=(l_max + 1, 17)) \
+        + 1j * rng.normal(size=(l_max + 1, 17))
+    kicked = op.apply(batch, 4.5)
+    for k in range(2, 18):
+        assert np.array_equal(op.apply(batch[:, :k], 4.5), kicked[:, :k])
+    for col in range(17):
+        assert np.array_equal(op.apply(batch[:, col], 4.5), kicked[:, col])
 
 
 def test_symmetric_kick_preserves_parity_exactly():
@@ -198,7 +256,7 @@ def test_orientation_that_vanishes_by_parity_is_positive_zero():
 def test_non_finite_strengths_are_refused_before_any_operator_build():
     """NaN never passes the tail test, so unrefused it would grow the
     basis to the cap through cached eigendecompositions."""
-    built = kick_operator.cache_info().misses
+    built = quantum.parity_basis.cache_info().misses
     for bad in (math.nan, math.inf, -math.inf):
         for kind in KickKind:
             with pytest.raises(NonFiniteValue):
@@ -207,7 +265,7 @@ def test_non_finite_strengths_are_refused_before_any_operator_build():
             for order in PulseOrder:
                 with pytest.raises(NonFiniteValue):
                     two_kick_state(*args, order)
-    assert kick_operator.cache_info().misses == built
+    assert quantum.parity_basis.cache_info().misses == built
 
 
 def test_observable_scan_jet_matches_the_scan():
@@ -344,8 +402,7 @@ def test_two_kick_delays_are_the_pair_states_at_each_delay(order):
     """One first kick, one flight array and one second kick of all the
     delays give the state after the pair at each delay, as the state
     column of the optimizer's kernel does; taken in blocks of at most 4
-    delays, the same states bit for bit (blocks of 4 and 1 would round
-    the lone delay's product as a matrix-vector product)."""
+    delays, or one delay at a time, the same states bit for bit."""
     t_1 = np.array([0.0, 0.3, 2.9, 5.5, 6.1])
     flight = quantum.flight_phases(60, t_1)
     [(rows, filled)] = quantum.two_kick_delays(-3.0, 6.0, flight, order, 5)
@@ -354,6 +411,9 @@ def test_two_kick_delays_are_the_pair_states_at_each_delay(order):
     assert [(len(part), full) for part, full in blocks] == [(3, False),
                                                            (2, False)]
     assert np.concatenate([part for part, _ in blocks]).tobytes() \
+        == rows.tobytes()
+    singles = list(quantum.two_kick_delays(-3.0, 6.0, flight, order, 1))
+    assert np.concatenate([part for part, _ in singles]).tobytes() \
         == rows.tobytes()
     tangents, _ = quantum.two_kick_tangents(np.full(5, -3.0), 6.0, t_1,
                                             order, 60)
