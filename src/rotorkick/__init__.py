@@ -9,7 +9,7 @@ orientation factor, <cos^2 theta> the alignment factor.
 
 from .classical import (ClassicalEnsemble, classical_observable,
                         make_ensemble, propagate_classical,
-                        two_kick_observable, two_kick_theta)
+                        two_kick_observable)
 from .core import (REVIVAL_PERIOD, Branch, Engine, Kick, KickKind,
                    ObjectiveSign, ObservableKind, ObservableSeries,
                    OptimizationResult, PulseOrder, PulseSequence,
@@ -45,7 +45,7 @@ __all__ = [
     "BasisOverflow",
     # classical engine
     "ClassicalEnsemble", "make_ensemble", "propagate_classical",
-    "classical_observable", "two_kick_theta", "two_kick_observable",
+    "classical_observable", "two_kick_observable",
     # quantum engine
     "RotorWavefunction", "KickOperator", "kick_operator", "ground_state",
     "apply_kick", "free_propagate", "observable_scan",

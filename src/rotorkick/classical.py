@@ -12,7 +12,7 @@ Between kicks the angle advances linearly, tracked on the real line
 
 One walker, one sampler: the causal :func:`classical_observable` (kicks
 act in time order, the ensemble rests before the earliest kick) and the
-closed-form pair :func:`two_kick_theta` / :class:`TwoKickScan`, in the
+closed-form pair of :class:`TwoKickScan` (:func:`_after_kicks`), in the
 order of :func:`core.pulse_pair`, step the ensemble with the same fly
 and kick functions. Between kicks theta = theta1 + t * omega per node, so
 :func:`_free_flight_average` reads each stretch off
@@ -244,20 +244,17 @@ def propagate_classical(
                          lambda state, dts: _fly(state, dts[:, None])[0])
 
 
-def _after_kicks(theta0, first, second, t_1, tangents: bool = False):
+def _after_kicks(theta0, first, second, t_1):
     """(theta1, omega) just after the pulses ``first`` and ``second`` of
-    :func:`core.pulse_pair`, t_1 apart: theta(t_2) = theta1 + t_2 * omega.
-
-    With ``tangents``, also their derivatives (dtheta1, domega), each two
-    rows: d/dp_s (the symmetric kick's strength) and d/dt_1, carried
-    through the same kicks and flight.
+    :func:`core.pulse_pair`, t_1 apart, and their derivatives (dtheta1,
+    domega), each two rows: d/dp_s (the symmetric kick's strength) and
+    d/dt_1, carried through the same kicks and flight. Then theta(t_2) =
+    theta1 + t_2 * omega, for signed times too.
     """
     rest = (theta0, np.zeros(theta0.shape))
     kicked = _kick(rest, first)
     flown = _fly(kicked, t_1)
     after = _kick(flown, second)
-    if not tangents:
-        return after
     d_theta = np.zeros((2,) + theta0.shape)
     d_omega = _kick_tangent(theta0, first, d_theta, d_theta)
     d_theta = d_theta + t_1 * d_omega
@@ -276,21 +273,6 @@ def _kick_tangent(theta, kicks, d_theta, d_omega):
         if kk.kind is KickKind.SYMMETRIC:
             d_omega[0] -= np.sin(2.0 * theta)
     return d_omega
-
-
-def two_kick_theta(theta0, p_s: float, p_a: float, t_1, t_2,
-                   order: PulseOrder = PulseOrder.LASER_FIRST):
-    """Closed-form two-pulse trajectory with signed flight times.
-
-    Arguments broadcast as numpy arrays; the usual call shapes
-    ``theta0[:, None]`` against a ``t_2`` grid. For non-negative times
-    this coincides with the causal propagation; negative ``t_1``/``t_2``
-    give the analytic continuation of the same formula (kicks applied in
-    scheme order, free flight run backward).
-    """
-    th1, omega = _after_kicks(np.asarray(theta0, dtype=float),
-                              *pulse_pair(p_s, p_a, order), t_1)
-    return th1 + t_2 * omega
 
 
 def classical_observable(seq: PulseSequence, k: int, t_eval) -> ObservableSeries:
@@ -377,8 +359,7 @@ class TwoKickScan:
         # the first pulse flies |t_1| + max|t_2|, the second max|t_2|;
         # d/d(p_s, t_1) -> d/d(p_s/p_a, p_a t_1), the scale-free variables
         self._scan((p_s, p_a, t_1), t_2, k,
-                   partial(_after_kicks, first=first, second=second, t_1=t_1,
-                           tangents=True),
+                   partial(_after_kicks, first=first, second=second, t_1=t_1),
                    lambda reach: [(strengths[0], abs(t_1) + reach),
                                   (strengths[1], reach)],
                    [pa, 1.0 / pa])

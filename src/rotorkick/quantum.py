@@ -16,7 +16,10 @@ consistent within the basis: it block-diagonalizes over even/odd l, so
 parity conservation of the symmetric kick is structural, not numerical,
 and the eigenvectors of its two parity blocks, paired through the cos
 matrix, diagonalize the asymmetric kick too. Both kicks are real matrix
-products on the float view of the complex coefficients.
+products on the float view of the complex coefficients. Every kick
+group goes through one column kicker, :func:`_kick_columns`, on a lone
+state and on the optimizer's batches alike; :func:`apply_kick` adds the
+state path's one grow-and-retry rule.
 """
 
 from __future__ import annotations
@@ -248,36 +251,28 @@ def ground_state(l_max: int) -> RotorWavefunction:
     return RotorWavefunction(coeffs)
 
 
-def _tail_population(coeffs: np.ndarray):
-    """Population above l_max - ``defaults.TAIL_MARGIN`` of a state, or of
-    each column of an (l_max + 1, K) array, summed alike."""
-    size = coeffs.shape[0]
-    margin = min(defaults.TAIL_MARGIN, size - 1)
-    tail = np.abs(np.ascontiguousarray(coeffs[size - margin:].T)) ** 2
-    return tail.sum(axis=-1)
+def apply_kick(psi: RotorWavefunction, *kicks: Kick) -> RotorWavefunction:
+    """Apply the impulsive kicks of one time (any number, one
+    :func:`_kick_columns`), enlarging the basis if a kick fills the tail.
 
-
-def apply_kick(psi: RotorWavefunction, kick: Kick) -> RotorWavefunction:
-    """Apply one impulsive kick, enlarging the basis if the tail fills.
-
-    The post-kick population above l_max - 10 must stay below 1e-10;
-    otherwise the pre-kick state is zero-padded to twice the basis size
-    and the kick is recomputed, up to ``defaults.L_MAX_CAP``. A NaN or
-    infinite strength raises ``NonFiniteValue`` before any operator is
-    built.
+    After each kick the population above l_max - 10 must stay below 1e-10;
+    otherwise the state from before the group is zero-padded to
+    :func:`grown_l_max` and the whole group is applied again, up to
+    ``defaults.L_MAX_CAP``. A NaN or infinite strength in the group
+    raises ``NonFiniteValue`` before any operator is built.
     """
-    if not math.isfinite(kick.strength):
-        # a NaN state never passes the tail test: refuse it before the
-        # basis grows to the cap through cached eigendecompositions
-        raise NonFiniteValue(f"non-finite kick strength: {kick}")
+    for kick in kicks:
+        if not math.isfinite(kick.strength):
+            # a NaN state never passes the tail test: refuse it before the
+            # basis grows to the cap through cached eigendecompositions
+            raise NonFiniteValue(f"non-finite kick strength: {kick}")
     coeffs = psi.coeffs
     while True:
-        l_max = coeffs.size - 1
-        new = kick_operator(kick.kind, l_max).apply(coeffs, kick.strength)
-        if _tail_population(new) < defaults.TAIL_TOL:
+        new, filled = _kick_columns(coeffs, kicks)
+        if not filled:
             return RotorWavefunction(new)
-        coeffs = np.zeros(grown_l_max(l_max, f"kick {kick}") + 1,
-                          dtype=complex)
+        size = grown_l_max(coeffs.size - 1, f"kicks {kicks}") + 1
+        coeffs = np.zeros(size, dtype=complex)
         coeffs[: psi.l_max + 1] = psi.coeffs
 
 
@@ -296,35 +291,33 @@ def free_propagate(psi: RotorWavefunction, dt: float) -> RotorWavefunction:
     return RotorWavefunction(psi.coeffs * np.exp(-0.5j * l * (l + 1.0) * dt))
 
 
-def _kick_group(psi: RotorWavefunction, kicks) -> RotorWavefunction:
-    """Apply kicks that share one time. They commute exactly in the angle
-    representation (both are phase factors); they are applied
-    symmetric-first for a deterministic truncated-basis result."""
-    for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
-        psi = apply_kick(psi, kk)
-    return psi
-
-
-def _tangent_group(cols: np.ndarray, kicks, filled: np.ndarray) -> np.ndarray:
-    """:func:`_kick_group` of the columns (state, d/dp_s, d/dt_1) of each
-    point of :func:`two_kick_tangents`, ``cols`` (l_max + 1, K, 3), or of
-    the states alone, (l_max + 1, K): each kick one
-    :meth:`KickOperator.apply` for all K points, marking in ``filled`` the
-    points whose tail a kick fills. A symmetric kick, whose strength is
-    p_s, adds d/dp_s exp(i p_s M) a = i M a' of the kicked state a' to the
-    second column, M the banded cos^2 matrix."""
-    l_max = cols.shape[0] - 1
-    for kk in sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC):
+def _kick_columns(cols: np.ndarray, kicks):
+    """Kicks that share one time, applied symmetric-first (they commute
+    exactly in the angle representation; the order fixes the
+    truncated-basis result), each one :meth:`KickOperator.apply` of
+    ``cols``: one state (l_max + 1,), K states (l_max + 1, K), or the
+    columns (state, d/dp_s, d/dt_1) of K points (l_max + 1, K, 3). A
+    symmetric kick, whose strength is p_s, adds d/dp_s exp(i p_s M) a =
+    i M a' of the kicked state a' to the second column, M the banded
+    cos^2 matrix. Returns ``cols`` kicked and whether a kick filled the
+    tail of the state, or of each point: left a population of at least
+    ``defaults.TAIL_TOL`` above l_max - ``defaults.TAIL_MARGIN``."""
+    l_max, filled = cols.shape[0] - 1, np.False_
+    tail = l_max + 1 - min(defaults.TAIL_MARGIN, l_max)
+    if len(kicks) > 1:
+        kicks = sorted(kicks, key=lambda kk: kk.kind is KickKind.ASYMMETRIC)
+    for kk in kicks:
         cols = kick_operator(kk.kind, l_max).apply(cols, kk.strength)
-        a = cols if cols.ndim == 2 else cols[:, :, 0]
-        filled |= ~(_tail_population(a) < defaults.TAIL_TOL)
-        if kk.kind is KickKind.SYMMETRIC and cols.ndim == 3:
+        a = cols if cols.ndim < 3 else cols[:, :, 0]
+        pop = np.abs(np.ascontiguousarray(a[tail:].T)) ** 2
+        filled = filled | ~(pop.sum(axis=-1) < defaults.TAIL_TOL)
+        if cols.ndim == 3 and kk.kind is KickKind.SYMMETRIC:
             diag, off2 = cos2_bands(l_max)
             m_a = diag[:, None] * a
             m_a[:-2] += off2[:, None] * a[2:]
             m_a[2:] += off2[:, None] * a[:-2]
             cols[:, :, 1] += 1j * m_a
-    return cols
+    return cols, filled
 
 
 def observable_scan(psi: RotorWavefunction, k: int, dts,
@@ -387,13 +380,14 @@ def run_sequence(
     """Propagate the ground state through a kick sequence, recording
     <cos^k theta> at each requested time; the times between two kicks are
     one :func:`observable_scan` call, each kick group one
-    :func:`_kick_group`.
+    :func:`apply_kick`.
     """
     kind = observable_kind(k)
     seq = validate_sequence(seq)
     t_eval = time_grid(t_eval)
     psi = ground_state(_basis(seq.total_strength(), l_max_hint))
-    values = walk_sequence(seq, t_eval, psi, free_propagate, _kick_group,
+    values = walk_sequence(seq, t_eval, psi, free_propagate,
+                           lambda psi, kicks: apply_kick(psi, *kicks),
                            lambda psi, dts: observable_scan(psi, k, dts))
     return ObservableSeries(t_eval, values, kind)
 
@@ -415,7 +409,7 @@ def two_kick_state(
         raise NonFiniteValue("non-finite value in (p_s, p_a, t_1)")
     psi = ground_state(_basis(abs(p_s) + abs(p_a), l_max))
     first, second = pulse_pair(p_s, p_a, order)
-    return _kick_group(free_propagate(_kick_group(psi, first), t_1), second)
+    return apply_kick(free_propagate(apply_kick(psi, *first), t_1), *second)
 
 
 def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
@@ -428,7 +422,7 @@ def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
     that its rows are to be read on a larger basis.
 
     Each kick is one :meth:`KickOperator.apply` for all K points, the
-    tangents two more columns of it (:func:`_tangent_group`); the flight adds
+    tangents two more columns of it (:func:`_kick_columns`); the flight adds
     d/dt_1 = -i l(l+1)/2 times the flown state. A point's rows are those
     of a batch of one, and :func:`two_kick_state`'s up to round-off.
     """
@@ -439,14 +433,13 @@ def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
     size = _basis(np.abs(p_s).max(initial=0.0) + abs(p_a), l_max) + 1
     cols = np.zeros((size, p_s.size, 3), dtype=complex)
     cols[0, :, 0] = 1.0
-    filled = np.zeros(p_s.size, dtype=bool)
     first, second = pulse_pair(p_s, p_a, order)
-    cols = _tangent_group(cols, first, filled)
+    cols, kicked = _kick_columns(cols, first)
     energy = 0.5 * np.arange(size) * np.arange(1.0, size + 1)
     cols *= np.exp(-1j * np.multiply.outer(energy, t_1))[:, :, None]
     cols[:, :, 2] -= 1j * energy[:, None] * cols[:, :, 0]
-    cols = _tangent_group(cols, second, filled)
-    return np.ascontiguousarray(cols.transpose(1, 2, 0)), filled
+    cols, filled = _kick_columns(cols, second)
+    return np.ascontiguousarray(cols.transpose(1, 2, 0)), kicked | filled
 
 
 def two_kick_delays(p_s: float, p_a: float, flight: np.ndarray,
@@ -456,22 +449,19 @@ def two_kick_delays(p_s: float, p_a: float, flight: np.ndarray,
     rows (k, l_max + 1) and whether a kick filled a tail. ``flight`` is
     the flight to every delay (:func:`flight_phases`), whose l_max + 1
     rows set the basis. The first pulse kicks the ground state once; each
-    block's second pulse is one :meth:`KickOperator.apply`, in the kick
-    order of :func:`_tangent_group`, and rounds each delay as one block
-    of all K does, a block of one delay included (within the bound of
-    :class:`ParityBasis`, which near-equal blocks of many delays never
-    reach)."""
-    kicked = np.zeros(1, dtype=bool)
+    block's second pulse is one :func:`_kick_columns`, and rounds each
+    delay as one block of all K does, a block of one delay included
+    (within the bound of :class:`ParityBasis`, which near-equal blocks of
+    many delays never reach)."""
     state = np.zeros((flight.shape[0], 1), dtype=complex)
     state[0] = 1.0
     first, second = pulse_pair(p_s, p_a, order)
     # the first pulse kicks one state, whose tail every delay inherits
-    state = _tangent_group(state, first, kicked)
+    state, kicked = _kick_columns(state, first)
     blocks = max(1, -(-flight.shape[1] // block))
     for part in np.array_split(flight, blocks, axis=1):
-        filled = np.zeros(part.shape[1], dtype=bool)
-        cols = _tangent_group(state * part, second, filled)
-        yield cols.T, bool(kicked[0] or filled.any())
+        cols, filled = _kick_columns(state * part, second)
+        yield cols.T, bool(kicked.any() or filled.any())
 
 
 def flight_phases(l_max: int, t: np.ndarray) -> np.ndarray:

@@ -17,6 +17,9 @@ than the package:
   exponentiating any operator.
 - mc_classical_observable replaces Gauss-Legendre ensemble averaging
   with plain Monte Carlo over random initial angles.
+- pair_theta writes the classical pulse pair's trajectory out in closed
+  form, one formula per pulse order, instead of stepping the kicks and
+  the flight of the package's pair walker.
 - brute_force_prompt searches the quantum prompt optimum of a
   laser-first or HCP-first pair exhaustively: dense eigh-diagonalized
   quadrature operators, a full (p_s, t_1) grid and an FFT over t_2,
@@ -315,6 +318,29 @@ def mc_classical_observable(seq: PulseSequence, k: int, t: float,
     theta = theta + omega * (t - clock)
     samples = np.cos(theta) ** k
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n_samples))
+
+
+def pair_theta(theta0, p_s, p_a, t_1, t_2, order: PulseOrder):
+    """theta(t_2) of the classical rotor at rest at ``theta0`` before the
+    pulse pair of ``order``, t_2 after its second pulse: laser first
+    kicks p_s at 0 and p_a at t_1, HCP first p_a at 0 and p_s at t_1,
+    simultaneous both at 0 (t_1 unused). A kick of strength p adds
+    -p sin(2 theta) (symmetric) or -p sin(theta) (asymmetric) to omega.
+
+    Arguments broadcast as numpy arrays. Negative t_1 or t_2 run the free
+    flight backward, the analytic continuation of the revival branch.
+    """
+    theta0 = np.asarray(theta0, dtype=float)
+    if order is PulseOrder.LASER_FIRST:
+        theta1 = theta0 - p_s * t_1 * np.sin(2.0 * theta0)
+        omega = -p_s * np.sin(2.0 * theta0) - p_a * np.sin(theta1)
+    elif order is PulseOrder.HCP_FIRST:
+        theta1 = theta0 - p_a * t_1 * np.sin(theta0)
+        omega = -p_a * np.sin(theta0) - p_s * np.sin(2.0 * theta1)
+    else:
+        theta1 = theta0
+        omega = -p_s * np.sin(2.0 * theta0) - p_a * np.sin(theta0)
+    return theta1 + t_2 * omega
 
 
 def brute_force_prompt(p_a: float, l_max: int,

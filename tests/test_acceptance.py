@@ -21,8 +21,10 @@ from rotorkick import (KCL, Branch, Engine, HalfCyclePulse, Kick, KickKind,
                        kick_strength, observable_scan, optimize,
                        run_sequence, time_from_dimensionless,
                        time_to_dimensionless, two_kick_observable,
-                       two_kick_theta, validate_sequence)
+                       validate_sequence)
 from rotorkick import defaults
+from rotorkick.classical import _after_kicks
+from rotorkick.core import pulse_pair
 from rotorkick.optimize import BoundsBox, default_bounds
 from rotorkick.quantum import RotorWavefunction
 
@@ -220,8 +222,13 @@ def test_08_structural_invariants():
         t_1, t_2, lam = rng.uniform(0.01, 2), rng.uniform(0.01, 2), \
             rng.uniform(0.3, 3)
         order = list(PulseOrder)[int(rng.integers(3))]
-        rev = two_kick_theta(theta0, p_s, p_a, -t_1, -t_2, order)
-        flipped = two_kick_theta(theta0, -p_s, -p_a, t_1, t_2, order)
+        # the package's pair formula, run backward and sign-flipped
+        theta1, omega = _after_kicks(theta0, *pulse_pair(p_s, p_a, order),
+                                     -t_1)[:2]
+        rev = theta1 - t_2 * omega
+        theta1, omega = _after_kicks(theta0, *pulse_pair(-p_s, -p_a, order),
+                                     t_1)[:2]
+        flipped = theta1 + t_2 * omega
         worst_reversal = max(worst_reversal,
                              float(np.max(np.abs(rev - flipped))))
         up = two_kick_observable(p_s, p_a, t_1, [t_2], order, k=1)[0]

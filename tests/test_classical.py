@@ -5,13 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import mc_classical_observable
+from oracles import mc_classical_observable, pair_theta
 from rotorkick import classical, defaults
 from rotorkick.classical import (TwoKickScan, WeakLaserScan, _after_kicks,
                                  _free_flight_average, classical_observable,
                                  make_ensemble, propagate_classical,
-                                 roots_legendre, two_kick_observable,
-                                 two_kick_theta)
+                                 roots_legendre, two_kick_observable)
 from rotorkick.core import (Branch, Engine, Kick, KickKind, PulseOrder,
                             pulse_pair, two_pulse_sequence, validate_sequence)
 from rotorkick.errors import (ConvergenceFailure, InvalidNodeCount,
@@ -20,20 +19,12 @@ from rotorkick.optimize import OptimizationProblem, optimize
 from rotorkick.quantum import run_sequence
 
 
-def closed_form_reference(theta0, ps, pa, t1, t2, order):
-    """Scalar re-derivation of the two-kick trajectory, written
-    independently of the vectorized engine code."""
-    th0 = float(theta0)
-    if order is PulseOrder.LASER_FIRST:
-        th1 = th0 - ps * t1 * math.sin(2.0 * th0)
-        om = -ps * math.sin(2.0 * th0) - pa * math.sin(th1)
-        return th1 + t2 * om
-    if order is PulseOrder.HCP_FIRST:
-        th1 = th0 - pa * t1 * math.sin(th0)
-        om = -pa * math.sin(th0) - ps * math.sin(2.0 * th1)
-        return th1 + t2 * om
-    om = -ps * math.sin(2.0 * th0) - pa * math.sin(th0)
-    return th0 + t2 * om
+def package_theta(theta0, p_s, p_a, t_1, t_2, order):
+    """theta(t_2) of the package's closed-form pair (:func:`_after_kicks`)."""
+    pair = pulse_pair(p_s, p_a, order)
+    theta1, omega = _after_kicks(np.asarray(theta0, dtype=float), *pair,
+                                 t_1)[:2]
+    return theta1 + t_2 * omega
 
 
 def test_make_ensemble_basics():
@@ -53,25 +44,25 @@ def test_two_node_rule():
 
 
 @pytest.mark.parametrize("order", list(PulseOrder))
-def test_two_kick_theta_matches_scalar_reference(order):
+def test_pair_trajectory_matches_the_closed_form_oracle(order):
     rng = np.random.default_rng(31)
     for _ in range(200):
         th0 = rng.uniform(0.0, math.pi)
         ps, pa = rng.uniform(-30, 30), rng.uniform(-30, 30)
         t1, t2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        got = two_kick_theta(th0, ps, pa, t1, t2, order)
-        ref = closed_form_reference(th0, ps, pa, t1, t2, order)
-        assert float(got) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+        got = package_theta(th0, ps, pa, t1, t2, order)
+        ref = pair_theta(th0, ps, pa, t1, t2, order)
+        assert float(got) == pytest.approx(float(ref), rel=1e-13, abs=1e-13)
 
 
-def test_two_kick_theta_broadcasts():
+def test_pair_oracle_broadcasts():
     th0 = np.linspace(0.1, 3.0, 7)
     t2 = np.linspace(0.0, 1.0, 5)
-    out = two_kick_theta(th0[None, :], -3.0, 8.0, 0.2, t2[:, None],
-                         PulseOrder.LASER_FIRST)
+    out = pair_theta(th0[None, :], -3.0, 8.0, 0.2, t2[:, None],
+                     PulseOrder.LASER_FIRST)
     assert out.shape == (5, 7)
     assert out[2, 3] == pytest.approx(float(
-        two_kick_theta(th0[3], -3.0, 8.0, 0.2, t2[2], PulseOrder.LASER_FIRST)))
+        package_theta(th0[3], -3.0, 8.0, 0.2, t2[2], PulseOrder.LASER_FIRST)))
 
 
 def test_causal_propagation_matches_closed_form():
@@ -84,9 +75,9 @@ def test_causal_propagation_matches_closed_form():
         theta = propagate_classical(seq, ens, [t_end])
         assert theta.shape == (1, len(ens))
         t2 = 0.45
-        ref = two_kick_theta(ens.theta0, ps, pa,
-                             0.0 if order is PulseOrder.SIMULTANEOUS else t1,
-                             t2, order)
+        ref = pair_theta(ens.theta0, ps, pa,
+                         0.0 if order is PulseOrder.SIMULTANEOUS else t1,
+                         t2, order)
         assert np.max(np.abs(theta[0] - ref)) < 1e-12
 
 
@@ -401,11 +392,12 @@ def test_free_flight_average_matches_direct_quadrature(order):
         for k in (1, 2):
             p_s, p_a = rng.uniform(-20, 20, 2)
             t_1, sign = rng.uniform(-1.5, 1.5), rng.choice([-1.0, 1.0])
-            theta = two_kick_theta(ens.theta0[None, :], p_s, p_a, t_1,
-                                   sign * t2[:, None], order)
+            theta = pair_theta(ens.theta0[None, :], p_s, p_a, t_1,
+                               sign * t2[:, None], order)
             direct = np.cos(theta) ** k @ ens.weights
             got = _free_flight_average(
-                *_after_kicks(ens.theta0, *pulse_pair(p_s, p_a, order), t_1),
+                *_after_kicks(ens.theta0, *pulse_pair(p_s, p_a, order),
+                              t_1)[:2],
                 ens.weights, sign * t2, k)
             assert got.shape == t2.shape
             assert np.max(np.abs(got - direct)) < 1e-12
@@ -460,8 +452,8 @@ def direct_average(p_s, p_a, t_1, t_2, order, n_nodes):
     ens = make_ensemble(n_nodes)
     out = np.empty(t_2.size)
     for j in range(0, t_2.size, 64):
-        theta = two_kick_theta(ens.theta0[:, None], p_s, p_a, t_1,
-                               t_2[None, j:j + 64], order)
+        theta = pair_theta(ens.theta0[:, None], p_s, p_a, t_1,
+                           t_2[None, j:j + 64], order)
         out[j:j + 64] = ens.weights @ np.cos(theta)
     return out
 

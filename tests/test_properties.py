@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotorkick import classical, defaults
-from rotorkick.classical import (classical_observable, make_ensemble,
-                                 propagate_classical, two_kick_observable,
-                                 two_kick_theta)
+from rotorkick.classical import (_after_kicks, classical_observable,
+                                 make_ensemble, propagate_classical,
+                                 two_kick_observable)
 from rotorkick.core import (Kick, KickKind, PulseOrder, PulseSequence,
-                            format_sequence, parse_sequence,
+                            format_sequence, parse_sequence, pulse_pair,
                             validate_sequence)
 from rotorkick.quantum import (RotorWavefunction, apply_kick,
                                free_propagate, ground_state,
@@ -102,8 +102,12 @@ def test_orientation_samples_match_the_scan(psi):
 def test_trajectory_time_reversal(p_s, p_a, t_1, t_2, order):
     # running time backward equals flipping both kick signs
     theta0 = np.linspace(0.05, math.pi - 0.05, 31)
-    rev = two_kick_theta(theta0, p_s, p_a, -t_1, -t_2, order)
-    flipped = two_kick_theta(theta0, -p_s, -p_a, t_1, t_2, order)
+    theta1, omega = _after_kicks(theta0, *pulse_pair(p_s, p_a, order),
+                                 -t_1)[:2]
+    rev = theta1 - t_2 * omega
+    theta1, omega = _after_kicks(theta0, *pulse_pair(-p_s, -p_a, order),
+                                 t_1)[:2]
+    flipped = theta1 + t_2 * omega
     assert np.max(np.abs(rev - flipped)) < 1e-9
 
 

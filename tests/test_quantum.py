@@ -167,6 +167,40 @@ def test_apply_kick_grows_basis_to_meet_tail_bound():
     assert np.sum(np.abs(kicked.coeffs) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_a_kick_group_is_its_kicks_in_turn():
+    """Unless a kick fills the tail, a group is its kicks one after
+    another, symmetric first, bit for bit; no kicks leave the state as it
+    is."""
+    psi = two_kick_state(-3.0, 6.0, 0.4)
+    sym = Kick(KickKind.SYMMETRIC, -0.5, 0.0)
+    asym = Kick(KickKind.ASYMMETRIC, 0.8, 0.0)
+    group = apply_kick(psi, asym, sym)
+    assert group.l_max == psi.l_max
+    assert group.coeffs.tobytes() \
+        == apply_kick(apply_kick(psi, sym), asym).coeffs.tobytes()
+    assert apply_kick(psi).coeffs.tobytes() == psi.coeffs.tobytes()
+
+
+def test_a_group_whose_second_kick_fills_the_tail_is_redone_whole():
+    """The symmetric kick fits l_max 16, the asymmetric one after it does
+    not: the whole group is applied again to the state from before it,
+    zero-padded, so the result is the group's on that basis bit for bit,
+    and a basis large from the start agrees to round-off."""
+    sym = Kick(KickKind.SYMMETRIC, 0.3, 0.0)
+    asym = Kick(KickKind.ASYMMETRIC, 5.0, 0.0)
+    small = ground_state(16)
+    assert apply_kick(small, sym).l_max == 16
+    grown = apply_kick(small, sym, asym)
+    assert grown.l_max == 33
+    assert grown.coeffs.tobytes() \
+        == apply_kick(ground_state(33), sym, asym).coeffs.tobytes()
+    assert np.linalg.norm(grown.coeffs) == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(np.abs(grown.coeffs[-10:]) ** 2) < defaults.TAIL_TOL
+    large = apply_kick(ground_state(128), sym, asym).coeffs
+    assert np.abs(large[:34] - grown.coeffs).max() < 1e-12
+    assert np.abs(large[34:]).max() < 1e-12
+
+
 def test_basis_overflow_raises(monkeypatch):
     psi = ground_state(8)
     with monkeypatch.context() as m, pytest.raises(BasisOverflow):
@@ -261,6 +295,10 @@ def test_non_finite_strengths_are_refused_before_any_operator_build():
         for kind in KickKind:
             with pytest.raises(NonFiniteValue):
                 apply_kick(ground_state(8), Kick(kind, bad, 0.0))
+            with pytest.raises(NonFiniteValue):  # second kick of a group
+                apply_kick(ground_state(11),
+                           Kick(KickKind.SYMMETRIC, -1.0, 0.0),
+                           Kick(kind, bad, 0.0))
         for args in ((bad, 5.0, 0.3), (-2.0, bad, 0.3), (-2.0, 5.0, bad)):
             for order in PulseOrder:
                 with pytest.raises(NonFiniteValue):
