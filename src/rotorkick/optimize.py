@@ -7,12 +7,15 @@ window - a dense grid classically, one FFT of the periodic quantum
 signal - then safeguarded Newton steps from its best sample on the
 analytic t-derivatives of the engine's free flight) inside a multi-start
 projected quasi-Newton ascent over (p_s, t_1) in a box, run in scaled
-coordinates (p_s/p_a, t_1*p_a). The best value over t_2 is an envelope,
-so its gradient in (p_s, t_1) is the partial derivative at the best t_2,
-which each engine reads off tangents carried through the kicks. The
-classical laser-first optimum climbs a ridge p_s t_1 ~ c to the p_s
-bound nearest 0, so that problem runs one ascent, from the best c of its
-weak-laser limit p_s/p_a -> 0. The ascent is the package's own
+coordinates (p_s/p_a, t_1*p_a). Those follow the classical scale law,
+which quantum optima with a delay do not, so such a quantum problem
+starts its ascents' quasi-Newton matrix from the Hessian measured at its
+best start instead of the identity. The best value over t_2 is an
+envelope, so its gradient in (p_s, t_1) is the partial derivative at the
+best t_2, which each engine reads off tangents carried through the
+kicks. The classical laser-first optimum climbs a ridge p_s t_1 ~ c to
+the p_s bound nearest 0, so that problem runs one ascent, from the best
+c of its weak-laser limit p_s/p_a -> 0. The ascent is the package's own
 (:func:`_ascent`); the package imports numpy alone.
 
 Branches
@@ -532,9 +535,10 @@ def optimize(
     (:func:`_start_lattice`; the only use of randomness). Results from all
     starts are merged deterministically: best transformed objective,
     ties broken by smaller |p_s|. ``evaluations`` counts value and
-    gradient calls. ``stagnated`` is set when no ascent ended above the
-    best start it was given, ``on_boundary`` when the optimum holds a
-    bound of the box that the gradient points out of.
+    gradient calls, the two probe points of a measured Hessian
+    (:func:`_probes`) included. ``stagnated`` is set when no ascent
+    ended above the best start it was given, ``on_boundary`` when the
+    optimum holds a bound of the box that the gradient points out of.
 
     It solves :func:`_unit_problem` of ``prob``, memoized
     (:func:`_solve`), and maps the result back: problems that share a
@@ -580,13 +584,16 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
     the same cache (:func:`_weak_laser_seed`).
 
     The peaks of the problem's start lattice (:func:`_start_lattice`,
-    :func:`_lattice_peaks`), best first, and ``extra_starts`` seeded
-    random points of the box are scored as one batch, and each runs one
-    :func:`_ascent` in the scaled box, all in lockstep
-    (:func:`_lockstep`), each round's points one batch of the memo; every
-    lattice point the memo holds stays a candidate. A point's numbers do
-    not depend on its batch, so each ascent visits the points it visits
-    alone. An ascent that never left its start ends on the start itself.
+    :func:`_lattice_peaks`), best first, ``extra_starts`` seeded random
+    points of the box and the probe points of the best peak
+    (:func:`_probes`) are scored as one batch. Each start runs one
+    :func:`_ascent` in the scaled box, from the BFGS matrix the probes
+    measure (:func:`_measured_h_inv`; the identity without them), all in
+    lockstep (:func:`_lockstep`), each round's points one batch of the
+    memo; every lattice point the memo holds stays a candidate, and no
+    probe point. A point's numbers do not depend on its batch, so each
+    ascent visits the points it visits alone. An ascent that never left
+    its start ends on the start itself.
     """
     evaluate = _Objective(prob)
     (ps_lo, ps_hi), (t1_lo, t1_hi) = prob.bounds.p_s, prob.bounds.t_1
@@ -602,10 +609,12 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
             t1 = rng.uniform(t1_lo, t1_hi) if t1_hi > t1_lo else t1_lo
             extras.append((ps, t1))
     climbed += extras
-    evaluate.score(climbed)
+    box = _ScaledBox(prob)
+    probes = _probes(prob, box, climbed[0])
+    evaluate.score(climbed + probes)
+    h_inv = _measured_h_inv(box, evaluate, climbed[0], probes)
     scored = [(prob.transform(evaluate[s][0]), *s)
               for s in dict.fromkeys(lattice + extras) if s in evaluate]
-    box = _ScaledBox(prob)
 
     def reply(point):
         value, _, grad = evaluate[point]
@@ -617,7 +626,8 @@ def _solve(prob: OptimizationProblem, extra_starts: int,
         return [reply(p) for p in points]
 
     u0s = [box.scaled(s) for s in climbed]
-    ends = _lockstep(score, [_ascent(u0, *reply(s), box.u_lo, box.u_hi)
+    ends = _lockstep(score, [_ascent(u0, *reply(s), box.u_lo, box.u_hi,
+                                     h_inv)
                              for u0, s in zip(u0s, climbed)])
     ends = [(f, *(s if u is u0 else box.point(u)))
             for (u, f), u0, s in zip(ends, u0s, climbed)]
@@ -729,6 +739,58 @@ class _ScaledBox:
         return sign * grad[:self.scale.size] * self.scale
 
 
+#: the step of a probe point (:func:`_probes`), a share of the box's
+#: width in its coordinate
+_PROBE_STEP = 1e-3
+
+
+def _probes(prob: OptimizationProblem, box: _ScaledBox,
+            start: tuple[float, float]) -> list[tuple[float, float]]:
+    """The probe points of the Hessian that starts a solve's ascents
+    (:func:`_measured_h_inv`): where the start lattice is a quantum
+    landscape scan with two free coordinates, ``start`` moved along each
+    coordinate in turn by ``_PROBE_STEP`` of the box's width, towards
+    the box's farther edge; else none. A classical problem is a unit
+    problem, whose scale is already that of its optimum."""
+    if (prob.engine is not Engine.QUANTUM or box.scale.size < 2
+            or not (box.hi > box.lo).all()):
+        return []
+    probes = []
+    for i, (x, lo, hi) in enumerate(zip(start, box.lo, box.hi)):
+        step = _PROBE_STEP * (hi - lo)
+        probe = list(start)
+        probe[i] = float(x + step if x - lo <= hi - x else x - step)
+        probes.append(tuple(probe))
+    return probes
+
+
+def _measured_h_inv(box: _ScaledBox, evaluate, start: tuple[float, float],
+                    probes: list) -> np.ndarray | None:
+    """The BFGS start of every ascent of a solve: minus the inverse of
+    the score's Hessian in u at ``start``, where that Hessian, forward
+    differences of the ascent gradient to the scored ``probes``
+    (:func:`_probes`), symmetrized, is negative definite; else None, the
+    scaled identity. The 2 x 2 test and inverse are in closed form: the
+    first calls of ``numpy.linalg.eigvalsh`` and ``inv`` raise a
+    process's peak memory by about 0.2 MiB, even after quantum solves."""
+    if not probes:
+        return None
+
+    def ascent(point):
+        value, _, grad = evaluate[point]
+        return box.ascent(value, grad)
+
+    g = ascent(start)
+    (h00, h10), (h01, h11) = (
+        (ascent(p) - g) * (box.scale[i] / (p[i] - start[i]))
+        for i, p in enumerate(probes))
+    off = 0.5 * (h01 + h10)
+    det = h00 * h11 - off * off
+    if not (h00 < 0.0 and det > 0.0):
+        return None
+    return np.array([[-h11, off], [off, -h00]]) / det
+
+
 def _outward(u: np.ndarray, g: np.ndarray, lo: np.ndarray,
              hi: np.ndarray) -> np.ndarray:
     """The coordinates of u held on a bound of [lo, hi] that the ascent
@@ -738,16 +800,18 @@ def _outward(u: np.ndarray, g: np.ndarray, lo: np.ndarray,
 
 
 def _ascent(u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray):
+            hi: np.ndarray, h_inv: np.ndarray | None = None):
     """Maximize a score over the box [lo, hi] from u, which must lie in
     the box, where the score is f with gradient g, by a projected quasi-Newton ascent for a few variables: a
     generator that yields each point it needs scored and is sent back
     its (value, gradient), as :func:`_lockstep` does; returns the end
     point and its score.
 
-    BFGS on the inverse Hessian, started as the identity and scaled at
-    the first update, each update on the gradient change of the
-    coordinates free at that step. Coordinates on a bound whose gradient points out
+    BFGS on the inverse Hessian of minus the score, started as
+    ``h_inv`` where given (a measured one: the first step is Newton's),
+    else as the identity, scaled at the first update; each update is on
+    the gradient change of the coordinates free at that step.
+    Coordinates on a bound whose gradient points out
     (:func:`_outward`) are frozen; the step along the rest is projected
     into the box. The line search takes the quasi-Newton step, shrinks it
     to the maximum of a quadratic fit until the score rises by the Armijo
@@ -760,7 +824,6 @@ def _ascent(u: np.ndarray, f: float, g: np.ndarray, lo: np.ndarray,
     steps, or when a step rises, or its projected slope promises, no more
     than 1e-13 of the score (at least 1).
     """
-    h_inv = None
     for _ in range(defaults.ASCENT_MAXITER):
         free = ~_outward(u, g, lo, hi)
         pg = np.where(free, g, 0.0)

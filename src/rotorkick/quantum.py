@@ -37,10 +37,17 @@ from .core import (Kick, KickKind, ObservableSeries, PulseOrder,
 from .errors import BasisOverflow, NonFiniteValue
 
 
+@lru_cache(maxsize=64)
 def cos_offdiag(l_max: int) -> np.ndarray:
-    """<l|cos theta|l+1> = (l+1)/sqrt((2l+1)(2l+3)), l = 0..l_max-1."""
+    """<l|cos theta|l+1> = (l+1)/sqrt((2l+1)(2l+3)), l = 0..l_max-1.
+
+    Cached for the 64 basis sizes used last, as every orientation read
+    and every optimizer tangent calls it; the array is shared and
+    read-only."""
     l = np.arange(l_max, dtype=float)
-    return (l + 1.0) / np.sqrt((2.0 * l + 1.0) * (2.0 * l + 3.0))
+    c = (l + 1.0) / np.sqrt((2.0 * l + 1.0) * (2.0 * l + 3.0))
+    c.setflags(write=False)
+    return c
 
 
 def cos2_bands(l_max: int) -> tuple[np.ndarray, np.ndarray]:

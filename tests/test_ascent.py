@@ -47,7 +47,7 @@ CASES = [
 ]
 
 
-def run(score, start, lo, hi):
+def run(score, start, lo, hi, h_inv=None):
     calls = []
 
     def counted(us):
@@ -58,7 +58,8 @@ def run(score, start, lo, hi):
     u0 = np.array(start, dtype=float)
     [(u, f)] = _lockstep(counted, [_ascent(u0, *score(u0),
                                            np.array(lo, dtype=float),
-                                           np.array(hi, dtype=float))])
+                                           np.array(hi, dtype=float),
+                                           h_inv)])
     return u, f, len(calls) + 1
 
 
@@ -151,3 +152,26 @@ def test_iteration_cap_ends_the_ascent(monkeypatch):
     assert 3 < calls <= 40
     assert f < top - 1e-3
     assert f > rosenbrock_valley(np.array([-1.2, 1.0]))[0]
+
+
+def steep_valley(u):
+    """A quadratic valley whose top, (0.5, 0.7), lies inside the unit
+    box, its curvatures 1e4 apart, as at the quantum laser-first optima
+    in the scaled box."""
+    d = np.asarray(u) - [0.5, 0.7]
+    hess = np.array([[1e4, 30.0], [30.0, 1.0]])
+    return float(-d @ hess @ d), -2.0 * hess @ d
+
+
+def test_a_measured_inverse_hessian_steps_onto_the_top():
+    """Started from minus the inverse of the score's Hessian, the ascent's
+    first step is the Newton step, which lands on a quadratic's top; from
+    the identity the ascent needs more points to end there."""
+    lo, hi = np.zeros(2), np.ones(2)
+    h_inv = np.linalg.inv(2.0 * np.array([[1e4, 30.0], [30.0, 1.0]]))
+    seeded = run(steep_valley, [0.3, 0.2], lo, hi, h_inv)
+    identity = run(steep_valley, [0.3, 0.2], lo, hi)
+    for u, f, _ in (seeded, identity):
+        assert u == pytest.approx([0.5, 0.7], abs=1e-6)
+    assert seeded[0] == pytest.approx([0.5, 0.7], abs=1e-12)
+    assert seeded[2] == 2 < identity[2]

@@ -1286,7 +1286,12 @@ def scan_starts_and_peaks(monkeypatch, prob):
         return lattice_peaks(scores, periodic)
 
     def first_batch(evaluate, points):
-        seen["starts"] = list(points)
+        # the starts, then the probe points of the best one
+        probes = optimize_module._probes(
+            evaluate.prob, optimize_module._ScaledBox(evaluate.prob),
+            points[0])
+        seen["starts"] = points[:len(points) - len(probes)]
+        assert points[len(seen["starts"]):] == probes
         raise _StartsScored
 
     lattice_peaks = optimize_module._lattice_peaks
@@ -1433,3 +1438,167 @@ def test_a_scan_row_read_in_blocks_equals_one_block(monkeypatch, branch, p_s,
     blocked = optimize_module._scan_row(prob, p_s, flights, windows, l_max)
     assert widths == [5] * 11 + [4] * 2
     assert blocked.tobytes() == whole.tobytes()
+
+
+def spied_solve(monkeypatch, prob):
+    """A cold solve of ``prob``: the batches its memos score, as (problem,
+    points), the BFGS start each ascent is given, the probe points of
+    each solve (:func:`optimize._probes`, by problem) and the result."""
+    score, ascent = optimize_module._Objective.score, optimize_module._ascent
+    probes = optimize_module._probes
+    batches, h_invs, probed = [], [], []
+
+    def spy_score(evaluate, points):
+        batches.append((evaluate.prob, list(points)))
+        return score(evaluate, points)
+
+    def spy_ascent(u, f, g, lo, hi, h_inv=None):
+        h_invs.append(h_inv)
+        return ascent(u, f, g, lo, hi, h_inv)
+
+    def spy_probes(prob, box, start):
+        probed.append((prob, probes(prob, box, start)))
+        return probed[-1][1]
+
+    optimize_module._solve.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize_module._Objective, "score", spy_score)
+        patch.setattr(optimize_module, "_ascent", spy_ascent)
+        patch.setattr(optimize_module, "_probes", spy_probes)
+        res = optimize_module._solve(prob, 0, None)
+    return batches, h_invs, probed, res
+
+
+# (order, branch) of the quantum problems with two free coordinates
+PROBED = [(order, branch)
+          for order in (PulseOrder.LASER_FIRST, PulseOrder.HCP_FIRST)
+          for branch in Branch]
+
+
+@pytest.mark.parametrize("order, branch", PROBED, ids=[
+    f"{o.value}-{b.value}" for o, b in PROBED])
+def test_a_two_coordinate_quantum_solve_starts_from_a_measured_hessian(
+        monkeypatch, order, branch):
+    """The first batch of a quantum solve with two free coordinates is its
+    climbed starts, then two probe points of the best: each moves one
+    coordinate by 1e-3 of the box's width, towards the farther edge. Each
+    row of the batch is its point's batch of one, and the probes count as
+    evaluations. Every ascent starts from one BFGS matrix: minus the
+    inverse of the score's Hessian in u = (p_s/p_a, t_1 p_a), forward
+    differences of the gradient to the probes, symmetrized, where that is
+    negative definite; else the identity."""
+    p_a = 3.0
+    prob = quantum_problem(order, p_a, branch)
+    batches, h_invs, _, res = spied_solve(monkeypatch, prob)
+    first = batches[0][1]
+    start = first[0]
+    expected = []
+    for i, (lo, hi) in enumerate((prob.bounds.p_s, prob.bounds.t_1)):
+        probe, step = list(start), 1e-3 * (hi - lo)
+        probe[i] += step if start[i] - lo <= hi - start[i] else -step
+        expected.append(tuple(probe))
+    assert first[-2:] == expected
+    assert_rows_equal_batches_of_one(prob, first)
+    assert res.evaluations == len(set().union(*(b for _, b in batches)))
+    assert len(h_invs) == len(first) - 2  # one ascent a climbed start
+    assert all(h is h_invs[0] for h in h_invs)
+
+    def gradient_u(point):
+        value, _, grad = evaluate_objective(prob, *point, gradient=True)
+        return np.sign(value) * grad * [p_a, 1.0 / p_a]
+
+    hessian = np.column_stack([
+        (gradient_u(probe) - gradient_u(start)) * scale / (probe[i] - start[i])
+        for i, (probe, scale) in enumerate(zip(expected, (p_a, 1.0 / p_a)))])
+    hessian = 0.5 * (hessian + hessian.T)
+    if (np.linalg.eigvalsh(hessian) < 0.0).all():
+        assert h_invs[0] == pytest.approx(-np.linalg.inv(hessian), rel=1e-9)
+    else:
+        assert h_invs[0] is None
+    if (order, branch) == (PulseOrder.LASER_FIRST, Branch.PROMPT):
+        assert h_invs[0] is not None  # the benchmark's problem is seeded
+
+
+# problems whose solves climb in the scale law's coordinates: classical
+# ones (a laser-first one with its weak-laser limit), simultaneous quantum
+# pulses, and a quantum box that pins t_1
+UNPROBED = [classical_problem(order=order) for order in PulseOrder] + [
+    quantum_problem(PulseOrder.SIMULTANEOUS, 10.0, branch)
+    for branch in Branch] + [
+    quantum_problem(p_a=3.0, bounds=BoundsBox((-3.0, -0.06), (5.0, 5.0),
+                                              (0.0, TWO_PI)))]
+
+
+@pytest.mark.parametrize("prob", UNPROBED, ids=[
+    f"{p.engine.value}-{p.order.value}-t1to{p.bounds.t_1[1]:g}"
+    for p in UNPROBED])
+def test_other_solves_probe_nothing_and_start_from_the_identity(monkeypatch,
+                                                                prob):
+    """A solve with one free coordinate, or a classical one, a unit
+    problem, scores no probe point and starts every ascent from the
+    scaled identity."""
+    unit = optimize_module._unit_problem(prob)
+    _, h_invs, probed, _ = spied_solve(monkeypatch, unit)
+    assert h_invs and all(h is None for h in h_invs)
+    assert probed and all(found == [] for _, found in probed)
+    limits = [p for p, _ in probed
+              if isinstance(p, optimize_module._WeakLaserLimit)]
+    assert bool(limits) == (prob.order is PulseOrder.LASER_FIRST
+                            and prob.engine is Engine.CLASSICAL)
+
+
+def test_a_hessian_that_is_not_negative_definite_starts_from_the_identity(
+        monkeypatch):
+    """Probe gradients planted so that the measured Hessian is the true
+    one negated, positive definite, give every ascent the identity start:
+    the solve is bit for bit the one whose ascents are all given None."""
+    prob = quantum_problem(p_a=3.0)
+    _, h_invs, _, _ = spied_solve(monkeypatch, prob)
+    assert h_invs[0] is not None
+    points, calls = optimize_module._points, []
+
+    def planted(prob, batch, l_max=None):
+        first = not calls
+        calls.append(batch)
+        found = points(prob, batch, l_max)
+        if first:  # the starts, then the two probes of the best one
+            g = found[0][2]
+            found[-2:] = [(v, t, 2.0 * g - grad) for v, t, grad in found[-2:]]
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize_module, "_points", planted)
+        _, h_invs, _, res = spied_solve(monkeypatch, prob)
+    assert h_invs and all(h is None for h in h_invs)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize_module, "_measured_h_inv", lambda *args: None)
+        _, _, _, reference = spied_solve(monkeypatch, prob)
+    assert res == reference
+
+
+HESSIANS = [([[-2.0, 0.5], [0.5, -1.0]], True),
+            ([[-2.0, 0.9], [0.1, -1.0]], True),  # symmetrized
+            ([[-1.0, 2.0], [2.0, -1.0]], False),  # a saddle
+            ([[1.0, 0.0], [0.0, 3.0]], False),
+            ([[-1.0, 1.0], [1.0, -1.0]], False)]  # singular
+
+
+@pytest.mark.parametrize("hessian, definite", HESSIANS)
+def test_the_measured_h_inv_is_the_closed_form_inverse(hessian, definite):
+    """Gradients planted along an exact quadratic in u give back its
+    Hessian, symmetrized: minus its inverse where it is negative
+    definite, else None."""
+    prob = quantum_problem(p_a=4.0)
+    box = optimize_module._ScaledBox(prob)
+    start = (-1.5, 2.0)
+    probes = optimize_module._probes(prob, box, start)
+    hessian = np.array(hessian)
+    u0 = box.scaled(start)
+    evaluate = {p: (0.5, 0.0, hessian @ (box.scaled(p) - u0) / box.scale)
+                for p in [start] + probes}
+    h_inv = optimize_module._measured_h_inv(box, evaluate, start, probes)
+    if definite:
+        sym = 0.5 * (hessian + hessian.T)
+        assert h_inv == pytest.approx(-np.linalg.inv(sym), rel=1e-6)
+    else:
+        assert h_inv is None

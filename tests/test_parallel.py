@@ -60,10 +60,11 @@ def lattice_climbed(unit):
         [[score[s] for s in row] for row in grid])[:4])), score
 
 
-def alone(prob, start):
+def alone(prob, start, h_inv=None):
     """One start's ascent run by itself, with its own memo, through
-    ``_lockstep`` with one ascent, one point a round: its end
-    (transformed objective, p_s, t_1) and the points it evaluated."""
+    ``_lockstep`` with one ascent, one point a round, from the BFGS start
+    ``h_inv``: its end (transformed objective, p_s, t_1) and the points
+    it evaluated."""
     evaluate = optimize_module._Objective(prob)
     box = optimize_module._ScaledBox(prob)
 
@@ -80,7 +81,7 @@ def alone(prob, start):
     evaluate.score([start])
     u0 = box.scaled(start)
     [(u, f)] = _lockstep(score, [_ascent(u0, *reply(start), box.u_lo,
-                                         box.u_hi)])
+                                         box.u_hi, h_inv)])
     return (f, *(start if u is u0 else box.point(u))), set(evaluate)
 
 
@@ -97,15 +98,17 @@ def test_parallel_equals_serial(name, monkeypatch):
     # memo of solves, solved here first, so the spies see the solve's own
     # batches and ascents
     lattice = start_points(unit)
-    score, batches, ascents = optimize_module._Objective.score, [], []
+    score, batches, ascents, h_invs = (optimize_module._Objective.score, [],
+                                       [], [])
 
     def spy(evaluate, points):
         batches.append(list(points))
         return score(evaluate, points)
 
-    def ascent(u, *args):
+    def ascent(u, f, g, lo, hi, h_inv=None):
         ascents.append(u)
-        return _ascent(u, *args)
+        h_invs.append(h_inv)
+        return _ascent(u, f, g, lo, hi, h_inv)
 
     monkeypatch.setattr(optimize_module._Objective, "score", spy)
     monkeypatch.setattr(optimize_module, "_ascent", ascent)
@@ -113,10 +116,15 @@ def test_parallel_equals_serial(name, monkeypatch):
     classical = unit.engine is Engine.CLASSICAL
     if classical:  # its start lattice is scored first, as one batch
         assert batches.pop(0) == lattice
-    starts = batches[0]  # then the climbed starts and the extra ones
+    # then the climbed starts and the extra ones, and the probe points of
+    # the first, whose Hessian starts every ascent
+    box = optimize_module._ScaledBox(unit)
+    probes = optimize_module._probes(unit, box, batches[0][0])
+    starts = batches[0][:len(batches[0]) - len(probes)]
+    assert batches[0][len(starts):] == probes
+    assert all(h is h_invs[0] for h in h_invs)
     # the candidates: every start, and every point of a classical lattice
     held = list(dict.fromkeys((lattice if classical else []) + starts))
-    box = optimize_module._ScaledBox(unit)
     assert len(held) >= 8
     scored = [(unit.transform(evaluate_objective(unit, *s)[0]), *s)
               for s in held]
@@ -139,12 +147,12 @@ def test_parallel_equals_serial(name, monkeypatch):
                     assert any(height[t] >= height[s]
                                for near in grid[max(i - 1, 0):i + 2]
                                for t in near[max(j - 1, 0):j + 2] if t != s)
-    runs = [alone(unit, s) for s in starts]
+    runs = [alone(unit, s, h_invs[0]) for s in starts]
     best = max([end for end, _ in runs] + scored,
                key=lambda c: (c[0], -abs(c[1])))
     assert (unit.transform(res.objective), res.p_s, res.t_1) == best
     assert res.evaluations == len(set(held).union(
-        *(seen for _, seen in runs)))
+        probes, *(seen for _, seen in runs)))
     if name == "classical-revival-20":
         assert optimize(prob) == REVIVAL20
     assert_no_children()

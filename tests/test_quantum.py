@@ -29,6 +29,19 @@ def test_cos_matrix_elements():
                               rel=1e-14)
 
 
+def test_cos_matrix_elements_are_one_read_only_array_per_size():
+    """Each basis size's elements are built once and shared, read-only,
+    bit for bit the formula's."""
+    c = cos_offdiag(40)
+    assert cos_offdiag(40) is c
+    assert not c.flags.writeable
+    with pytest.raises(ValueError):
+        c[0] = 0.0
+    l = np.arange(40, dtype=float)
+    assert c.tobytes() == ((l + 1.0) / np.sqrt(
+        (2.0 * l + 1.0) * (2.0 * l + 3.0))).tobytes()
+
+
 def test_cos2_is_square_of_truncated_cos():
     l_max = 9
     c = cos_offdiag(l_max)
