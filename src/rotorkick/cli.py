@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classical, quantum
+from . import classical, defaults, quantum
 from .core import (Branch, Engine, ObjectiveSign, PulseOrder, parse_sequence,
                    two_pulse_sequence)
 from .errors import (BasisOverflow, ConfigError, ConvergenceFailure,
@@ -150,6 +150,9 @@ def _cmd_simulate(args) -> int:
     if args.engine == "quantum" and args.classical_shift is not None:
         raise ConfigError("--classical-shift shifts the classical trace; "
                           "--engine quantum has none")
+    if Engine.QUANTUM in engines and (args.lmax or 0) > defaults.L_MAX_CAP:
+        raise ConfigError(f"--lmax {args.lmax} exceeds the cap "
+                          f"{defaults.L_MAX_CAP}")
 
     if args.sequence is not None:
         if args.pa is not None or args.ps is not None or args.t1 != 0.0 \

@@ -237,8 +237,8 @@ def _quantum_scans(prob: OptimizationProblem, ps, t1,
     where a kick filled its tail), and the basis they are read on.
 
     The basis is ``l_max``, by default that of the box's largest |p_s|
-    plus |p_a|. The points take their kicks together
-    (:func:`quantum.two_kick_tangents`) and their first scans from one
+    plus |p_a|. The points are one block of
+    :func:`quantum.two_kick_columns` and take their first scans from one
     FFT of K rows (:func:`quantum.orientation_samples`, of the length n
     its basis sets, as in the landscape scan); orientation has period
     2 pi, so a window's samples are read mod n. A window shorter than one
@@ -247,8 +247,12 @@ def _quantum_scans(prob: OptimizationProblem, ps, t1,
     """
     strength = max(map(abs, prob.bounds.p_s)) + abs(prob.p_a)
     l_max = quantum._basis(strength, l_max)
-    cols, filled = quantum.two_kick_tangents(ps, prob.p_a, t1, prob.order,
-                                             l_max)
+    ground = np.zeros((l_max + 1, len(ps), 3), dtype=complex)
+    ground[0, :, 0] = 1.0
+    with np.errstate(invalid="ignore"):  # an infinite t_1 flies to NaN
+        flight = quantum.flight_phases(l_max, t1)
+    [(cols, filled)] = quantum.two_kick_columns(
+        ground, np.array(ps), prob.p_a, flight, prob.order, len(ps))
     samples = quantum.orientation_samples(cols[:, 0])
     n = samples.shape[-1]
     h = REVIVAL_PERIOD / n
@@ -337,6 +341,8 @@ def _start_grid(prob: OptimizationProblem) -> list[list[tuple[float, float]]]:
         return [[_weak_laser_seed(prob)]]
     (t1_lo, t1_hi) = prob.bounds.t_1
     sign, mag_lo, mag_hi = _p_s_side(prob.bounds)
+    if mag_hi == 0.0:  # the laser off: one start, on the lowest delay
+        return [[(0.0, t1_lo)]]
     mags = np.clip(np.geomspace(1.05 * mag_lo, 0.95 * mag_hi, 4),
                    mag_lo, mag_hi).tolist()
 
@@ -356,7 +362,7 @@ def _start_grid(prob: OptimizationProblem) -> list[list[tuple[float, float]]]:
 def _p_s_side(box: BoundsBox) -> tuple[float, float, float]:
     """(sign, lo, hi): the starts' p_s take the sign of the side of the
     box that reaches further from 0, and magnitudes in [lo, hi], from 0
-    up (1e-6) where the box spans 0."""
+    up (1e-6) where the box spans 0; hi is 0 where the laser is off."""
     (ps_lo, ps_hi) = box.p_s
     sign = -1.0 if ps_lo < 0.0 and -ps_lo >= ps_hi else 1.0
     spans = ps_lo < 0.0 < ps_hi
@@ -419,7 +425,7 @@ def _scan_starts(prob: OptimizationProblem) -> tuple:
     (t1_lo, t1_hi) = prob.bounds.t_1
     sign, mag_lo, mag_hi = _p_s_side(prob.bounds)
     mags = dict.fromkeys(np.clip(np.geomspace(mag_lo, mag_hi, _SCAN_ROWS),
-                                 mag_lo, mag_hi).tolist())
+                                 mag_lo, mag_hi).tolist() if mag_hi else [0.0])
     strength = mag_hi + abs(prob.p_a)
     span = t1_hi - t1_lo
     periodic = span == REVIVAL_PERIOD
@@ -453,15 +459,15 @@ def _scan_row(prob: OptimizationProblem, p_s: float, flights,
     its best transformed sample in its window, ``windows`` the columns of
     each (lo, hi) and ``flights(l_max)`` the flights to the columns'
     delays, read in near-equal blocks of at most ``_SCAN_BLOCK`` columns
-    (:func:`quantum.two_kick_delays`), each one kick product and one
-    FFT; where a kick fills a tail, the row is read again on a grown
-    basis."""
+    (:func:`quantum.two_kick_columns`), each one kick product and one
+    FFT; where a kick fills a tail, the row is read again on a grown basis."""
     while True:
         flight, j = flights(l_max), 0
         out = np.empty(flight.shape[1])
-        for rows, filled in quantum.two_kick_delays(
-                p_s, prob.p_a, flight, prob.order, _SCAN_BLOCK):
-            if filled:
+        for rows, filled in quantum.two_kick_columns(
+                np.eye(l_max + 1, 1, dtype=complex), p_s, prob.p_a, flight,
+                prob.order, _SCAN_BLOCK):
+            if filled.any():
                 break
             samples = quantum.orientation_samples(rows)
             n = samples.shape[-1]

@@ -19,7 +19,9 @@ matrix, diagonalize the asymmetric kick too. Both kicks are real matrix
 products on the float view of the complex coefficients. Every kick
 group goes through one column kicker, :func:`_kick_columns`, on a lone
 state and on the optimizer's batches alike; :func:`apply_kick` adds the
-state path's one grow-and-retry rule.
+state path's one grow-and-retry rule. The landscape scan's rows and the
+optimizer's points take their pulse pair from one kernel,
+:func:`two_kick_columns`.
 """
 
 from __future__ import annotations
@@ -293,9 +295,8 @@ def grown_l_max(l_max: int, what: str) -> int:
 
 
 def free_propagate(psi: RotorWavefunction, dt: float) -> RotorWavefunction:
-    """Free rotor evolution: a_l *= exp(-i l(l+1) dt / 2)."""
-    l = np.arange(psi.coeffs.size, dtype=float)
-    return RotorWavefunction(psi.coeffs * np.exp(-0.5j * l * (l + 1.0) * dt))
+    """Free rotor evolution by dt, its :func:`flight_phases`."""
+    return RotorWavefunction(psi.coeffs * flight_phases(psi.l_max, dt))
 
 
 def _kick_columns(cols: np.ndarray, kicks):
@@ -419,61 +420,43 @@ def two_kick_state(
     return apply_kick(free_propagate(apply_kick(psi, *first), t_1), *second)
 
 
-def two_kick_tangents(p_s, p_a: float, t_1, order: PulseOrder,
-                      l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`two_kick_state` at each point (p_s[k], t_1[k]) of the
-    arrays ``p_s`` and ``t_1`` on the basis ``l_max``, and the
-    derivatives of its coefficients in p_s and t_1: the optimizer's
-    workhorse. Returns the rows (state, d/dp_s, d/dt_1) of each point,
-    (K, 3, l_max + 1), and whether a kick filled each point's tail, so
-    that its rows are to be read on a larger basis.
-
-    Each kick is one :meth:`KickOperator.apply` for all K points, the
-    tangents two more columns of it (:func:`_kick_columns`); the flight adds
-    d/dt_1 = -i l(l+1)/2 times the flown state. A point's rows are those
-    of a batch of one, and :func:`two_kick_state`'s up to round-off.
-    """
-    p_s, t_1 = np.atleast_1d(p_s), np.atleast_1d(t_1)
-    if not (np.isfinite(p_s).all() and np.isfinite(t_1).all()
-            and math.isfinite(p_a)):
+def two_kick_columns(cols: np.ndarray, p_s, p_a: float, flight: np.ndarray,
+                     order: PulseOrder, block: int):
+    """:func:`two_kick_state` of the ground columns ``cols`` at each delay
+    of ``flight`` (:func:`flight_phases`; its rows set the basis): the
+    first pulse kicks ``cols`` once, then each near-equal block of at
+    most ``block`` delays flies and takes the second pulse, one
+    :func:`_kick_columns`. Yields each block's rows and whether a kick
+    filled each delay's tail. As in :func:`_kick_columns`, ``cols`` is
+    one column (l_max + 1, 1), one p_s at every delay, whose rows are
+    states (k, l_max + 1), or K points (l_max + 1, K, 3), p_s[k] at delay
+    k, whose C-ordered rows (k, 3, l_max + 1) are (state, d/dp_s,
+    d/dt_1). A delay rounds as in a block of one (within the bound of
+    :class:`ParityBasis`). NaN or infinite input raises ``NonFiniteValue``."""
+    # a flight's row l = 0 is 1 at a finite delay, NaN at any other
+    if not np.isfinite(np.hstack((p_s, p_a, flight[0]))).all():
         raise NonFiniteValue("non-finite value in (p_s, p_a, t_1)")
-    size = _basis(np.abs(p_s).max(initial=0.0) + abs(p_a), l_max) + 1
-    cols = np.zeros((size, p_s.size, 3), dtype=complex)
-    cols[0, :, 0] = 1.0
     first, second = pulse_pair(p_s, p_a, order)
     cols, kicked = _kick_columns(cols, first)
-    energy = 0.5 * np.arange(size) * np.arange(1.0, size + 1)
-    cols *= np.exp(-1j * np.multiply.outer(energy, t_1))[:, :, None]
-    cols[:, :, 2] -= 1j * energy[:, None] * cols[:, :, 0]
-    cols, filled = _kick_columns(cols, second)
-    return np.ascontiguousarray(cols.transpose(1, 2, 0)), kicked | filled
-
-
-def two_kick_delays(p_s: float, p_a: float, flight: np.ndarray,
-                    order: PulseOrder, block: int):
-    """:func:`two_kick_state` at one p_s and K delays, in near-equal
-    blocks of at most ``block`` delays: yields each block's states as
-    rows (k, l_max + 1) and whether a kick filled a tail. ``flight`` is
-    the flight to every delay (:func:`flight_phases`), whose l_max + 1
-    rows set the basis. The first pulse kicks the ground state once; each
-    block's second pulse is one :func:`_kick_columns`, and rounds each
-    delay as one block of all K does, a block of one delay included
-    (within the bound of :class:`ParityBasis`, which near-equal blocks of
-    many delays never reach)."""
-    state = np.zeros((flight.shape[0], 1), dtype=complex)
-    state[0] = 1.0
-    first, second = pulse_pair(p_s, p_a, order)
-    # the first pulse kicks one state, whose tail every delay inherits
-    state, kicked = _kick_columns(state, first)
-    blocks = max(1, -(-flight.shape[1] // block))
-    for part in np.array_split(flight, blocks, axis=1):
-        cols, filled = _kick_columns(state * part, second)
-        yield cols.T, bool(kicked.any() or filled.any())
+    delays, end = flight.shape[1], 0
+    kicked, blocks = np.zeros(delays, bool) | kicked, -(-delays // block)
+    for k in range(blocks, 0, -1):  # near-equal blocks, the longer first
+        part = slice(end, end := end + (delays + k - 1) // blocks)
+        if cols.ndim == 3:  # each point flies to its own delay
+            energy = 0.5 * np.arange(len(cols)) * np.arange(1.0, len(cols) + 1)
+            flown = cols[:, part] * flight[:, part, None]
+            flown[:, :, 2] -= 1j * energy[:, None] * flown[:, :, 0]  # d/dt_1
+            second = pulse_pair(p_s[part], p_a, order)[1]
+        else:
+            flown = cols * flight[:, part]
+        flown, filled = _kick_columns(flown, second)
+        rows = flown.T if cols.ndim < 3 else flown.transpose(1, 2, 0).copy()
+        yield rows, kicked[part] | filled
 
 
 def flight_phases(l_max: int, t: np.ndarray) -> np.ndarray:
-    """exp(-i l(l+1) t / 2) of each free flight t of ``t`` on the basis
-    l_max, (l_max + 1, K); a smaller basis's are its first rows."""
+    """exp(-i l(l+1) t / 2) of each free flight t of ``t`` (K, or one) on
+    the basis l_max, (l_max + 1, K); a smaller basis's are its first rows."""
     energy = 0.5 * np.arange(l_max + 1) * np.arange(1.0, l_max + 2)
     return np.exp(-1j * np.multiply.outer(energy, t))
 

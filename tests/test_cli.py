@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rotorkick
-from rotorkick import classical, cli, quantum
+from rotorkick import classical, cli, defaults, quantum
 from rotorkick.classical import two_kick_observable
 from rotorkick.cli import main
 from rotorkick.core import PulseOrder, parse_sequence, two_pulse_sequence
@@ -533,3 +533,13 @@ def test_numerical_failure_exit_code(capsys):
     code, out, err = run(capsys, "simulate", "--pa", "30", "--ps", "-2",
                          "--t-max", "1e307")
     assert code == 3 and out == "" and "node cap" in err
+
+
+@pytest.mark.parametrize("engine", ["quantum", "both"])
+def test_an_lmax_above_the_cap_is_bad_input(capsys, engine):
+    """A basis hint past the cap is refused as bad input, exit 2, before
+    any engine runs; a kick that needs such a basis stays exit 3."""
+    code, out, err = run(capsys, "simulate", "--engine", engine, "--pa", "3",
+                         "--ps", "-1", "--lmax", "5000")
+    assert code == 2 and out == ""
+    assert "5000" in err and str(defaults.L_MAX_CAP) in err

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from rotorkick import classical, defaults, quantum
-from rotorkick.core import (Branch, Engine, ObjectiveSign, OptimizationResult,
-                            PulseOrder)
+from rotorkick.core import (Branch, Engine, Kick, KickKind, ObjectiveSign,
+                            OptimizationResult, PulseOrder)
 from rotorkick.errors import NonFiniteValue
 from rotorkick.optimize import (CSV_HEADER, BoundsBox, OptimizationProblem,
                                 default_bounds, evaluate_objective, optimize,
@@ -1135,15 +1135,15 @@ def test_a_tail_overflow_in_a_batch_leaves_the_other_points_alone(
                                bounds=box)
     points = [(-0.1, 1.0), (-20.0, 1.0), (-0.5, 2.0)]
     default = [evaluate_objective(prob, *p, gradient=True) for p in points]
-    tangents, bases = quantum.two_kick_tangents, []
+    columns, bases = quantum.two_kick_columns, []
 
-    def spy(p_s, p_a, t_1, order, l_max):
-        cols, filled = tangents(p_s, p_a, t_1, order, l_max)
-        bases.append((l_max, filled.tolist()))
-        return cols, filled
+    def spy(cols, *args):
+        for rows, filled in columns(cols, *args):
+            bases.append((len(cols) - 1, filled.tolist()))
+            yield rows, filled
 
     monkeypatch.setattr(defaults, "quantum_l_max", lambda strength: 24)
-    monkeypatch.setattr(quantum, "two_kick_tangents", spy)
+    monkeypatch.setattr(quantum, "two_kick_columns", spy)
     batch = assert_rows_equal_batches_of_one(prob, points)
     # the strong point alone grows through 49 to 99 = 2 (2 24 + 1) + 1
     assert bases[:3] == [(24, [False, True, False]), (49, [True]),
@@ -1170,6 +1170,36 @@ def test_an_optimum_with_a_delay_is_not_below_the_simultaneous_one(
     simultaneous = optimize(OptimizationProblem(
         engine, PulseOrder.SIMULTANEOUS, p_a, branch))
     assert abs(delayed.objective) >= abs(simultaneous.objective) - 1e-9
+
+
+LASER_OFF = [(engine, order, p_a) for engine in Engine
+             for order in PulseOrder for p_a in (3.0, 10.0)]
+
+
+@pytest.mark.parametrize(
+    "engine, order, p_a", LASER_OFF,
+    ids=[f"{e.value}-{o.value}-{p:g}" for e, o, p in LASER_OFF])
+def test_a_laser_off_box_solves_to_the_lone_hcp_optimum(engine, order, p_a):
+    """A box whose p_s range is the single point 0 leaves the HCP kick
+    alone: its optimum is the best of a dense trace of that kick over the
+    box's times after it, to 1e-6, and not below it."""
+    prob = OptimizationProblem(engine, order, p_a)
+    prob = replace(prob, bounds=replace(prob.bounds, p_s=(0.0, 0.0)))
+    res = optimize(prob)
+    assert res.p_s == 0.0 and in_box(prob.bounds, res)
+    # the times after the HCP kick: t_2, or t_1 + t_2 where it comes first
+    span = prob.bounds.t_2[1] + prob.bounds.t_1[1] * (
+        order is PulseOrder.HCP_FIRST)
+    ts = np.linspace(0.0, span, 1 << 17)
+    if engine is Engine.CLASSICAL:
+        trace = classical.two_kick_observable(0.0, p_a, 0.0, ts)
+    else:
+        psi = quantum.apply_kick(
+            quantum.ground_state(defaults.quantum_l_max(p_a)),
+            Kick(KickKind.ASYMMETRIC, p_a, 0.0))
+        trace = quantum.observable_scan(psi, 1, ts)
+    best = prob.transform(trace).max()
+    assert best - 1e-12 <= prob.transform(res.objective) <= best + 1e-6
 
 
 # every default problem of each engine, as given and as solved
@@ -1352,13 +1382,13 @@ def test_the_scan_reads_a_filled_row_on_a_grown_basis(monkeypatch):
     flights = partial(quantum.flight_phases, t=t1)
     windows = {(0.0, TWO_PI): list(range(16))}
     wide = optimize_module._scan_row(prob, -20.0, flights, windows, 120)
-    delays, bases = quantum.two_kick_delays, []
+    columns, bases = quantum.two_kick_columns, []
 
-    def spy(p_s, p_a, flight, *args):
+    def spy(cols, p_s, p_a, flight, *args):
         bases.append(flight.shape[0] - 1)
-        return delays(p_s, p_a, flight, *args)
+        return columns(cols, p_s, p_a, flight, *args)
 
-    monkeypatch.setattr(quantum, "two_kick_delays", spy)
+    monkeypatch.setattr(quantum, "two_kick_columns", spy)
     grown = optimize_module._scan_row(prob, -20.0, flights, windows, 24)
     assert bases == [24, 49, 99]
     assert grown == pytest.approx(wide, abs=1e-9)

@@ -448,27 +448,70 @@ def test_check6_optimum_converged_in_basis_size():
     assert base[-1] == pytest.approx(-0.86405, abs=1e-4)
 
 
+def ground_points(l_max: int, k: int) -> np.ndarray:
+    """The ground columns of k points, (state, d/dp_s, d/dt_1) each."""
+    cols = np.zeros((l_max + 1, k, 3), dtype=complex)
+    cols[0, :, 0] = 1.0
+    return cols
+
+
+@pytest.mark.parametrize("l_max", [60, 700])
 @pytest.mark.parametrize("order", list(PulseOrder))
-def test_two_kick_delays_are_the_pair_states_at_each_delay(order):
+def test_two_kick_columns_are_the_pair_states_at_each_delay(order, l_max):
     """One first kick, one flight array and one second kick of all the
-    delays give the state after the pair at each delay, as the state
-    column of the optimizer's kernel does; taken in blocks of at most 4
-    delays, or one delay at a time, the same states bit for bit."""
+    delays give the state after the pair at each delay; taken in blocks
+    of at most 4 delays, or one delay at a time, the same states bit for
+    bit. The state column of the optimizer's points at those delays is
+    the scan row's state bit for bit (both bases below the bound of
+    ``ParityBasis``), points of other strengths read in blocks of 2 are
+    one block's bit for bit, and both forms are ``two_kick_state``'s to
+    1e-13."""
     t_1 = np.array([0.0, 0.3, 2.9, 5.5, 6.1])
-    flight = quantum.flight_phases(60, t_1)
-    [(rows, filled)] = quantum.two_kick_delays(-3.0, 6.0, flight, order, 5)
-    assert rows.shape == (5, 61) and not filled
-    blocks = list(quantum.two_kick_delays(-3.0, 6.0, flight, order, 4))
-    assert [(len(part), full) for part, full in blocks] == [(3, False),
-                                                           (2, False)]
+    flight = quantum.flight_phases(l_max, t_1)
+    ground = np.eye(l_max + 1, 1, dtype=complex)
+
+    def row(block):
+        return list(quantum.two_kick_columns(ground, -3.0, 6.0, flight,
+                                             order, block))
+
+    [(rows, filled)] = row(5)
+    assert rows.shape == (5, l_max + 1) and filled.tolist() == [False] * 5
+    blocks = row(4)
+    assert [(len(part), full.tolist()) for part, full in blocks] \
+        == [(3, [False] * 3), (2, [False] * 2)]
     assert np.concatenate([part for part, _ in blocks]).tobytes() \
         == rows.tobytes()
-    singles = list(quantum.two_kick_delays(-3.0, 6.0, flight, order, 1))
-    assert np.concatenate([part for part, _ in singles]).tobytes() \
+    assert np.concatenate([part for part, _ in row(1)]).tobytes() \
         == rows.tobytes()
-    tangents, _ = quantum.two_kick_tangents(np.full(5, -3.0), 6.0, t_1,
-                                            order, 60)
-    for row, t, cols in zip(rows, t_1, tangents):
-        state = quantum.two_kick_state(-3.0, 6.0, t, order, 60).coeffs
-        assert np.abs(row - state).max() < 1e-13
-        assert np.abs(row - cols[0]).max() < 1e-13
+    [(points, full)] = quantum.two_kick_columns(
+        ground_points(l_max, 5), np.full(5, -3.0), 6.0, flight, order, 5)
+    assert points.shape == (5, 3, l_max + 1) and points.flags.c_contiguous
+    assert full.tolist() == [False] * 5
+    assert points[:, 0].tobytes() == rows.tobytes()
+    strengths = np.array([-3.0, -1.0, -2.0, -0.5, -4.0])
+
+    def spread(block):
+        return list(quantum.two_kick_columns(ground_points(l_max, 5),
+                                             strengths, 6.0, flight, order,
+                                             block))
+
+    [(whole, _)] = spread(5)
+    pairs = spread(2)
+    assert [len(part) for part, _ in pairs] == [2, 2, 1]
+    assert np.concatenate([part for part, _ in pairs]).tobytes() \
+        == whole.tobytes()
+    for state, t in zip(rows, t_1):
+        ref = quantum.two_kick_state(-3.0, 6.0, t, order, l_max).coeffs
+        assert np.abs(state - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("p_s, t_1", [(math.nan, 1.0), (-1.0, math.nan)])
+def test_two_kick_columns_refuse_a_nan_strength_or_delay(p_s, t_1):
+    """A NaN p_s or t_1 raises NonFiniteValue, in a scan row and among
+    the optimizer's points, before any kick."""
+    flight = quantum.flight_phases(20, np.array([0.5, t_1]))
+    for cols, strength in ((np.eye(21, 1, dtype=complex), p_s),
+                           (ground_points(20, 2), np.array([-1.0, p_s]))):
+        with pytest.raises(NonFiniteValue):
+            next(quantum.two_kick_columns(cols, strength, 3.0, flight,
+                                          PulseOrder.LASER_FIRST, 8))
